@@ -1,20 +1,15 @@
-"""Fused whole-chain executor benchmark: the gate for the ``fused``
-backend.
+"""Fused backend benchmark: the gate for the ``fused`` backend.
 
 For every (model, device, format) combination the decomposed preset is
-compiled twice — once with ``core_backend="fused"`` (whole-chain
-:class:`CompiledFusedSite` execution) and once against the best
-per-stage path (``auto`` dispatch with the fused backend temporarily
-unregistered) — and both executables are wall-clock measured on the
-same input.
+compiled with ``core_backend="fused"``: every factored site is planned
+on the fused backend and runs its format's stage list (the host
+lowering is the same for every backend).
 
-Three gates, all enforced with a non-zero exit:
+Two gates, both enforced with a non-zero exit:
 
-1. **Perf** — on every supported (model, device) pair the fused
-   executables' summed wall time beats the per-stage arena path.
-2. **Numerics** — every fused executable matches ``Module.forward``
-   to 1e-9 max deviation.
-3. **Adoption** — plain ``auto`` dispatch (fused registered, no
+1. **Numerics** — every fused-planned executable matches
+   ``Module.forward`` to 1e-9 max deviation.
+2. **Adoption** — plain ``auto`` dispatch (fused registered, no
    fused-specific planner plumbing) selects the fused backend for at
    least one preset site.
 
@@ -31,7 +26,6 @@ import sys
 
 import numpy as np
 
-from repro.backends import register_backend, unregister_backend
 from repro.codesign.pipeline import decompose_for_device
 from repro.gpusim.device import get_device
 from repro.inference.executable import compile_model
@@ -50,10 +44,7 @@ BATCH = 4
 TOL = 1e-9
 
 
-def bench_combo(
-    model_name: str, device_name: str, fmt: str,
-    repeats: int, warmup: int,
-) -> dict:
+def bench_combo(model_name: str, device_name: str, fmt: str) -> dict:
     device = get_device(device_name)
     model = build_model(model_name, seed=0)
     try:
@@ -66,37 +57,15 @@ def bench_combo(
     model.eval()
     x = np.random.default_rng(0).standard_normal((BATCH, 3) + IMAGE_HW)
     ref = model.forward(x)
-
     fused_exe = compile_model(
         model, device, image_hw=IMAGE_HW, core_backend="fused",
         max_batch=BATCH,
     )
-    # The per-stage comparator gets its best shot: auto dispatch over
-    # every backend except the one under test.
-    fused_backend = unregister_backend("fused")
-    try:
-        staged_exe = compile_model(
-            model, device, image_hw=IMAGE_HW, core_backend="auto",
-            max_batch=BATCH,
-        )
-    finally:
-        register_backend(fused_backend)
-
-    max_dev = float(np.max(np.abs(fused_exe.run(x) - ref)))
-    fused_s = fused_exe.measure(x, repeats=repeats, warmup=warmup)
-    staged_s = staged_exe.measure(x, repeats=repeats, warmup=warmup)
-    report = fused_exe.arena_report()
     return {
         "supported": True,
-        "fused_ms": fused_s * 1e3,
-        "staged_ms": staged_s * 1e3,
-        "speedup": staged_s / fused_s,
-        "max_deviation": max_dev,
-        "staged_backends": staged_exe.backend_counts(),
-        "fused_sites": report["fused_sites"],
-        "arena_bytes": report["arena_bytes"],
-        "per_stage_equiv_bytes": report["per_stage_equiv_bytes"],
-        "arena_saved_bytes": report["saved_bytes"],
+        "max_deviation": float(np.max(np.abs(fused_exe.run(x) - ref))),
+        "backends": fused_exe.backend_counts(),
+        "arena_bytes": fused_exe.arena_report()["arena_bytes"],
     }
 
 
@@ -125,49 +94,29 @@ def probe_auto_adoption() -> dict:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--quick", action="store_true",
-                    help="small model/device subset, fewer repeats")
-    ap.add_argument("--repeats", type=int, default=None)
+                    help="small model/device subset")
     ap.add_argument("--out", default="BENCH_fused.json")
     args = ap.parse_args(argv)
 
     models = QUICK_MODELS if args.quick else MODELS
     devices = QUICK_DEVICES if args.quick else DEVICES
-    repeats = args.repeats or (3 if args.quick else 5)
-    warmup = 1 if args.quick else 2
 
     results, failures = {}, []
     for model_name in models:
         for device_name in devices:
-            pair_fused = pair_staged = 0.0
-            supported = 0
             for fmt in FACTORED_FORMATS:
                 key = f"{model_name}/{device_name}/{fmt}"
-                rec = bench_combo(
-                    model_name, device_name, fmt, repeats, warmup
-                )
+                rec = bench_combo(model_name, device_name, fmt)
                 results[key] = rec
                 if not rec["supported"]:
                     print(f"{key:36s} SKIP ({rec['reason'][:48]})")
                     continue
-                supported += 1
-                pair_fused += rec["fused_ms"]
-                pair_staged += rec["staged_ms"]
-                print(
-                    f"{key:36s} fused {rec['fused_ms']:8.2f} ms"
-                    f"  staged {rec['staged_ms']:8.2f} ms"
-                    f"  ({rec['speedup']:6.2f}x, dev {rec['max_deviation']:.1e},"
-                    f" arena -{rec['arena_saved_bytes']} B)"
-                )
+                print(f"{key:36s} dev {rec['max_deviation']:.1e}"
+                      f"  {rec['backends']}")
                 if rec["max_deviation"] > TOL:
                     failures.append(
                         f"{key}: deviation {rec['max_deviation']:.3e} > {TOL}"
                     )
-            if supported and pair_fused >= pair_staged:
-                failures.append(
-                    f"{model_name}/{device_name}: fused total "
-                    f"{pair_fused:.2f} ms not faster than per-stage "
-                    f"{pair_staged:.2f} ms"
-                )
 
     adoption = probe_auto_adoption()
     fused_wins = sum(c.get("fused", 0) for c in adoption.values())
@@ -183,7 +132,6 @@ def main(argv=None) -> int:
         "quick": args.quick,
         "image_hw": IMAGE_HW,
         "batch": BATCH,
-        "repeats": repeats,
         "tolerance": TOL,
         "results": results,
         "auto_adoption": adoption,
@@ -198,8 +146,8 @@ def main(argv=None) -> int:
         for f in failures:
             print(f"GATE FAILURE: {f}", file=sys.stderr)
         return 1
-    print("all gates passed: fused faster than per-stage, numerics "
-          f"within {TOL}, auto adoption {fused_wins} site(s)")
+    print(f"all gates passed: numerics within {TOL}, auto adoption "
+          f"{fused_wins} site(s)")
     return 0
 
 

@@ -3,7 +3,8 @@
 For every preset (model, device) pair the decomposed model is compiled
 three times — twice serial (``threads=1``, independently, to bound
 measurement noise) and once parallel (``threads=4``) — and measured at
-batch 1 (the row-block axis) and batch 16 (the batch-shard axis).
+batch 1 (too small to shard: the serial body) and batch 16 (batch
+shards).
 
 Gates, all enforced with a non-zero exit:
 
@@ -95,8 +96,6 @@ def bench_pair(model_name: str, device_name: str,
         "threads": THREADS,
         "parallel_sites": rep["parallel_sites"],
         "serial_sites": rep["serial_sites"],
-        "per_worker_scratch_bytes":
-            par.arena_report()["per_worker_scratch_bytes"],
         "batches": batches,
     }
 

@@ -9,9 +9,8 @@ two contracts the static rules cannot fully prove:
   benchmark gates on) and counts calls over a warm ``Executable.run``;
 - **arena non-aliasing** — :func:`arena_overlaps` proves via
   ``np.shares_memory`` that no two named arena buffers (site
-  activations, kernel scratch, per-lane ``<site>.scratch.w<lane>.*``
-  carve-outs) overlap, i.e. the parallel engine's bit-exactness does
-  not rest on accidentally disjoint writes.
+  activations, padded stage inputs, the shared stage scratch) overlap,
+  i.e. no site can corrupt another's activations through a view.
 
 The tracer is process-global (it swaps ``np.zeros`` et al.), so probe
 single-threaded executables or quiesce other allocating threads first;
@@ -142,11 +141,11 @@ def arena_overlaps(executable) -> List[Tuple[str, str]]:
     """Pairs of distinct arena buffers that share memory.
 
     Covers every named buffer in the executable's
-    :class:`BufferArena` — site activations, adopted kernel scratch,
-    and the per-lane ``<site>.scratch.w<lane>.<name>`` carve-outs the
-    parallel engine hands each worker.  Any overlap means two writers
-    can race (or a site can corrupt its neighbor's activations), so
-    the expected result is always the empty list.
+    :class:`BufferArena` — site activations, padded stage inputs
+    (``<site>.xpad``), and the one ``stage.scratch`` every site's
+    stages share.  Any overlap means two writers can race (or a site
+    can corrupt its neighbor's activations), so the expected result is
+    always the empty list.
     """
     arena = executable.arena
     named = [(name, arena.get(name)) for name in arena.names()]

@@ -1,27 +1,26 @@
 """hot-path-alloc: no allocating numpy calls in steady-state hot paths.
 
-The compile/execute split (PR 4) promises zero steady-state allocation:
-``Executable.run`` and everything it reaches — compiled sites, kernel
-``run_into`` bodies, the fused/parallel row walkers — must write into
+The compile/execute split promises zero steady-state allocation:
+``Executable.run`` and everything it reaches — each compiled site's
+stage runner and every stage body it calls — must write into
 preallocated :class:`BufferArena` buffers only.  The dynamic tracer in
 ``tests`` samples this for a few backends; this rule enforces it
 statically for *every* hot method in the tree.
 
-Hot classes are matched by naming convention (``Compiled*``,
-``*Kernel``, ``*Executor``, ``*Runner``, ``Executable``); hot entry
-points differ by kind — a kernel's ``run`` is the *convenience*
-allocating API by design, so only ``run_into`` is hot there, while
-compiled sites/executors are hot through ``run``/``forward``/
-``run_rows``/``stage`` and the ``_forward*``/``_body``/``_epilogue``
-methods their base class dispatches into.  The rule then takes the
-transitive closure of ``self.method()`` calls so helpers reached from
-a hot entry are checked too.
+Hot classes are matched by naming convention: the compiled sites
+(``Compiled*``, their ``_CompiledSite`` base), ``Executable``, and the
+stages (``*Stage``).  Their hot entry points are ``run`` (an
+executable's request, a stage's body) and ``forward`` (a site); the
+rule then takes the transitive closure of ``self.method()`` calls, so
+the site's stage runner and any helper reached from a hot entry are
+checked too.  Kernel classes are not hot: their ``run`` is the
+functional mirror of the GPU scheme and allocates by design.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, List, Sequence, Set
+from typing import Dict, List, Sequence, Set, Tuple
 
 from repro.analysis.lint import Finding, ParsedModule, Rule
 from repro.analysis.rules import register_rule
@@ -39,16 +38,8 @@ ALLOC_FUNCS = frozenset({
 #: ndarray methods that allocate a fresh array.
 ALLOC_METHODS = frozenset({"astype", "copy", "flatten", "tolist"})
 
-#: Entry methods for kernel classes: ``run`` allocates by design (it is
-#: the convenience API that materializes an output), ``run_into`` is
-#: the hot contract.
-KERNEL_ENTRIES = frozenset({"run_into"})
-
-#: Entry methods for compiled sites / executors / runners.
-SITE_ENTRIES = frozenset({
-    "run", "forward", "run_into", "run_rows", "stage", "_body",
-    "_epilogue",
-})
+#: Entry methods of hot classes.
+HOT_ENTRIES = ("forward", "run")
 
 
 def _numpy_aliases(tree: ast.Module) -> Set[str]:
@@ -61,19 +52,13 @@ def _numpy_aliases(tree: ast.Module) -> Set[str]:
     return aliases
 
 
-def _hot_class_kind(name: str) -> str:
-    """'' if not hot; 'kernel' or 'site' otherwise."""
-    if name.endswith("Kernel"):
-        return "kernel"
+def _is_hot_class(name: str) -> bool:
     stripped = name.lstrip("_")
-    if (
+    return (
         stripped.startswith("Compiled")
         or stripped == "Executable"
-        or name.endswith("Executor")
-        or name.endswith("Runner")
-    ):
-        return "site"
-    return ""
+        or name.endswith("Stage")
+    )
 
 
 def _self_calls(fn: ast.FunctionDef) -> Set[str]:
@@ -89,20 +74,36 @@ def _self_calls(fn: ast.FunctionDef) -> Set[str]:
     return calls
 
 
+def _methods(
+    cls: ast.ClassDef, classes: Dict[str, ast.ClassDef]
+) -> Dict[str, Tuple[str, ast.FunctionDef]]:
+    """Method name -> (defining class, def) as ``cls`` resolves it,
+    following bases defined in the same module (the stage bodies share
+    their input handling through a base class)."""
+    methods: Dict[str, Tuple[str, ast.FunctionDef]] = {}
+    for base in reversed(cls.bases):
+        if isinstance(base, ast.Name) and base.id in classes:
+            methods.update(_methods(classes[base.id], classes))
+    methods.update(
+        (n.name, (cls.name, n))
+        for n in cls.body if isinstance(n, ast.FunctionDef)
+    )
+    return methods
+
+
 def _hot_methods(
-    cls: ast.ClassDef, entries: Sequence[str]
-) -> Dict[str, ast.FunctionDef]:
-    methods = {
-        n.name: n for n in cls.body if isinstance(n, ast.FunctionDef)
-    }
+    cls: ast.ClassDef, classes: Dict[str, ast.ClassDef],
+    entries: Sequence[str],
+) -> Dict[str, Tuple[str, ast.FunctionDef]]:
+    methods = _methods(cls, classes)
     frontier = [m for m in entries if m in methods]
-    hot: Dict[str, ast.FunctionDef] = {}
+    hot: Dict[str, Tuple[str, ast.FunctionDef]] = {}
     while frontier:
         name = frontier.pop()
         if name in hot:
             continue
         hot[name] = methods[name]
-        for callee in _self_calls(methods[name]):
+        for callee in _self_calls(methods[name][1]):
             if callee in methods and callee not in hot:
                 frontier.append(callee)
     return hot
@@ -113,24 +114,27 @@ class HotPathAllocRule(Rule):
     name = "hot-path-alloc"
     description = (
         "no allocating numpy calls (np.zeros/empty/pad/astype/...) in "
-        "run/forward/run_into bodies of Compiled*/kernel/executor "
-        "classes or their self-call closure"
+        "run/forward bodies of Compiled*/Executable/*Stage classes or "
+        "their self-call closure"
     )
 
     def check(self, module: ParsedModule) -> List[Finding]:
         np_aliases = _numpy_aliases(module.tree)
+        classes = {
+            n.name: n for n in module.tree.body if isinstance(n, ast.ClassDef)
+        }
+        hot: Dict[Tuple[str, str], ast.FunctionDef] = {}
+        for cls in classes.values():
+            if _is_hot_class(cls.name):
+                for mname, (owner, fn) in _hot_methods(
+                    cls, classes, HOT_ENTRIES
+                ).items():
+                    hot[(owner, mname)] = fn
         findings: List[Finding] = []
-        for cls in module.tree.body:
-            if not isinstance(cls, ast.ClassDef):
-                continue
-            kind = _hot_class_kind(cls.name)
-            if not kind:
-                continue
-            entries = KERNEL_ENTRIES if kind == "kernel" else SITE_ENTRIES
-            for mname, fn in sorted(_hot_methods(cls, sorted(entries)).items()):
-                findings.extend(
-                    self._check_method(module, cls.name, mname, fn, np_aliases)
-                )
+        for (owner, mname), fn in sorted(hot.items()):
+            findings.extend(
+                self._check_method(module, owner, mname, fn, np_aliases)
+            )
         return findings
 
     def _check_method(

@@ -4,7 +4,7 @@ Registers ``"fused"`` as a seventh :class:`KernelBackend`: the same
 protocol every per-stage core backend speaks (``supports`` /
 ``core_latency`` / ``calibrated_latency`` / ``tiling`` / ``kernel``),
 so ``auto`` dispatch, planning, warm-up, and calibration adopt the
-fused executor with zero special-casing.  The latency it reports is
+fused kernel with zero special-casing.  The latency it reports is
 the fused chain's *core stage* — intermediate activation traffic
 dropped (see :mod:`repro.perfmodel.fused`); the pw1/pw2 plan entries
 keep their full per-stage latencies, a deliberate overcharge that
@@ -16,9 +16,10 @@ the same generic registry plumbing (:func:`repro.backends.registry.
 dispatch_dwcore`).
 
 When the planner selects ``"fused"`` for a site, the compile step
-binds a :class:`~repro.inference.executable.CompiledFusedSite` instead
-of the per-stage compiled form — that is where the arena shrink and
-the measured win come from.
+binds a :class:`~repro.inference.executable.CompiledFusedSite`, which
+runs the site format's stage list like every other backend: the fused
+choice shapes the simulated plan, the calibration key and the
+generated CUDA source, not the host loop.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from repro.perfmodel.fused import fused_core_latency, fused_dwcore_latency
 
 @register_backend
 class FusedBackend(KernelBackend):
-    """Whole-chain fused execution of a factored conv site."""
+    """The whole factored conv chain as one generated kernel."""
 
     name = "fused"
     description = (

@@ -26,9 +26,9 @@ A backend provides:
   the tiling/config that produced the latency (recorded per kernel on
   the execution plan);
 - ``kernel(shape, device, tiling=)`` — materialize the concrete
-  :class:`~repro.kernels.base.ConvKernel` behind ``core_latency`` so
-  the compile step (:func:`repro.inference.compile_plan`) can bind a
-  planned core conv to a numerically runnable kernel;
+  :class:`~repro.kernels.base.ConvKernel` behind ``core_latency``: the
+  functional mirror of the scheme that the kernel tests validate (the
+  compiled executable runs the same host stages for every backend);
 - ``batch_latencies(shapes, device)`` — optional vectorized path for
   many shapes at once (the TDC backends ride the batched tiling
   selectors of :mod:`repro.perfmodel.tiling`);
@@ -126,14 +126,16 @@ class KernelBackend:
     ) -> ConvKernel:
         """Materialize the :class:`ConvKernel` behind ``core_latency``.
 
-        Called once per core conv at *compile* time; the returned
-        kernel's ``run``/``run_into`` must execute the same scheme (and
+        The returned kernel's ``run`` must execute the same scheme (and
         the same tiling/config) whose latency this backend reported for
-        ``shape`` on ``device``.  ``tiling`` is the description a prior
-        dispatch recorded on the plan — informational, since backends
-        re-derive their configuration deterministically (memoized).
-        Backends that model a scheme without a numeric execution path
-        must raise ``NotImplementedError`` so compilation fails fast.
+        ``shape`` on ``device`` — the functional mirror the kernel
+        tests validate against the reference conv.  ``tiling`` is the
+        description a prior dispatch recorded on the plan —
+        informational, since backends re-derive their configuration
+        deterministically (memoized).  Compiled executables do not call
+        this: every backend lowers to the same host stages.  Backends
+        that model a scheme without a numeric mirror raise
+        ``NotImplementedError``.
         """
         raise NotImplementedError(
             f"backend {self.name!r} does not materialize numeric kernels; "

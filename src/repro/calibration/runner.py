@@ -1,12 +1,13 @@
-"""Calibration runs: measure compiled kernels, fit correction factors.
+"""Calibration runs: measure compiled sites, fit correction factors.
 
 :func:`run_calibration` drives one compiled
 :class:`~repro.inference.Executable` the way the serving hot path does
-— every bound core/conv kernel executes through
-``ConvKernel.run_into`` against the executable's own arena buffers
-(warmup + best-of-k, mirroring ``Executable.measure``) — and pairs each
-measurement with the analytical latency its plan recorded.  The
-resulting :class:`CalibrationRun` fits:
+— every site's core stage (the ``conv`` or ``dw`` stage object the
+site's forward runs) executes against the executable's own arena
+buffers (warmup + best-of-k, mirroring ``Executable.measure``) — and
+pairs each measurement with the analytical latency its plan recorded
+for that core under the planned backend.  The resulting
+:class:`CalibrationRun` fits:
 
 - one :class:`~repro.calibration.model.CalibrationFactor` per
   (backend, shape class) over the per-site core samples, and
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -36,12 +38,7 @@ from repro.calibration.model import (
     store_factor,
 )
 from repro.backends import DEPTHWISE_BASELINE
-from repro.inference.executable import (
-    CompiledConv2d,
-    CompiledFusedSite,
-    CompiledTuckerConv2d,
-    Executable,
-)
+from repro.inference.executable import Executable
 from repro.kernels.base import ConvShape
 from repro.perfmodel.analytical import shape_class
 from repro.planning.cache import PlanCache
@@ -61,7 +58,7 @@ class SiteSample:
     shape: ConvShape     # the plan-time core shape (output extent)
     shape_class: str
     predicted_s: float   # raw analytical latency (corrections inverted)
-    measured_s: float    # best-of-k run_into wall seconds
+    measured_s: float    # best-of-k core-stage wall seconds
 
     @property
     def ratio(self) -> float:
@@ -100,7 +97,17 @@ class CalibrationRun:
         return max(leftover, 1e-9)
 
     def site_factors(self) -> Dict[Tuple[str, str], CalibrationFactor]:
-        """Fits grouped by (backend, shape class), ratio of sums."""
+        """Fits grouped by (backend, shape class), ratio of sums.
+
+        A plan that itemizes no auxiliary kernel (a dense model: only
+        its conv kernels are priced) leaves the core kernels as the
+        only carriers of the run's wall time, so their measured times
+        are scaled by the whole-run share they leave unaccounted —
+        otherwise the module topology's host time would be dropped.
+        """
+        scale = 1.0
+        if self.aux_predicted_s <= 0 and self.core_measured_s > 0:
+            scale = max(1.0, self.total_measured_s / self.core_measured_s)
         grouped: Dict[Tuple[str, str], List[SiteSample]] = {}
         for sample in self.samples:
             grouped.setdefault(
@@ -109,7 +116,7 @@ class CalibrationRun:
         return {
             key: CalibrationFactor.from_sums(
                 sum(s.predicted_s for s in samples),
-                sum(s.measured_s for s in samples),
+                scale * sum(s.measured_s for s in samples),
                 len(samples),
             )
             for key, samples in grouped.items()
@@ -144,19 +151,15 @@ def _best_of(fn, warmup: int, repeats: int) -> float:
     return best
 
 
-def _site_shape(site) -> Optional[ConvShape]:
-    """The plan-time core shape of one compiled site (output extent)."""
-    if isinstance(site, CompiledFusedSite):
-        return site.core_shape
-    if isinstance(site, CompiledTuckerConv2d):
-        d2, d1, r, s = site.core.shape
-        _, _, oh, ow = site.z2.shape
-        return ConvShape(c=d1, n=d2, h=oh, w=ow, r=r, s=s)
-    if isinstance(site, CompiledConv2d) and site.kernel is not None:
-        n, c, r, s = site.weight.shape
-        _, _, oh, ow = site.out.shape
-        return ConvShape(c=c, n=n, h=oh, w=ow, r=r, s=s)
-    return None  # pointwise dense site: executes as a GEMM, no kernel
+def _registry_priced(kernel) -> bool:
+    """Whether a plan kernel was priced by a registry backend (and so
+    carries a per-backend correction and gets a measured sample): core
+    and dense conv kernels, and a dwcore won by a registry backend —
+    only the depthwise baseline goes through the aux factor."""
+    return kernel.kind in CORE_KINDS or (
+        kernel.kind == "dwcore"
+        and kernel.backend not in (None, DEPTHWISE_BASELINE)
+    )
 
 
 def _raw_kernel_latency(kernel, shape: Optional[ConvShape], device) -> float:
@@ -172,14 +175,7 @@ def _raw_kernel_latency(kernel, shape: Optional[ConvShape], device) -> float:
     same correction the planner multiplied in recovers the raw value
     exactly.  Plain specs carry no corrections: identity.
     """
-    registry_priced = kernel.kind in CORE_KINDS or (
-        # A dwcore won by a registry backend was priced through
-        # ``calibrated_dwcore_latency`` (a per-backend correction);
-        # only the depthwise baseline goes through the aux factor.
-        kernel.kind == "dwcore"
-        and kernel.backend not in (None, DEPTHWISE_BASELINE)
-    )
-    if registry_priced:
+    if _registry_priced(kernel):
         correction = getattr(device, "correction_for", None)
         if correction is None or shape is None:
             return kernel.latency
@@ -190,16 +186,15 @@ def _raw_kernel_latency(kernel, shape: Optional[ConvShape], device) -> float:
     return kernel.latency / correction(kernel.kind)
 
 
-def _site_runner(site):
-    """A zero-argument closure executing the site's bound kernel once,
-    through the same arena buffers the serving hot path uses."""
-    if isinstance(site, CompiledTuckerConv2d):
-        return lambda: site.kernel.run_into(
-            site.z1pad[0], site.core, site.ysame[0], site.scratch
-        )
-    return lambda: site.kernel.run_into(
-        site.xpad[0], site.weight, site.ysame[0], site.scratch
-    )
+def _core_kernel(site, planned):
+    """The plan kernel a site's core stage executes (None when the
+    site has no core stage or the plan priced it as auxiliary)."""
+    if site.core_stage is None:
+        return None
+    layer = site.site_name + (".core" if site.format != "dense" else "")
+    kernel = planned.get(layer)
+    return kernel if kernel is not None and _registry_priced(kernel) \
+        else None
 
 
 def run_calibration(
@@ -211,39 +206,26 @@ def run_calibration(
 ) -> CalibrationRun:
     """Measure one executable per site and end to end.
 
-    Not thread-safe with respect to the executable (one arena, one
-    runner) — callers serving live traffic must pause the worker first
+    Not thread-safe with respect to the executable (one arena) —
+    callers serving live traffic must pause the worker first
     (:meth:`repro.serving.InferenceSession.paused` does exactly that).
     """
     plan = executable.plan
     device = executable.device
     planned = {k.layer: k for k in plan.kernels}
+    measured = [
+        (site, kernel) for site in executable.sites()
+        if (kernel := _core_kernel(site, planned)) is not None
+    ]
     # Plan-layer -> core shape, for inverting any correction already
     # baked into a calibrated plan's recorded latencies.
-    core_shapes: Dict[str, ConvShape] = {}
-    # Layers belonging to a fused whole-chain site: the chain's wall
-    # time is measured as one sample, so every stage of it (pw1, core,
-    # pw2) must be attributed to the core bucket — otherwise the
-    # intermediate stages would be double-counted into ``__aux__``.
-    fused_layers = set()
-    for site in executable.sites():
-        shape = _site_shape(site)
-        if shape is None:
-            continue
-        if isinstance(site, (CompiledFusedSite, CompiledTuckerConv2d)):
-            core_shapes[f"{site.site_name}.core"] = shape
-        else:
-            core_shapes[site.site_name] = shape
-        if isinstance(site, CompiledFusedSite):
-            fused_layers.update(
-                f"{site.site_name}{sfx}" for sfx in (".pw1", ".core", ".pw2")
-            )
+    core_shapes = {kernel.layer: site.core_shape for site, kernel in measured}
     raw_total = 0.0
     raw_core = 0.0
     for kernel in plan.kernels:
         raw = _raw_kernel_latency(kernel, core_shapes.get(kernel.layer), device)
         raw_total += raw
-        if kernel.kind in CORE_KINDS or kernel.layer in fused_layers:
+        if kernel.layer in core_shapes:
             raw_core += raw
     run = CalibrationRun(
         model_name=executable.model_name,
@@ -254,56 +236,23 @@ def run_calibration(
         total_predicted_s=raw_total,
         core_predicted_s=raw_core,
     )
-    for site in executable.sites():
-        shape = _site_shape(site)
-        if shape is None:
-            continue
-        if isinstance(site, CompiledFusedSite):
-            # The fused chain has no per-stage kernel to time in
-            # isolation: measure the whole pw1+core+pw2 forward against
-            # the summed raw predictions of its plan entries.  The
-            # sample lands under ("fused", shape class), giving the
-            # fused backend its own calibration entries.
-            predicted = sum(
-                _raw_kernel_latency(planned[layer], shape, device)
-                for layer in (
-                    f"{site.site_name}{sfx}"
-                    for sfx in (".pw1", ".core", ".pw2")
-                )
-                if layer in planned
-            )
-            dummy = np.zeros(
-                (1,) + site.input_shape, dtype=executable.dtype
-            )
-            measured = _best_of(
-                lambda s=site, d=dummy: s.forward(d), warmup, repeats
-            )
-            run.samples.append(
-                SiteSample(
-                    site=site.site_name,
-                    backend="fused",
-                    shape=shape,
-                    shape_class=shape_class(shape),
-                    predicted_s=predicted,
-                    measured_s=measured,
-                )
-            )
-            continue
-        if isinstance(site, CompiledTuckerConv2d):
-            kernel = planned.get(f"{site.site_name}.core")
-        else:
-            kernel = planned.get(site.site_name)
-        if kernel is None or kernel.kind not in CORE_KINDS:
-            continue
-        measured = _best_of(_site_runner(site), warmup, repeats)
+    for site, kernel in measured:
+        # A core stage reads the arena buffer its predecessor wrote;
+        # only a dense site's conv reads the site input itself.
+        dummy = np.zeros((1,) + site.input_shape, dtype=executable.dtype)
         run.samples.append(
             SiteSample(
                 site=site.site_name,
                 backend=kernel.backend or "cudnn",
-                shape=shape,
-                shape_class=shape_class(shape),
-                predicted_s=_raw_kernel_latency(kernel, shape, device),
-                measured_s=measured,
+                shape=site.core_shape,
+                shape_class=shape_class(site.core_shape),
+                predicted_s=_raw_kernel_latency(
+                    kernel, site.core_shape, device
+                ),
+                measured_s=_best_of(
+                    partial(site.core_stage.run, dummy, 0, 1),
+                    warmup, repeats,
+                ),
             )
         )
     run.core_measured_s = sum(s.measured_s for s in run.samples)

@@ -2,8 +2,9 @@
 end-to-end latency estimation.
 
 Pipeline: ``plan_model``/``plan_tucker_model`` decide (cold) →
-``compile_plan`` binds kernels/weights/buffers into an ``Executable``
-(cold) → ``Executable.run`` executes numeric forwards (hot) →
+``compile_plan`` lowers every conv site to host stages over exported
+weights and arena buffers in an ``Executable`` (cold) →
+``Executable.run`` executes numeric forwards (hot) →
 :mod:`repro.serving` queues requests on top.
 """
 

@@ -6,27 +6,41 @@ An :class:`~repro.inference.plan.ExecutionPlan` records *decisions*
 :class:`Executable` — the repro-side analogue of the paper's generated
 inference program after ``nvcc``:
 
-- every planned ``core``/``conv`` kernel is bound to the concrete
-  :class:`~repro.kernels.base.ConvKernel` its backend materializes
-  (``KernelBackend.kernel``), with the plan's dispatch decision
-  honored per layer;
+- every conv site lowers to an ordered list of batch-wide *stages*, the
+  plain ``Sequential(1x1, core, 1x1)`` form of a factored conv:
+
+  ======  ==========================
+  dense   ``[conv]`` (a stride-1, unpadded 1x1 is one ``pw``)
+  Tucker  ``[pw, conv, pw]``
+  CP      ``[pw, dw, pw]``
+  TT      ``[pw, dw, gsum, pw]``
+  ======  ==========================
+
+  with the bias folded into the last stage.  ``pw`` is a stacked
+  ``matmul``; ``conv`` copies the strided windows of its padded input
+  (a view built at compile time) into the executable's one stage
+  scratch and runs one stacked ``matmul``; ``dw`` is the ``R*S`` tap
+  loop over the whole batch.  ``conv`` and ``dw`` compute only the
+  strided output positions.
+- the plan's backend — ``fused`` included — drives the simulated
+  latency, the calibration keys and the generated CUDA source; it
+  does not pick a host loop, since every backend lowers to the same
+  stages;
 - the model's core/factor weights are exported into the executable
   (contiguous, in the execution dtype), so later mutation of the
   source model cannot leak into a compiled artifact;
-- all activation and scratch buffers are preallocated in a
+- all activation buffers and the one stage scratch (sized to the
+  largest stage, shared by every site) are preallocated in a
   :class:`BufferArena`, so the hot path performs zero per-request
-  ``np.zeros``/``np.empty``/``np.pad`` allocation — buffers are reused
-  across requests, which the test suite asserts by identity.
-
-Strided/padded layers run through their same-convolution kernels by
-executing at the padded input extent and subsampling the output — the
-kernel computes a superset of the needed positions (halo overcompute,
-like the real TDC kernel) while numerics match ``Module.forward``
-exactly up to float tolerance.
+  ``np.zeros``/``np.empty``/``np.pad`` allocation.
 
 ``Executable.run`` is single-threaded by design (one arena, one
 in-flight request); :mod:`repro.serving` serializes concurrent callers
-through a micro-batching queue on top.
+through a micro-batching queue on top.  A site the perf model marks
+parallel runs its stage list on batch shards: every shard owns a
+disjoint sample slice of the same buffers (scratch included), and the
+stacked ``matmul`` runs one GEMM per sample, so shards are
+bit-identical to a serial run.
 """
 
 from __future__ import annotations
@@ -34,35 +48,31 @@ from __future__ import annotations
 import copy
 import time
 from dataclasses import replace as dc_replace
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from repro.backends import get_backend
 from repro.gpusim.device import DeviceSpec
 from repro.inference.plan import ExecutionPlan, PlannedKernel, plan_model
-from repro.kernels.base import ConvKernel, ConvShape, execution_dtype
-from repro.kernels.depthwise import DepthwiseConvKernel
-from repro.kernels.fused import FusedChainExecutor, select_block_rows
+from repro.kernels.base import ConvShape, execution_dtype
 from repro.models.introspection import (
     LayerSite,
     find_module,
     replace_module,
     trace_layer_sites,
 )
-from repro.nn.conv import Conv2d
-from repro.nn.cp_conv import CPConv2d
-from repro.nn.functional import conv_out_size
 from repro.nn.module import Module
-from repro.nn.tt_conv import TTConv2d
-from repro.nn.tucker_conv import TuckerConv2d
 from repro.perfmodel.parallel import should_parallelize
-from repro.runtime.engine import SiteParallel
+from repro.runtime.engine import plan_batch_shards
 from repro.runtime.pool import get_pool, resolve_threads
-from repro.runtime.prepared import prepare_tdc_runner
 
 #: Plan kernel kinds that bind to a model conv site.
 _CONV_KINDS = ("conv", "pointwise", "core", "dwcore")
+
+#: Arena name of the stage scratch every site shares.
+STAGE_SCRATCH = "stage.scratch"
 
 
 class BufferArena:
@@ -91,7 +101,7 @@ class BufferArena:
         return buf
 
     def adopt(self, name: str, array: np.ndarray) -> np.ndarray:
-        """Register an externally allocated buffer (kernel scratch)."""
+        """Register an externally allocated buffer."""
         if name in self._buffers:
             raise ValueError(f"arena buffer {name!r} already allocated")
         self._buffers[name] = array
@@ -112,51 +122,246 @@ class BufferArena:
         return sum(b.nbytes for b in self._buffers.values())
 
 
-def _row_task(runner, xpad, out, blocks, scratch):
-    """One lane's row-block task: walk its (cache-capped) blocks
-    sequentially with its own scratch; ``xpad`` is read-only shared."""
-    def task():
-        for lo, hi in blocks:
-            runner.run_rows(xpad, out, lo, hi, scratch)
-    return task
+# ---------------------------------------------------------------------------
+# Stages: one batch-wide host op each.  ``run(x, lo, hi)`` computes
+# samples ``[lo, hi)``; ``x`` is the site input, read only by a site's
+# first stage (``src is None``), every other stage reads the arena
+# buffer its predecessor wrote.
+# ---------------------------------------------------------------------------
+
+def _windows(a: np.ndarray, k: int, stride: int, oh: int, ow: int):
+    """``(B, C, k, k, OH, OW)`` view of the strided conv windows of a
+    padded NCHW array (the layout of an ``(N, C, k, k)`` weight)."""
+    win = sliding_window_view(a, (k, k), axis=(2, 3))
+    win = win[:, :, ::stride, ::stride][:, :, :oh, :ow]
+    return win.transpose(0, 1, 4, 5, 2, 3)
 
 
-def _strided_rows(
-    extent: int, kernel: int, stride: int, padding: int
-) -> Tuple[slice, int]:
-    """Slice selecting the strided conv outputs from a same-conv result
-    computed at the padded extent, plus the output size."""
-    out = conv_out_size(extent, kernel, stride, padding)
-    start = (kernel - 1) // 2
-    return slice(start, start + (out - 1) * stride + 1, stride), out
+class PointwiseStage:
+    """1x1 projection: ``(N, C) @ (b, C, H*W)``, one GEMM per sample."""
+
+    def __init__(self, weight, src, out, bias=None) -> None:
+        self.weight = weight                     # (N, C)
+        self.src = None if src is None else src.reshape(
+            src.shape[0], src.shape[1], -1
+        )
+        self.out = out.reshape(out.shape[0], out.shape[1], -1)
+        self.bias = None if bias is None else bias[:, None]
+
+    def run(self, x, lo, hi) -> None:
+        if self.src is None:
+            src = x[lo:hi].reshape(hi - lo, x.shape[1], -1)
+        else:
+            src = self.src[lo:hi]
+        out = self.out[lo:hi]
+        np.matmul(self.weight, src, out=out)
+        if self.bias is not None:
+            out += self.bias
+
+
+class _WindowedStage:
+    """Shared input handling of the ``conv`` and ``dw`` stages.
+
+    A padded layer stages its input into the interior of a zero-border
+    arena buffer (``<site>.xpad``, the only per-request copy besides
+    the stage's own); an unpadded one reads its source directly.
+    ``self.base`` is the padded input the windows are taken from, or
+    ``None`` when that is the site input itself (known only per call).
+    """
+
+    def __init__(self, src, in_shape, out, stride, padding, arena, name):
+        m, c, h, w = in_shape
+        self.src = src
+        self.out = out
+        self.stride = stride
+        self.interior = None
+        self.base = src
+        if padding:
+            p = padding
+            self.base = arena.allocate(
+                f"{name}.xpad", (m, c, h + 2 * p, w + 2 * p)
+            )
+            self.interior = self.base[:, :, p:p + h, p:p + w]
+
+    def _stage_input(self, x, lo, hi):
+        """Stage samples ``[lo, hi)``; returns the padded input."""
+        src = x if self.src is None else self.src
+        if self.interior is None:
+            return src
+        self.interior[lo:hi] = src[lo:hi]
+        return self.base
+
+
+class ConvStage(_WindowedStage):
+    """Dense ``RxS`` conv: one copy of the strided windows into the
+    stage scratch (im2col), then one stacked ``matmul``."""
+
+    def __init__(self, weight, src, in_shape, out, stride, padding,
+                 arena, name, bias=None) -> None:
+        super().__init__(src, in_shape, out, stride, padding, arena, name)
+        n, c, k, _ = weight.shape
+        self.k = k
+        m, _, oh, ow = out.shape
+        self.weight = weight.reshape(n, -1)      # (N, C*k*k)
+        self.out3 = out.reshape(m, n, oh * ow)
+        self.bias = None if bias is None else bias[:, None]
+        self.win = None if self.base is None else _windows(
+            self.base, k, stride, oh, ow
+        )
+        self.scratch_shape = (m, c, k, k, oh, ow)
+
+    def bind(self, scratch: np.ndarray) -> None:
+        m, c, k, _, oh, ow = self.scratch_shape
+        self.cols = scratch[: m * c * k * k * oh * ow].reshape(
+            self.scratch_shape
+        )
+        self.cols3 = self.cols.reshape(m, c * k * k, oh * ow)
+
+    def run(self, x, lo, hi) -> None:
+        base = self._stage_input(x, lo, hi)
+        win = self.win
+        if win is None:
+            _, _, oh, ow = self.out.shape
+            win = _windows(base, self.k, self.stride, oh, ow)
+        np.copyto(self.cols[lo:hi], win[lo:hi])
+        out = self.out3[lo:hi]
+        np.matmul(self.weight, self.cols3[lo:hi], out=out)
+        if self.bias is not None:
+            out += self.bias
+
+
+class DepthwiseStage(_WindowedStage):
+    """Depthwise ``RxS`` conv: the tap loop, each tap one multiply
+    over the whole batch's strided windows."""
+
+    def __init__(self, weight, src, in_shape, out, stride, padding,
+                 arena, name) -> None:
+        super().__init__(src, in_shape, out, stride, padding, arena, name)
+        _, k, _ = weight.shape
+        m, q, oh, ow = out.shape
+        rows, cols = (oh - 1) * stride + 1, (ow - 1) * stride + 1
+        self.taps = [
+            (
+                self.base[:, :, r:r + rows:stride, s:s + cols:stride],
+                weight[:, r, s, None, None],
+            )
+            for r in range(k) for s in range(k)
+        ]
+        self.scratch_shape = (m, q, oh, ow) if k > 1 else None
+
+    def bind(self, scratch: np.ndarray) -> None:
+        self.tmp = scratch[: self.out.size].reshape(self.out.shape)
+
+    def run(self, x, lo, hi) -> None:
+        self._stage_input(x, lo, hi)
+        out = self.out[lo:hi]
+        first, w = self.taps[0]
+        np.multiply(first[lo:hi], w, out=out)
+        if len(self.taps) > 1:
+            tmp = self.tmp[lo:hi]
+            for tap, w in self.taps[1:]:
+                np.multiply(tap[lo:hi], w, out=tmp)
+                out += tmp
+
+
+class GroupSumStage:
+    """TT group-sum: collapse the ``r1*r2`` depthwise channels to ``r1``."""
+
+    def __init__(self, src, out, rank1: int, rank2: int) -> None:
+        m, _, oh, ow = src.shape
+        self.src = src.reshape(m, rank1, rank2, oh, ow)
+        self.out = out
+
+    def run(self, x, lo, hi) -> None:
+        np.sum(self.src[lo:hi], axis=2, out=self.out[lo:hi])
+
+
+# ---------------------------------------------------------------------------
+# Lowering: one stage list per site format.
+# ---------------------------------------------------------------------------
+
+def _lower(site: LayerSite, arena: BufferArena, max_batch: int):
+    """``(stages, core stage, core shape)`` for one conv site, writing
+    into ``<site>.out`` (and the site's intermediate buffers).  The
+    core stage is the ``conv``/``dw`` stage calibration times, the core
+    shape its plan-time ``ConvShape`` (calibration keys on it); both
+    are ``None`` for a plain 1x1 GEMM."""
+    mod, name, fmt = site.module, site.name, site.format
+    m, h, w = max_batch, site.height, site.width
+    k, stride, p = mod.kernel_size, mod.stride, mod.padding
+    oh, ow = mod.output_shape(h, w)
+    dt = arena.dtype
+    out = arena.allocate(f"{name}.out", (m, mod.out_channels, oh, ow))
+
+    def buf(label: str, channels: int, hw=(oh, ow)):
+        return arena.allocate(f"{name}.{label}", (m, channels) + hw)
+
+    if fmt == "dense":
+        weight = np.ascontiguousarray(mod.weight.data, dtype=dt)
+        bias = (None if mod.bias is None
+                else np.ascontiguousarray(mod.bias.data, dtype=dt))
+        if k == 1 and stride == 1 and p == 0:
+            return [PointwiseStage(weight[:, :, 0, 0], None, out, bias)], \
+                None, None
+        conv = ConvStage(weight, None, (m, mod.in_channels, h, w), out,
+                         stride, p, arena, name, bias)
+        shape = ConvShape(c=mod.in_channels, n=mod.out_channels,
+                          h=oh, w=ow, r=k, s=k)
+        return [conv], conv, shape
+    weights = mod.export_weights(dtype=dt)
+    mid = weights["w_in"].shape[0]
+    z1 = buf("z1", mid, (h, w))
+    pw1 = PointwiseStage(weights["w_in"], None, z1)
+    if fmt == "tucker":
+        z2 = buf("z2", mod.rank_out)
+        core = ConvStage(weights["core"], z1, z1.shape, z2, stride, p,
+                         arena, name)
+        tail = [PointwiseStage(weights["w_out"], z2, out, weights["bias"])]
+        shape = ConvShape(c=mid, n=mod.rank_out, h=oh, w=ow, r=k, s=k)
+        return [pw1, core] + tail, core, shape
+    z2 = buf("z2", mid)
+    core = DepthwiseStage(weights["dw"], z1, z1.shape, z2, stride, p,
+                          arena, name)
+    if fmt == "tt":
+        z3 = buf("z3", mod.rank1)
+        tail = [GroupSumStage(z2, z3, mod.rank1, mod.rank2),
+                PointwiseStage(weights["w_out"], z3, out, weights["bias"])]
+    else:
+        tail = [PointwiseStage(weights["w_out"], z2, out, weights["bias"])]
+    shape = ConvShape(c=mid, n=mid, h=oh, w=ow, r=k, s=k)
+    return [pw1, core] + tail, core, shape
 
 
 class _CompiledSite(Module):
-    """Base for compiled conv sites: inference-only bound kernels.
+    """One compiled conv site: its stage list over arena buffers.
 
-    ``forward`` dispatches between the serial body and the worker-pool
-    sharded body: ``_parallel`` is ``None`` unless :func:`compile_plan`
-    decided (via the perf model) that this site shards, in which case
-    it holds the site's :class:`~repro.runtime.SiteParallel` state —
-    lane scratch, shard geometry, the prepared runner.  Sharding axes:
-
-    - batch shards when the request batch supports >= 2 shards of
-      >= 2 samples each (``_forward_shard`` runs the full site body on
-      a contiguous sample range, one lane per shard);
-    - output row blocks at small batch, only on sites whose core
-      exposes a row entry point (``_forward_rows``);
-    - otherwise the exact serial body (``_forward_serial``).
+    ``forward`` runs the list on the whole batch, or — when
+    :func:`compile_plan` marked the site parallel and the batch
+    supports >= 2 shards of >= 2 samples — on batch shards across the
+    worker pool.  The subclasses name the site's format (and the fused
+    plan); they differ only in the stage list :func:`_lower` builds.
     """
 
-    #: Set by compile_plan when the perf model picks parallel (else None).
-    _parallel = None
+    #: Set by compile_plan when the perf model picks parallel.
+    threads = 1
+    pool = None
+    est_speedup = 1.0
+    site_latency_s = 0.0
 
-    def __init__(self, name: str, max_batch: int) -> None:
+    def __init__(self, site: LayerSite, backend: Optional[str],
+                 arena: BufferArena, max_batch: int) -> None:
         super().__init__()
-        self.site_name = name
+        self.site_name = site.name
+        self.format = site.format
+        self.backend = backend
         self.max_batch = int(max_batch)
+        self.input_shape = (site.module.in_channels, site.height, site.width)
+        self.stages, self.core_stage, self.core_shape = _lower(
+            site, arena, max_batch
+        )
+        self.out = arena.get(f"{site.name}.out")
 
-    def _check_batch(self, x: np.ndarray) -> int:
+    def forward(self, x: np.ndarray) -> np.ndarray:
         b = x.shape[0]
         if b > self.max_batch:
             raise ValueError(
@@ -164,42 +369,18 @@ class _CompiledSite(Module):
                 f"{self.max_batch} at site {self.site_name!r}; recompile "
                 f"with a larger max_batch or split the request"
             )
-        return b
+        shards = plan_batch_shards(b, self.threads)
+        if len(shards) > 1:
+            self.pool.run_tasks(
+                [partial(self._run, x, lo, hi) for lo, hi in shards]
+            )
+        else:
+            self._run(x, 0, b)
+        return self.out[:b]
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        b = self._check_batch(x)
-        par = self._parallel
-        if par is not None:
-            shards = par.batch_shards(b)
-            if len(shards) > 1:
-                par.run_tasks([
-                    self._shard_task(x, lo, hi, lane)
-                    for lane, (lo, hi) in enumerate(shards)
-                ])
-                return self.out[:b]
-            if len(par.row_lane_groups) > 1:
-                y = self._forward_rows(x, b, par)
-                if y is not None:
-                    return y
-        return self._forward_serial(x, b)
-
-    def _shard_task(self, x: np.ndarray, lo: int, hi: int, lane: int):
-        return lambda: self._forward_shard(x, lo, hi, lane)
-
-    def _forward_serial(self, x: np.ndarray, b: int) -> np.ndarray:
-        raise NotImplementedError
-
-    def _forward_shard(
-        self, x: np.ndarray, lo: int, hi: int, lane: int
-    ) -> None:
-        """Run the full site body on samples ``[lo, hi)`` with lane
-        scratch; only reached when ``_parallel`` is set."""
-        raise NotImplementedError
-
-    def _forward_rows(self, x: np.ndarray, b: int, par):
-        """Row-block fan-out; ``None`` means fall back to serial (only
-        sites with a row-capable prepared runner override this)."""
-        return None
+    def _run(self, x: np.ndarray, lo: int, hi: int) -> None:
+        for stage in self.stages:
+            stage.run(x, lo, hi)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         raise RuntimeError(
@@ -209,487 +390,40 @@ class _CompiledSite(Module):
 
 
 class CompiledConv2d(_CompiledSite):
-    """A dense conv site bound to a baseline kernel and arena buffers."""
-
-    def __init__(
-        self,
-        site: LayerSite,
-        kernel: Optional[ConvKernel],
-        arena: BufferArena,
-        max_batch: int,
-    ) -> None:
-        super().__init__(site.name, max_batch)
-        mod = site.module
-        assert isinstance(mod, Conv2d)
-        dtype = arena.dtype
-        self.kernel_size = mod.kernel_size
-        self.stride = mod.stride
-        self.padding = mod.padding
-        self.weight = np.ascontiguousarray(mod.weight.data, dtype=dtype)
-        self.bias = (
-            np.ascontiguousarray(mod.bias.data, dtype=dtype)
-            if mod.bias is not None else None
-        )
-        h, w = site.height, site.width
-        c, n = mod.in_channels, mod.out_channels
-        k, p = mod.kernel_size, mod.padding
-        self._rows, oh = _strided_rows(h, k, self.stride, p)
-        self._cols, ow = _strided_rows(w, k, self.stride, p)
-        self.kernel = kernel
-        self.out = arena.allocate(f"{site.name}.out", (max_batch, n, oh, ow))
-        if k == 1:
-            # Pointwise path: a strided-view GEMM, no staging needed
-            # unless the (unusual) padded 1x1 case stages into xpad.
-            self.xpad = (
-                arena.allocate(
-                    f"{site.name}.xpad",
-                    (max_batch, c, h + 2 * p, w + 2 * p),
-                )
-                if p > 0 else None
-            )
-            self.ysame = None
-            self.scratch = None
-        else:
-            hp, wp = h + 2 * p, w + 2 * p
-            self.xpad = arena.allocate(
-                f"{site.name}.xpad", (max_batch, c, hp, wp)
-            )
-            self.ysame = arena.allocate(
-                f"{site.name}.ysame", (max_batch, n, hp, wp)
-            )
-            exec_shape = ConvShape(
-                c=c, n=n, h=hp, w=wp, r=k, s=k
-            )
-            assert kernel is not None
-            scratch = kernel.allocate_scratch(exec_shape, dtype=dtype)
-            for sname, buf in scratch.items():
-                arena.adopt(f"{site.name}.scratch.{sname}", buf)
-            self.scratch = scratch
-
-    def _forward_serial(self, x: np.ndarray, b: int) -> np.ndarray:
-        self._body(x, 0, b, 0, self.scratch, self.kernel)
-        return self.out[:b]
-
-    def _forward_shard(
-        self, x: np.ndarray, lo: int, hi: int, lane: int
-    ) -> None:
-        par = self._parallel
-        runner = par.runner or self.kernel
-        self._body(x, lo, hi, lane, par.lane_scratch[lane], runner)
-
-    def _body(self, x, lo, hi, lane, scratch, kernel) -> None:
-        out = self.out[lo:hi]
-        p = self.padding
-        if self.kernel_size == 1:
-            if self.xpad is None:
-                src = x[lo:hi, :, self._rows, self._cols]
-            else:
-                xpad = self.xpad[lo:hi]
-                xpad[:, :, p : p + x.shape[2], p : p + x.shape[3]] = x[lo:hi]
-                src = xpad[:, :, self._rows, self._cols]
-            np.einsum(
-                "nc,bchw->bnhw", self.weight[:, :, 0, 0], src,
-                out=out, optimize=True,
-            )
-        else:
-            xpad = self.xpad[lo:hi]
-            xpad[:, :, p : p + x.shape[2], p : p + x.shape[3]] = x[lo:hi]
-            ysame = self.ysame[lo:hi]
-            for i in range(hi - lo):
-                kernel.run_into(xpad[i], self.weight, ysame[i], scratch)
-            out[...] = ysame[:, :, self._rows, self._cols]
-        if self.bias is not None:
-            out += self.bias[None, :, None, None]
+    """A dense conv site: ``[conv]``."""
 
 
 class CompiledTuckerConv2d(_CompiledSite):
-    """A Tucker-format site: 1x1 projection -> dispatched core kernel
-    -> 1x1 projection, all through arena buffers (Eqs. 2-4)."""
-
-    def __init__(
-        self,
-        site: LayerSite,
-        kernel: ConvKernel,
-        backend: str,
-        arena: BufferArena,
-        max_batch: int,
-    ) -> None:
-        super().__init__(site.name, max_batch)
-        mod = site.module
-        assert isinstance(mod, TuckerConv2d)
-        dtype = arena.dtype
-        weights = mod.export_weights(dtype=dtype)
-        self.w_in = weights["w_in"]        # (D1, C)
-        self.core = weights["core"]        # (D2, D1, R, S)
-        self.w_out = weights["w_out"]      # (N, D2)
-        self.bias = weights["bias"]        # (N,) or None
-        self.backend = backend
-        self.kernel = kernel
-        self.stride = mod.stride
-        self.padding = mod.padding
-        h, w = site.height, site.width
-        k, p = mod.kernel_size, mod.padding
-        d1, d2 = mod.rank_in, mod.rank_out
-        self._rows, oh = _strided_rows(h, k, self.stride, p)
-        self._cols, ow = _strided_rows(w, k, self.stride, p)
-        self._interior = (slice(p, p + h), slice(p, p + w))
-        hp, wp = h + 2 * p, w + 2 * p
-        self.z1pad = arena.allocate(
-            f"{site.name}.z1pad", (max_batch, d1, hp, wp)
-        )
-        self.ysame = arena.allocate(
-            f"{site.name}.ysame", (max_batch, d2, hp, wp)
-        )
-        self.z2 = arena.allocate(f"{site.name}.z2", (max_batch, d2, oh, ow))
-        self.out = arena.allocate(
-            f"{site.name}.out", (max_batch, mod.out_channels, oh, ow)
-        )
-        exec_shape = ConvShape(c=d1, n=d2, h=hp, w=wp, r=k, s=k)
-        scratch = kernel.allocate_scratch(exec_shape, dtype=dtype)
-        for sname, buf in scratch.items():
-            arena.adopt(f"{site.name}.scratch.{sname}", buf)
-        self.scratch = scratch
-
-    def _forward_serial(self, x: np.ndarray, b: int) -> np.ndarray:
-        ri, ci = self._interior
-        z1 = self.z1pad[:b, :, ri, ci]
-        # Stage 1 (Eq. 2): first-mode projection, written straight into
-        # the padded core input (the border stays zero).
-        np.einsum("dc,bchw->bdhw", self.w_in, x, out=z1, optimize=True)
-        # Stage 2 (Eq. 3): the dispatched core kernel, per sample.
-        ysame = self.ysame[:b]
-        for i in range(b):
-            self.kernel.run_into(
-                self.z1pad[i], self.core, ysame[i], self.scratch
-            )
-        return self._epilogue(b)
-
-    def _epilogue(self, b: int) -> np.ndarray:
-        z2 = self.z2[:b]
-        z2[...] = self.ysame[:b, :, self._rows, self._cols]
-        # Stage 3 (Eq. 4): last-mode projection plus bias.
-        out = self.out[:b]
-        np.einsum("nd,bdhw->bnhw", self.w_out, z2, out=out, optimize=True)
-        if self.bias is not None:
-            out += self.bias[None, :, None, None]
-        return out
-
-    def _forward_shard(
-        self, x: np.ndarray, lo: int, hi: int, lane: int
-    ) -> None:
-        par = self._parallel
-        scratch = par.lane_scratch[lane]
-        runner = par.runner or self.kernel
-        ri, ci = self._interior
-        z1 = self.z1pad[lo:hi, :, ri, ci]
-        np.einsum(
-            "dc,bchw->bdhw", self.w_in, x[lo:hi], out=z1, optimize=True
-        )
-        for i in range(lo, hi):
-            runner.run_into(self.z1pad[i], self.core, self.ysame[i], scratch)
-        z2 = self.z2[lo:hi]
-        z2[...] = self.ysame[lo:hi, :, self._rows, self._cols]
-        out = self.out[lo:hi]
-        np.einsum("nd,bdhw->bnhw", self.w_out, z2, out=out, optimize=True)
-        if self.bias is not None:
-            out += self.bias[None, :, None, None]
-
-    def _forward_rows(self, x: np.ndarray, b: int, par) -> np.ndarray:
-        """Small-batch axis: stage each sample's padded core input once,
-        then fan the core's output rows across lanes (bit-identical by
-        construction — lanes own disjoint rows and keep the serial
-        c-tile accumulation order)."""
-        runner = par.runner
-        ri, ci = self._interior
-        z1 = self.z1pad[:b, :, ri, ci]
-        np.einsum("dc,bchw->bdhw", self.w_in, x, out=z1, optimize=True)
-        scratch0 = par.lane_scratch[0]
-        xpad = scratch0["xpad"]
-        for i in range(b):
-            runner.stage(self.z1pad[i], scratch0)
-            yi = self.ysame[i]
-            yi.fill(0.0)
-            par.run_tasks([
-                _row_task(runner, xpad, yi, blocks, par.lane_scratch[lane])
-                for lane, blocks in enumerate(par.row_lane_groups)
-            ])
-        return self._epilogue(b)
+    """A Tucker site (Eqs. 2-4): ``[pw, conv, pw]``."""
 
 
 class CompiledCPConv2d(_CompiledSite):
-    """A CP-format site: 1x1 projection -> depthwise RxS conv -> 1x1
-    projection, all through arena buffers."""
-
-    def __init__(
-        self,
-        site: LayerSite,
-        kernel: ConvKernel,
-        arena: BufferArena,
-        max_batch: int,
-    ) -> None:
-        super().__init__(site.name, max_batch)
-        mod = site.module
-        assert isinstance(mod, CPConv2d)
-        dtype = arena.dtype
-        weights = mod.export_weights(dtype=dtype)
-        self.w_in = weights["w_in"]        # (Q, C)
-        self.dw = weights["dw"]            # (Q, R, S)
-        self.w_out = weights["w_out"]      # (N, Q)
-        self.bias = weights["bias"]        # (N,) or None
-        self.backend = "depthwise"
-        self.kernel = kernel
-        self.stride = mod.stride
-        self.padding = mod.padding
-        h, w = site.height, site.width
-        k, p = mod.kernel_size, mod.padding
-        q = mod.rank
-        self._rows, oh = _strided_rows(h, k, self.stride, p)
-        self._cols, ow = _strided_rows(w, k, self.stride, p)
-        self._interior = (slice(p, p + h), slice(p, p + w))
-        hp, wp = h + 2 * p, w + 2 * p
-        self.z1pad = arena.allocate(
-            f"{site.name}.z1pad", (max_batch, q, hp, wp)
-        )
-        self.ysame = arena.allocate(
-            f"{site.name}.ysame", (max_batch, q, hp, wp)
-        )
-        self.z2 = arena.allocate(f"{site.name}.z2", (max_batch, q, oh, ow))
-        self.out = arena.allocate(
-            f"{site.name}.out", (max_batch, mod.out_channels, oh, ow)
-        )
-        exec_shape = ConvShape(c=q, n=q, h=hp, w=wp, r=k, s=k)
-        scratch = kernel.allocate_scratch(exec_shape, dtype=dtype)
-        for sname, buf in scratch.items():
-            arena.adopt(f"{site.name}.scratch.{sname}", buf)
-        self.scratch = scratch
-
-    def _forward_serial(self, x: np.ndarray, b: int) -> np.ndarray:
-        self._body(x, 0, b, self.scratch)
-        return self.out[:b]
-
-    def _forward_shard(
-        self, x: np.ndarray, lo: int, hi: int, lane: int
-    ) -> None:
-        self._body(x, lo, hi, self._parallel.lane_scratch[lane])
-
-    def _body(self, x, lo, hi, scratch) -> None:
-        ri, ci = self._interior
-        z1 = self.z1pad[lo:hi, :, ri, ci]
-        # Stage 1: input projection, written straight into the padded
-        # depthwise input (the border stays zero).
-        np.einsum(
-            "qc,bchw->bqhw", self.w_in, x[lo:hi], out=z1, optimize=True
-        )
-        # Stage 2: per-channel RxS conv at the padded extent, per sample.
-        for i in range(lo, hi):
-            self.kernel.run_into(
-                self.z1pad[i], self.dw, self.ysame[i], scratch
-            )
-        z2 = self.z2[lo:hi]
-        z2[...] = self.ysame[lo:hi, :, self._rows, self._cols]
-        # Stage 3: output projection plus bias.
-        out = self.out[lo:hi]
-        np.einsum("nq,bqhw->bnhw", self.w_out, z2, out=out, optimize=True)
-        if self.bias is not None:
-            out += self.bias[None, :, None, None]
+    """A CP site: ``[pw, dw, pw]``."""
 
 
 class CompiledTTConv2d(_CompiledSite):
-    """A TT-format site: 1x1 projection to r1*r2 channels -> depthwise
-    RxS conv -> group-sum collapse to r1 -> 1x1 projection."""
-
-    def __init__(
-        self,
-        site: LayerSite,
-        kernel: ConvKernel,
-        arena: BufferArena,
-        max_batch: int,
-    ) -> None:
-        super().__init__(site.name, max_batch)
-        mod = site.module
-        assert isinstance(mod, TTConv2d)
-        dtype = arena.dtype
-        weights = mod.export_weights(dtype=dtype)
-        self.w_in = weights["w_in"]        # (r1*r2, C)
-        self.dw = weights["dw"]            # (r1*r2, R, S)
-        self.w_out = weights["w_out"]      # (N, r1)
-        self.bias = weights["bias"]        # (N,) or None
-        self.backend = "depthwise"
-        self.kernel = kernel
-        self.stride = mod.stride
-        self.padding = mod.padding
-        self.rank1 = mod.rank1
-        self.rank2 = mod.rank2
-        h, w = site.height, site.width
-        k, p = mod.kernel_size, mod.padding
-        mid = mod.rank1 * mod.rank2
-        self._rows, oh = _strided_rows(h, k, self.stride, p)
-        self._cols, ow = _strided_rows(w, k, self.stride, p)
-        self._interior = (slice(p, p + h), slice(p, p + w))
-        hp, wp = h + 2 * p, w + 2 * p
-        self.z1pad = arena.allocate(
-            f"{site.name}.z1pad", (max_batch, mid, hp, wp)
-        )
-        self.ysame = arena.allocate(
-            f"{site.name}.ysame", (max_batch, mid, hp, wp)
-        )
-        self.z2 = arena.allocate(f"{site.name}.z2", (max_batch, mid, oh, ow))
-        self.z3 = arena.allocate(
-            f"{site.name}.z3", (max_batch, mod.rank1, oh, ow)
-        )
-        self.out = arena.allocate(
-            f"{site.name}.out", (max_batch, mod.out_channels, oh, ow)
-        )
-        exec_shape = ConvShape(c=mid, n=mid, h=hp, w=wp, r=k, s=k)
-        scratch = kernel.allocate_scratch(exec_shape, dtype=dtype)
-        for sname, buf in scratch.items():
-            arena.adopt(f"{site.name}.scratch.{sname}", buf)
-        self.scratch = scratch
-
-    def _forward_serial(self, x: np.ndarray, b: int) -> np.ndarray:
-        self._body(x, 0, b, self.scratch)
-        return self.out[:b]
-
-    def _forward_shard(
-        self, x: np.ndarray, lo: int, hi: int, lane: int
-    ) -> None:
-        self._body(x, lo, hi, self._parallel.lane_scratch[lane])
-
-    def _body(self, x, lo, hi, scratch) -> None:
-        ri, ci = self._interior
-        z1 = self.z1pad[lo:hi, :, ri, ci]
-        np.einsum(
-            "qc,bchw->bqhw", self.w_in, x[lo:hi], out=z1, optimize=True
-        )
-        for i in range(lo, hi):
-            self.kernel.run_into(
-                self.z1pad[i], self.dw, self.ysame[i], scratch
-            )
-        z2 = self.z2[lo:hi]
-        z2[...] = self.ysame[lo:hi, :, self._rows, self._cols]
-        # Group-sum: collapse the r2 dimension (the memory-bound kernel
-        # the plan folds into the dwcore latency).
-        z3 = self.z3[lo:hi]
-        oh, ow = z3.shape[2], z3.shape[3]
-        np.sum(
-            z2.reshape(hi - lo, self.rank1, self.rank2, oh, ow),
-            axis=2, out=z3,
-        )
-        out = self.out[lo:hi]
-        np.einsum("nq,bqhw->bnhw", self.w_out, z3, out=out, optimize=True)
-        if self.bias is not None:
-            out += self.bias[None, :, None, None]
+    """A TT site: ``[pw, dw, gsum, pw]``."""
 
 
 class CompiledFusedSite(_CompiledSite):
-    """A factored site bound to the fused whole-chain executor.
+    """A factored site the plan assigns to the ``fused`` backend: it
+    runs its format's stage list; the fused choice shapes only the
+    simulated latency, the calibration key and the generated CUDA."""
 
-    Replaces the per-stage compiled forms when the planner selects the
-    ``fused`` backend: the pw1 / core / pw2 stages (and TT's
-    group-sum) run in cache-resident row blocks
-    (:class:`~repro.kernels.fused.FusedChainExecutor`), so the full
-    ``(C', H, W)`` intermediate buffers the per-stage sites allocate
-    (``z1pad`` / ``ysame`` / ``z2`` / ``z3``) never enter the arena —
-    only the layer output and the small block scratch do.
-    """
 
-    def __init__(
-        self,
-        site: LayerSite,
-        arena: BufferArena,
-        max_batch: int,
-    ) -> None:
-        super().__init__(site.name, max_batch)
-        mod = site.module
-        fmt = site.format
-        dtype = arena.dtype
-        weights = mod.export_weights(dtype=dtype)
-        if fmt == "tucker":
-            assert isinstance(mod, TuckerConv2d)
-            mid_weight = weights["core"]       # (D2, D1, R, S)
-            mid_in, mid_out = mod.rank_in, mod.rank_out
-            collapse = None
-        elif fmt == "cp":
-            assert isinstance(mod, CPConv2d)
-            mid_weight = weights["dw"]         # (Q, R, S)
-            mid_in = mid_out = mod.rank
-            collapse = None
-        elif fmt == "tt":
-            assert isinstance(mod, TTConv2d)
-            mid_weight = weights["dw"]         # (r1*r2, R, S)
-            mid_in = mid_out = mod.rank1 * mod.rank2
-            collapse = mod.rank1
-        else:
-            raise ValueError(
-                f"site {site.name!r} (format {fmt!r}) has no fused "
-                f"execution path"
-            )
-        self.backend = "fused"
-        self.format = fmt
-        self.kernel = None   # no per-stage core kernel: the chain is one
-        k, p = mod.kernel_size, mod.padding
-        self.executor = FusedChainExecutor(
-            fmt,
-            weights["w_in"],
-            mid_weight,
-            weights["w_out"],
-            weights["bias"],
-            in_hw=(site.height, site.width),
-            kernel_size=k,
-            stride=mod.stride,
-            padding=p,
-            max_batch=max_batch,
-            collapse_to=collapse,
-            dtype=dtype,
-        )
-        oh, ow = self.executor.oh, self.executor.ow
-        self.input_shape = (mod.in_channels, site.height, site.width)
-        #: The plan-time core/dwcore shape (calibration keys on it).
-        self.core_shape = ConvShape(
-            c=mid_in, n=mid_out, h=oh, w=ow, r=k, s=k
-        )
-        self.out = arena.allocate(
-            f"{site.name}.out", (max_batch, mod.out_channels, oh, ow)
-        )
-        for sname, shape in self.executor.scratch_shapes().items():
-            arena.allocate(f"{site.name}.fused.{sname}", shape)
-        self.executor.bind({
-            sname: arena.get(f"{site.name}.fused.{sname}")
-            for sname in self.executor.scratch_shapes()
-        })
-        # Arena accounting: what the per-stage compiled form would have
-        # allocated for this site's intermediates (activation buffers;
-        # per-stage kernel scratch would only widen the gap).
-        hp, wp = site.height + 2 * p, site.width + 2 * p
-        per_stage = mid_in * hp * wp + mid_out * hp * wp \
-            + mid_out * oh * ow
-        if collapse is not None:
-            per_stage += collapse * oh * ow
-        itemsize = np.dtype(dtype).itemsize
-        self.per_stage_intermediate_bytes = max_batch * per_stage * itemsize
-        self.fused_scratch_bytes = self.executor.scratch_nbytes
-
-    def _forward_serial(self, x: np.ndarray, b: int) -> np.ndarray:
-        return self.executor.run(x, self.out)
-
-    def _forward_shard(
-        self, x: np.ndarray, lo: int, hi: int, lane: int
-    ) -> None:
-        # Lane scratch: disjoint batch-sliced views of the bound
-        # buffers (all fused block scratch is per-sample along the
-        # leading axis), so batch shards add zero arena bytes.
-        bound = self.executor.bound_scratch
-        self.executor.run(
-            x[lo:hi], self.out[lo:hi],
-            scratch={name: buf[lo:hi] for name, buf in bound.items()},
-        )
+_SITE_CLASSES = {
+    "dense": CompiledConv2d,
+    "tucker": CompiledTuckerConv2d,
+    "cp": CompiledCPConv2d,
+    "tt": CompiledTTConv2d,
+}
 
 
 class Executable:
     """A runnable, self-contained compilation of (plan, model, device).
 
     Produced by :func:`compile_plan`; executes real numeric forward
-    passes through the bound kernels and the model's auxiliary modules
+    passes through the compiled sites and the model's auxiliary modules
     (batch-norm in eval mode, activations, pooling, residual/concat
     topology).  Not thread-safe — one arena means one in-flight
     request; see :class:`repro.serving.InferenceSession` for
@@ -744,57 +478,28 @@ class Executable:
         return self._predicted_latency
 
     def arena_report(self) -> Dict[str, int]:
-        """Arena footprint, and what the fused sites saved.
-
-        ``saved_bytes`` is the per-stage intermediate allocation each
-        :class:`CompiledFusedSite` displaced, net of the block scratch
-        it added; ``per_stage_equiv_bytes`` is what the arena would
-        hold had every fused site compiled per-stage instead.
-        """
-        fused = [
-            s for s in self._sites if isinstance(s, CompiledFusedSite)
-        ]
-        saved = sum(
-            s.per_stage_intermediate_bytes - s.fused_scratch_bytes
-            for s in fused
-        )
-        # Per-worker scratch the parallel lanes added: those buffers
-        # were adopted into the arena at compile (named
-        # ``<site>.scratch.w<lane>.<name>``), so ``arena_bytes``
-        # already counts them; this key breaks the total down so the
-        # report stays truthful under threads > 1.
-        per_worker = sum(
-            s._parallel.per_worker_scratch_bytes
-            for s in self._sites if s._parallel is not None
-        )
+        """Arena footprint: every activation buffer plus the one
+        shared stage scratch (parallel shards add no bytes)."""
         return {
             "arena_bytes": self.arena.nbytes,
-            "fused_sites": len(fused),
-            "saved_bytes": saved,
-            "per_stage_equiv_bytes": self.arena.nbytes + saved,
+            "stage_scratch_bytes": self.arena.get(STAGE_SCRATCH).nbytes,
             "workers": self.threads,
-            "per_worker_scratch_bytes": per_worker,
         }
 
     def parallel_report(self) -> Dict[str, object]:
         """Compile-time parallel decisions, per site.
 
-        ``sites`` maps site name -> the perf model's verdict: estimated
-        speedup, the sharding axes available, and the lane scratch the
-        site added to the arena.  Serial sites (or a ``threads=1``
-        compile) simply do not appear.
+        ``sites`` maps site name -> the perf model's verdict (estimated
+        speedup and the planned site latency it weighed).  Serial sites
+        (or a ``threads=1`` compile) simply do not appear.
         """
-        sites: Dict[str, Dict[str, object]] = {}
-        for s in self._sites:
-            par = s._parallel
-            if par is None:
-                continue
-            sites[s.site_name] = {
-                "est_speedup": par.est_speedup,
-                "site_latency_s": par.site_latency_s,
-                "row_tasks": len(par.row_shards),
-                "per_worker_scratch_bytes": par.per_worker_scratch_bytes,
+        sites = {
+            s.site_name: {
+                "est_speedup": s.est_speedup,
+                "site_latency_s": s.site_latency_s,
             }
+            for s in self._sites if s.pool is not None
+        }
         return {
             "threads": self.threads,
             "parallel_sites": len(sites),
@@ -850,45 +555,6 @@ class Executable:
         )
 
 
-def _index_plan(
-    plan: ExecutionPlan, site_names: Sequence[str]
-) -> Tuple[Dict[str, PlannedKernel], Dict[str, PlannedKernel]]:
-    """Split the plan's conv kernels into per-site core and dense maps.
-
-    Raises when a conv-kind kernel does not bind to any traced site —
-    the symptom of pairing a plan with the wrong model (or a
-    spec-built plan with a trainable model).
-    """
-    names = set(site_names)
-    cores: Dict[str, PlannedKernel] = {}
-    dense: Dict[str, PlannedKernel] = {}
-    unbound: List[str] = []
-    for k in plan.kernels:
-        if k.kind not in _CONV_KINDS:
-            continue  # aux kinds execute through the model's own modules
-        if k.kind in ("core", "dwcore"):
-            site = k.layer[: -len(".core")]
-            if site in names:
-                cores[site] = k
-            else:
-                unbound.append(k.layer)
-        elif k.layer.endswith(".pw1") or k.layer.endswith(".pw2"):
-            site = k.layer[:-4]
-            if site not in names:
-                unbound.append(k.layer)
-        elif k.layer in names:
-            dense[k.layer] = k
-        else:
-            unbound.append(k.layer)
-    if unbound:
-        raise ValueError(
-            f"plan kernels {sorted(unbound)[:8]} do not bind to any conv "
-            f"site of the model ({sorted(names)[:8]}...); compile_plan "
-            f"needs a plan built by plan_model for this exact model"
-        )
-    return cores, dense
-
-
 def _kernel_site(k: PlannedKernel) -> str:
     """The conv site a planned kernel belongs to (aux kinds pass
     through unchanged)."""
@@ -901,73 +567,46 @@ def _kernel_site(k: PlannedKernel) -> str:
     return k.layer
 
 
+def _index_plan(
+    plan: ExecutionPlan, site_names: Sequence[str]
+) -> Dict[str, PlannedKernel]:
+    """Map each conv site to its core (or dense conv) plan kernel.
+
+    Raises when a conv-kind kernel does not bind to any traced site —
+    the symptom of pairing a plan with the wrong model (or a
+    spec-built plan with a trainable model).
+    """
+    names = set(site_names)
+    cores: Dict[str, PlannedKernel] = {}
+    unbound: List[str] = []
+    for k in plan.kernels:
+        if k.kind not in _CONV_KINDS:
+            continue  # aux kinds execute through the model's own modules
+        site = _kernel_site(k)
+        if site not in names:
+            unbound.append(k.layer)
+        elif site == k.layer or k.kind in ("core", "dwcore"):
+            cores[site] = k
+    if unbound:
+        raise ValueError(
+            f"plan kernels {sorted(unbound)[:8]} do not bind to any conv "
+            f"site of the model ({sorted(names)[:8]}...); compile_plan "
+            f"needs a plan built by plan_model for this exact model"
+        )
+    return cores
+
+
 def _site_latencies(
     plan: ExecutionPlan, site_names: Sequence[str]
 ) -> Dict[str, float]:
     """Planned per-request latency per conv site: the sum of the
     site's kernels (pw1 + core + pw2, or the dense conv) — the ``L``
     the fork/join model weighs against lane overhead."""
-    names = set(site_names)
-    lat = {n: 0.0 for n in names}
+    lat = {n: 0.0 for n in site_names}
     for k in plan.kernels:
-        if k.kind not in _CONV_KINDS:
-            continue
-        site = _kernel_site(k)
-        if site in lat:
-            lat[site] += k.latency
+        if k.kind in _CONV_KINDS and _kernel_site(k) in lat:
+            lat[_kernel_site(k)] += k.latency
     return lat
-
-
-def _parallel_lane_state(
-    compiled: _CompiledSite,
-    arena: BufferArena,
-    threads: int,
-    dtype: np.dtype,
-):
-    """Carve per-lane scratch for one parallel site and specialize its
-    runner: ``(lane_scratch, runner, rows_cap)``.
-
-    Lane 0 reuses the site's own (serial) scratch; lanes ``1..T-1``
-    are fresh arena buffers named ``<site>.scratch.w<lane>.<name>`` so
-    ``arena.nbytes`` (and thus ``arena_report``) stays truthful.
-    Fused sites need no extra lanes at all — their block scratch is
-    per-sample along the leading axis, so batch shards slice the bound
-    buffers disjointly.
-    """
-    if isinstance(compiled, CompiledFusedSite) or compiled.scratch is None:
-        return [None] * threads, None, None
-    lanes: List[Optional[Dict[str, np.ndarray]]] = [compiled.scratch]
-    for lane in range(1, threads):
-        lanes.append({
-            name: arena.allocate(
-                f"{compiled.site_name}.scratch.w{lane}.{name}", buf.shape
-            )
-            for name, buf in compiled.scratch.items()
-        })
-    runner = None
-    rows_cap = None
-    if isinstance(compiled, (CompiledTuckerConv2d, CompiledConv2d)):
-        weight = (
-            compiled.core if isinstance(compiled, CompiledTuckerConv2d)
-            else compiled.weight
-        )
-        hp, wp = compiled.xpad.shape[2:] if isinstance(
-            compiled, CompiledConv2d
-        ) else compiled.z1pad.shape[2:]
-        shape = ConvShape(
-            c=weight.shape[1], n=weight.shape[0],
-            h=int(hp), w=int(wp), r=weight.shape[2], s=weight.shape[3],
-        )
-        runner = prepare_tdc_runner(compiled.kernel, weight, shape, dtype)
-        if runner is not None:
-            # Row-block budget from the fused path's cache model: the
-            # same L2-resident sizing, at the core's padded extent.
-            rows_cap = select_block_rows(
-                shape.c, shape.n, shape.h, shape.w,
-                shape.w + shape.s - 1, shape.r, 1,
-                np.dtype(dtype).itemsize,
-            )
-    return lanes, runner, rows_cap
 
 
 def model_dtype(model: Module) -> np.dtype:
@@ -975,9 +614,9 @@ def model_dtype(model: Module) -> np.dtype:
 
     ``compile_plan(dtype=None)`` compiles the arena in this dtype: a
     float32-trained model gets a float32 arena (half the bytes, no
-    hot-path casts on float32 requests — the kernels' ``run``/
-    ``run_into`` paths are float32-preserving), while the float64
-    training stack keeps its float64 arena and exact-match semantics.
+    hot-path casts on float32 requests — every stage is
+    dtype-preserving), while the float64 training stack keeps its
+    float64 arena and exact-match semantics.
     """
     arrays = [p.data for p in model.parameters()]
     if not arrays:
@@ -1000,12 +639,12 @@ def compile_plan(
     """Bind an execution plan to a trainable model: the compile step.
 
     Traces the model's conv sites, validates that the plan covers each
-    of them, materializes every core's :class:`ConvKernel` through its
-    planned backend, exports the weights, and preallocates the buffer
-    arena.  The model itself is deep-copied (and switched to eval
-    mode) with each conv site replaced by its compiled form, so
-    auxiliary topology — residual adds, dense concatenation, pooling,
-    batch-norm — executes through the model's own modules.
+    of them, lowers every site to its stage list, exports the weights,
+    and preallocates the buffer arena.  The model itself is deep-copied
+    (and switched to eval mode) with each conv site replaced by its
+    compiled form, so auxiliary topology — residual adds, dense
+    concatenation, pooling, batch-norm — executes through the model's
+    own modules.
 
     ``sites`` takes a pre-traced inventory (same ``image_hw`` and
     ``in_channels``) so planning and compilation can share one traced
@@ -1016,16 +655,15 @@ def compile_plan(
     defaulting to float64 regardless would double the arena and force
     a cast on every float32 request.
 
-    ``threads`` enables the parallel execution engine: ``None``
-    resolves through ``REPRO_NUM_THREADS`` / ``min(cores, 8)``
+    ``threads`` enables batch shards: ``None`` resolves through
+    ``REPRO_NUM_THREADS`` / ``min(cores, 8)``
     (:func:`repro.runtime.resolve_threads`), ``1`` compiles exactly
-    the serial executable (same plan object, no pool, no lane
-    scratch).  With ``threads > 1`` the perf model decides *per site*
-    whether sharding beats the fork/join overhead; parallel sites get
-    per-lane scratch carved from the arena and the decision is
-    recorded on a copy of the plan (``PlannedKernel.parallel``).
-    Results are bit-identical to serial either way — the determinism
-    suite and ``benchmarks/bench_parallel.py`` pin exact equality.
+    the serial executable (same plan object, no pool).  With
+    ``threads > 1`` the perf model decides *per site* whether sharding
+    beats the fork/join overhead, and the decision is recorded on a
+    copy of the plan (``PlannedKernel.parallel``).  Results are
+    bit-identical to serial either way — the determinism suite and
+    ``benchmarks/bench_parallel.py`` pin exact equality.
     """
     threads = resolve_threads(threads)
     if dtype is None:
@@ -1042,14 +680,11 @@ def compile_plan(
         )
     if max_batch < 1:
         raise ValueError(f"max_batch must be >= 1, got {max_batch}")
-    cores, dense = _index_plan(plan, [s.name for s in sites])
-
-    missing = []
-    for site in sites:
-        if site.is_factored and site.name not in cores:
-            missing.append(f"{site.name}.core")
-        elif not site.is_factored and site.name not in dense:
-            missing.append(site.name)
+    cores = _index_plan(plan, [s.name for s in sites])
+    missing = [
+        f"{s.name}.core" if s.is_factored else s.name
+        for s in sites if s.name not in cores
+    ]
     if missing:
         raise ValueError(
             f"plan does not cover conv sites {missing[:8]}; was it built "
@@ -1068,80 +703,39 @@ def compile_plan(
             height=site.height,
             width=site.width,
         )
-        mod = copied.module
-        k, p = mod.kernel_size, mod.padding
-        hp, wp = site.height + 2 * p, site.width + 2 * p
-        if site.format in ("tucker", "cp", "tt"):
-            planned = cores[site.name]
-            if planned.backend == "fused":
-                # Whole-chain executor: the per-stage intermediate
-                # buffers never enter the arena.
-                compiled: _CompiledSite = CompiledFusedSite(
-                    copied, arena, max_batch
-                )
-            elif site.format == "tucker":
-                backend = get_backend(planned.backend)
-                exec_shape = ConvShape(
-                    c=mod.rank_in, n=mod.rank_out, h=hp, w=wp, r=k, s=k
-                )
-                kernel = backend.kernel(
-                    exec_shape, device, tiling=planned.tiling
-                )
-                compiled = CompiledTuckerConv2d(
-                    copied, kernel, planned.backend, arena, max_batch
-                )
-            elif site.format == "cp":
-                # CP/TT per-stage middles bypass the dense-core
-                # registry: their 3-D depthwise weight only the
-                # depthwise kernel understands.
-                compiled = CompiledCPConv2d(
-                    copied, DepthwiseConvKernel(), arena, max_batch
-                )
-            else:
-                compiled = CompiledTTConv2d(
-                    copied, DepthwiseConvKernel(), arena, max_batch
-                )
-        else:
-            planned = dense[site.name]
-            if k == 1:
-                kernel: Optional[ConvKernel] = None
-            else:
-                backend = get_backend(planned.backend or "cudnn")
-                exec_shape = ConvShape(
-                    c=mod.in_channels, n=mod.out_channels,
-                    h=hp, w=wp, r=k, s=k,
-                )
-                kernel = backend.kernel(
-                    exec_shape, device, tiling=planned.tiling
-                )
-            compiled = CompiledConv2d(copied, kernel, arena, max_batch)
+        backend = cores[site.name].backend
+        cls = CompiledFusedSite if backend == "fused" \
+            else _SITE_CLASSES[site.format]
+        compiled = cls(copied, backend, arena, max_batch)
         replace_module(compiled_model, site.name, compiled)
         compiled_sites.append(compiled)
+
+    # One scratch for every stage: sites run one after another, and
+    # batch shards of one site write disjoint sample slices of it.
+    stages = [
+        st for s in compiled_sites for st in s.stages
+        if getattr(st, "scratch_shape", None)
+    ]
+    scratch = arena.allocate(STAGE_SCRATCH, (max(
+        [int(np.prod(st.scratch_shape)) for st in stages], default=0
+    ),))
+    for st in stages:
+        st.bind(scratch)
 
     if threads > 1:
         site_lat = _site_latencies(plan, [s.name for s in sites])
         parallel_names = set()
-        pool = None
-        for site, compiled in zip(sites, compiled_sites):
-            go, est = should_parallelize(site_lat[site.name], threads)
+        for compiled in compiled_sites:
+            lat = site_lat[compiled.site_name]
+            go, est = should_parallelize(lat, threads)
             if not go:
                 continue
-            if pool is None:
-                # threads lanes = the caller + (threads - 1) workers.
-                pool = get_pool(threads - 1)
-            lane_scratch, runner, rows_cap = _parallel_lane_state(
-                compiled, arena, threads, dtype
-            )
-            compiled._parallel = SiteParallel(
-                threads=threads,
-                pool=pool,
-                lane_scratch=lane_scratch,
-                runner=runner,
-                site_latency_s=site_lat[site.name],
-                est_speedup=est,
-                rows_cap=rows_cap,
-            )
-            parallel_names.add(site.name)
+            # threads lanes = the caller + (threads - 1) workers.
+            compiled.pool = get_pool(threads - 1)
+            compiled.threads = threads
+            compiled.est_speedup = est
+            compiled.site_latency_s = lat
+            parallel_names.add(compiled.site_name)
         if parallel_names:
             # Record the decision on a *copy*: the planner's plan (and
             # any cache holding it) stays untouched.

@@ -17,7 +17,7 @@ A :class:`ConvKernel` provides two views of one scheme:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -138,49 +138,6 @@ class ConvKernel:
     def run(self, x: np.ndarray, weight: np.ndarray) -> np.ndarray:
         """Functional execution: ``(C,H,W) x (N,C,R,S) -> (N,H,W)``."""
         raise NotImplementedError
-
-    # -- preallocated execution (the compiled hot path) -----------------
-    def scratch_shapes(self, shape: ConvShape) -> Dict[str, Tuple[int, ...]]:
-        """Shapes of the scratch buffers :meth:`run_into` needs.
-
-        Keys are kernel-private names; the compile step allocates one
-        zeroed buffer per entry (see :meth:`allocate_scratch`) so the
-        hot path performs no per-call allocation.
-        """
-        return {}
-
-    def allocate_scratch(
-        self, shape: ConvShape, dtype: np.dtype = np.dtype(np.float64)  # repro: ignore[dtype-promotion] -- reference-path default; compile_plan always passes the arena dtype
-    ) -> Dict[str, np.ndarray]:
-        """Allocate the zero-initialized scratch set for ``run_into``.
-
-        Cold path (compile time).  Buffers must be zero-initialized:
-        ``run_into`` implementations only ever write interiors and rely
-        on padding borders staying zero across calls.
-        """
-        return {
-            name: np.zeros(s, dtype=dtype)
-            for name, s in self.scratch_shapes(shape).items()
-        }
-
-    def run_into(
-        self,
-        x: np.ndarray,
-        weight: np.ndarray,
-        out: np.ndarray,
-        scratch: Dict[str, np.ndarray],
-    ) -> np.ndarray:
-        """Execute into a preallocated ``(N,H,W)`` output buffer.
-
-        Same numerics as :meth:`run`; ``x``/``weight``/``out`` must
-        already be in the execution dtype and ``scratch`` must come
-        from :meth:`allocate_scratch` for this problem shape.  The base
-        implementation falls back to :meth:`run` (which allocates);
-        kernels on the serving hot path override it to touch no
-        ``np.zeros``/``np.empty``/``np.pad`` per call.
-        """
-        out[...] = self.run(x, weight)
-        return out
 
     def _check_run_args(
         self, x: np.ndarray, weight: np.ndarray

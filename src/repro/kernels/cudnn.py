@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import ceil, log2
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -149,30 +149,6 @@ class CuDNNGemmKernel(ConvKernel):
         w_mat = weight.reshape(shape.n, -1)
         return (w_mat @ cols).reshape(shape.n, shape.h, shape.w)
 
-    def scratch_shapes(self, shape: ConvShape) -> Dict[str, Tuple[int, ...]]:
-        return {
-            "xpad": (shape.c, shape.padded_h, shape.padded_w),
-            "cols": (shape.c * shape.r * shape.s, shape.h * shape.w),
-        }
-
-    def run_into(self, x, weight, out, scratch):
-        """Allocation-free :meth:`run`: im2col into a preallocated
-        column matrix, then a GEMM straight into ``out``."""
-        x, weight, shape = self._check_run_args(x, weight)
-        xpad, cols = scratch["xpad"], scratch["cols"]
-        ph, pw = shape.pad
-        xpad[:, ph : ph + shape.h, pw : pw + shape.w] = x
-        idx = 0
-        for c in range(shape.c):
-            for r in range(shape.r):
-                for s in range(shape.s):
-                    cols[idx].reshape(shape.h, shape.w)[...] = (
-                        xpad[c, r : r + shape.h, s : s + shape.w]
-                    )
-                    idx += 1
-        w_mat = weight.reshape(shape.n, -1)
-        np.matmul(w_mat, cols, out=out.reshape(shape.n, -1))
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -196,9 +172,9 @@ _WINO_TRANSFORMS: dict = {}
 def wino_transforms(dtype) -> tuple:
     """The ``(BT, G, AT)`` triple cast to ``dtype``, memoized.
 
-    ``run_into`` consumes the transforms every call; casting the
-    float64 masters there allocated three fresh arrays per call on
-    float32 arenas, so the cast happens once per dtype here instead.
+    ``run`` consumes the transforms every call; casting the float64
+    masters there allocated three fresh arrays per call on float32
+    inputs, so the cast happens once per dtype here instead.
     """
     dt = np.dtype(dtype)
     cached = _WINO_TRANSFORMS.get(dt)
@@ -356,45 +332,6 @@ class CuDNNWinogradKernel(ConvKernel):
                 y[:, a::2, b::2] = yt[a, b]
         return y[:, : shape.h, : shape.w]
 
-    def scratch_shapes(self, shape: ConvShape) -> Dict[str, Tuple[int, ...]]:
-        self._check_supported(shape)
-        th = ceil(shape.h / 2)
-        tw = ceil(shape.w / 2)
-        return {
-            "xp": (shape.c, 2 * th + 2, 2 * tw + 2),
-            "d": (shape.c, th, tw, 4, 4),
-            "yfull": (shape.n, 2 * th, 2 * tw),
-        }
-
-    def run_into(self, x, weight, out, scratch):
-        """:meth:`run` without the named allocations: the padded input,
-        tile gather, and full-tile output live in scratch (transform
-        einsums still produce internal temporaries)."""
-        x, weight, shape = self._check_run_args(x, weight)
-        self._check_supported(shape)
-        th = ceil(shape.h / 2)
-        tw = ceil(shape.w / 2)
-        bt, g, at = wino_transforms(x.dtype)
-        xp, d, yfull = scratch["xp"], scratch["d"], scratch["yfull"]
-        # 3x3 "same" padding is one cell on every side; the border and
-        # the beyond-image tail of xp stay zero across calls.
-        xp[:, 1 : 1 + shape.h, 1 : 1 + shape.w] = x
-
-        u = np.einsum("ij,ncjk,lk->ncil", g, weight, g, optimize=True)
-        u = u.transpose(2, 3, 0, 1)
-        for i in range(th):
-            for j in range(tw):
-                d[:, i, j] = xp[:, 2 * i : 2 * i + 4, 2 * j : 2 * j + 4]
-        v = np.einsum("ij,cpqjk,lk->cpqil", bt, d, bt, optimize=True)
-        v = v.transpose(3, 4, 0, 1, 2).reshape(4, 4, shape.c, th * tw)
-        m = np.einsum("ijnc,ijcp->ijnp", u, v, optimize=True)
-        yt = np.einsum("ki,ijnp,lj->klnp", at, m, at, optimize=True)
-        yt = yt.reshape(2, 2, shape.n, th, tw)
-        for a in range(2):
-            for b in range(2):
-                yfull[:, a::2, b::2] = yt[a, b]
-        out[...] = yfull[:, : shape.h, : shape.w]
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -474,26 +411,3 @@ class CuDNNFFTKernel(ConvKernel):
         # kernel's output dtype matches its inputs.
         y = np.fft.irfft2(yf, s=(hf, wf)).astype(x.dtype, copy=False)
         return y[:, : shape.h, : shape.w]
-
-    def scratch_shapes(self, shape: ConvShape) -> Dict[str, Tuple[int, ...]]:
-        return {
-            "xpad": (shape.c, shape.padded_h, shape.padded_w),
-            "kpad": (shape.n, shape.c, shape.padded_h, shape.padded_w),
-        }
-
-    def run_into(self, x, weight, out, scratch):
-        """:meth:`run` with the padded input/filter tensors taken from
-        scratch (``np.fft`` still allocates its transforms internally)."""
-        x, weight, shape = self._check_run_args(x, weight)
-        hf = shape.padded_h
-        wf = shape.padded_w
-        xpad, kpad = scratch["xpad"], scratch["kpad"]
-        ph, pw = shape.pad
-        xpad[:, ph : ph + shape.h, pw : pw + shape.w] = x
-        kpad[:, :, : shape.r, : shape.s] = weight
-        xf = np.fft.rfft2(xpad, s=(hf, wf))
-        kf = np.fft.rfft2(kpad, s=(hf, wf))
-        yf = np.einsum("chw,nchw->nhw", xf, np.conj(kf), optimize=True)
-        y = np.fft.irfft2(yf, s=(hf, wf))
-        out[...] = y[:, : shape.h, : shape.w]
-        return out

@@ -9,13 +9,13 @@ flops_per_block, traffic-dominated).
 
 Weight shape is ``(C, R, S)`` — 3-D, unlike the dense-core kernels —
 so this kernel lives outside the dense-core backend registry and is
-bound directly by the planner/compiler for ``dwcore`` plan entries.
+priced directly by the planner for ``dwcore`` plan entries.
 """
 
 from __future__ import annotations
 
 from math import ceil
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -26,6 +26,7 @@ from repro.kernels.base import (
     ConvKernel,
     ConvShape,
     execution_dtype,
+    pad_input,
 )
 
 
@@ -97,39 +98,15 @@ class DepthwiseConvKernel(ConvKernel):
         return x, weight, shape
 
     def run(self, x: np.ndarray, weight: np.ndarray) -> np.ndarray:
+        """Tap loop over the zero-padded input: one multiply-add per
+        ``(r, s)`` filter tap, every channel at once."""
         x, weight, shape = self._check_depthwise_args(x, weight)
-        out = np.zeros((shape.c, shape.h, shape.w), dtype=x.dtype)
-        scratch = self.allocate_scratch(shape, dtype=x.dtype)
-        return self.run_into(x, weight, out, scratch).copy()
-
-    def scratch_shapes(self, shape: ConvShape) -> Dict[str, Tuple[int, ...]]:
-        return {
-            "xpad": (shape.c, shape.h + shape.r - 1, shape.w + shape.s - 1),
-            "tmp": (shape.c, shape.h, shape.w),
-        }
-
-    def run_into(
-        self,
-        x: np.ndarray,
-        weight: np.ndarray,
-        out: np.ndarray,
-        scratch: Dict[str, np.ndarray],
-    ) -> np.ndarray:
-        c, h, w = x.shape
-        r, s = weight.shape[1], weight.shape[2]
-        xpad = scratch["xpad"]
-        tmp = scratch["tmp"]
-        ph, pw = (r - 1) // 2, (s - 1) // 2
-        xpad[:, ph : ph + h, pw : pw + w] = x
-        out[...] = 0.0
-        for i in range(r):
-            for j in range(s):
-                np.multiply(
-                    xpad[:, i : i + h, j : j + w],
-                    weight[:, i, j, None, None],
-                    out=tmp,
-                )
-                out += tmp
+        xp = pad_input(x, shape)
+        h, w = shape.h, shape.w
+        out = np.zeros((shape.c, h, w), dtype=x.dtype)
+        for i in range(shape.r):
+            for j in range(shape.s):
+                out += xp[:, i : i + h, j : j + w] * weight[:, i, j, None, None]
         return out
 
 

@@ -100,14 +100,6 @@ class PointwiseConvKernel(ConvKernel):
         w_mat = weight[:, :, 0, 0]
         return np.einsum("nc,chw->nhw", w_mat, x, optimize=True)
 
-    def run_into(self, x, weight, out, scratch):
-        """Allocation-free :meth:`run`: the GEMM lands in ``out``."""
-        x, weight, shape = self._check_run_args(x, weight)
-        if shape.r != 1 or shape.s != 1:
-            raise ValueError("PointwiseConvKernel requires a 1x1 filter")
-        np.einsum("nc,chw->nhw", weight[:, :, 0, 0], x, out=out,
-                  optimize=True)
-        return out
 
 
 def pointwise_latency(

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import ceil
-from typing import Dict, List, Tuple
+from typing import List
 
 import numpy as np
 
@@ -328,46 +328,3 @@ class TDCDirectKernel(ConvKernel):
                     # atomicAdd into the global output.
                     y[:, h0 : h0 + hsz, w0 : w0 + wsz] += temp
         return y
-
-    def scratch_shapes(self, shape: ConvShape) -> Dict[str, Tuple[int, ...]]:
-        t = self.tiling.clipped(shape)
-        return {
-            "xpad": (shape.c, shape.padded_h, shape.padded_w),
-            "temp": (shape.n, t.th, t.tw),
-            "prod": (shape.n, t.th, t.tw),
-        }
-
-    def run_into(self, x, weight, out, scratch):
-        """Allocation-free :meth:`run`: same tiled loop, same float
-        summation order, all buffers preallocated.
-
-        ``scratch["xpad"]``'s border stays zero across calls (only the
-        interior is ever written), standing in for ``pad_input``.
-        """
-        x, weight, shape = self._check_run_args(x, weight)
-        t = self.tiling.clipped(shape)
-        xpad, temp, prod = scratch["xpad"], scratch["temp"], scratch["prod"]
-        ph, pw = shape.pad
-        xpad[:, ph : ph + shape.h, pw : pw + shape.w] = x
-        out.fill(0.0)
-        for c0 in range(0, shape.c, t.tc):
-            c1 = min(c0 + t.tc, shape.c)
-            for h0 in range(0, shape.h, t.th):
-                hsz = min(t.th, shape.h - h0)
-                for w0 in range(0, shape.w, t.tw):
-                    wsz = min(t.tw, shape.w - w0)
-                    smem = xpad[c0:c1, h0 : h0 + hsz + shape.r - 1,
-                                w0 : w0 + wsz + shape.s - 1]
-                    acc = temp[:, :hsz, :wsz]
-                    p = prod[:, :hsz, :wsz]
-                    acc.fill(0.0)
-                    for r in range(shape.r):
-                        for s in range(shape.s):
-                            patch = smem[:, r : r + hsz, s : s + wsz]
-                            np.einsum(
-                                "chw,nc->nhw", patch, weight[:, c0:c1, r, s],
-                                out=p, optimize=True,
-                            )
-                            acc += p
-                    out[:, h0 : h0 + hsz, w0 : w0 + wsz] += acc
-        return out

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import ceil
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -175,43 +175,3 @@ class TVMDirectKernel(ConvKernel):
                                 )
                     y[n0:n1, h0 : h0 + hsz, w0 : w0 + wsz] = acc
         return y
-
-    def scratch_shapes(self, shape: ConvShape) -> Dict[str, Tuple[int, ...]]:
-        t = self.tiling.clipped(shape)
-        return {
-            "xpad": (shape.c, shape.padded_h, shape.padded_w),
-            "acc": (t.tn, t.th, t.tw),
-            "prod": (t.tn, t.th, t.tw),
-        }
-
-    def run_into(self, x, weight, out, scratch):
-        """Allocation-free :meth:`run` (see the TDC kernel's variant
-        for the scratch contract)."""
-        x, weight, shape = self._check_run_args(x, weight)
-        t = self.tiling.clipped(shape)
-        xpad = scratch["xpad"]
-        ph, pw = shape.pad
-        xpad[:, ph : ph + shape.h, pw : pw + shape.w] = x
-        for n0 in range(0, shape.n, t.tn):
-            n1 = min(n0 + t.tn, shape.n)
-            for h0 in range(0, shape.h, t.th):
-                hsz = min(t.th, shape.h - h0)
-                for w0 in range(0, shape.w, t.tw):
-                    wsz = min(t.tw, shape.w - w0)
-                    acc = scratch["acc"][: n1 - n0, :hsz, :wsz]
-                    prod = scratch["prod"][: n1 - n0, :hsz, :wsz]
-                    acc.fill(0.0)
-                    for c in range(shape.c):  # C loop with smem staging
-                        smem_in = xpad[c, h0 : h0 + hsz + shape.r - 1,
-                                       w0 : w0 + wsz + shape.s - 1]
-                        smem_k = weight[n0:n1, c]
-                        for r in range(shape.r):
-                            for s in range(shape.s):
-                                np.multiply(
-                                    smem_in[r : r + hsz, s : s + wsz][None],
-                                    smem_k[:, r, s][:, None, None],
-                                    out=prod,
-                                )
-                                acc += prod
-                    out[n0:n1, h0 : h0 + hsz, w0 : w0 + wsz] = acc
-        return out

@@ -289,15 +289,13 @@ def warm_model_backends(
 ) -> Dict[str, int]:
     """Warm the kernel backends for a *trainable* model's Tucker cores.
 
-    The compile/execute split consults the backend caches twice per
-    Tucker site: planning dispatches on the core shape at the output
-    extent, and compilation materializes the kernel at the padded
-    execution extent.  This warms both shape sets through
-    :func:`warm_backends`, so a following
-    ``plan_model`` + ``compile_plan`` (and every serving deployment)
-    is pure cache hits.  Dense-only models warm nothing and return an
-    empty mapping.  ``sites`` takes a pre-traced inventory so one
-    traced forward can feed warm-up, planning, and compilation.
+    Planning dispatches every Tucker core on its shape at the output
+    extent; this warms those shapes through :func:`warm_backends`, so a
+    following ``plan_model`` (and every serving deployment) is pure
+    cache hits.  Compilation consults no backend.  Dense-only models
+    warm nothing and return an empty mapping.  ``sites`` takes a
+    pre-traced inventory so one traced forward can feed warm-up,
+    planning, and compilation.
     """
     from repro.models.introspection import trace_layer_sites
     from repro.nn.tucker_conv import TuckerConv2d
@@ -309,17 +307,10 @@ def warm_model_backends(
         mod = site.module
         if not isinstance(mod, TuckerConv2d):
             continue
-        k, p = mod.kernel_size, mod.padding
+        k = mod.kernel_size
         oh, ow = mod.output_shape(site.height, site.width)
         pairs.append((
             ConvShape(c=mod.rank_in, n=mod.rank_out, h=oh, w=ow, r=k, s=k),
-            device,
-        ))
-        pairs.append((
-            ConvShape(
-                c=mod.rank_in, n=mod.rank_out,
-                h=site.height + 2 * p, w=site.width + 2 * p, r=k, s=k,
-            ),
             device,
         ))
     if not pairs:

@@ -2,14 +2,14 @@
 
 The executor half of the compile/execute split is single-threaded by
 construction — one arena, one in-flight request.  This package adds
-the thread-level parallelism ROADMAP item 2 names, without giving up
-either invariant the executor is built on:
+thread-level parallelism without giving up either invariant the
+executor is built on:
 
 - **zero steady-state allocation** — every worker lane executes out of
-  scratch carved from the same :class:`~repro.inference.executable.
-  BufferArena` at compile time, and
-- **bit-identical results** — parallel execution reproduces the serial
-  float summation order exactly (the concurrent-determinism suite and
+  the buffers of the same :class:`~repro.inference.executable.
+  BufferArena`, on its own disjoint sample slice, and
+- **bit-identical results** — a sharded site forward reproduces the
+  serial result exactly (the concurrent-determinism suite and
   ``benchmarks/bench_parallel.py`` gate max deviation at exactly 0.0).
 
 Layout:
@@ -18,14 +18,8 @@ Layout:
   process (``REPRO_NUM_THREADS`` / ``--threads``, default
   ``min(cores, 8)``); every executable, session, and fleet replica
   shares it, so fleet-scale deployments cannot explode thread counts.
-- :mod:`repro.runtime.prepared` — compile-time specialized kernel
-  runners (precomputed tile geometry + direct pairwise-einsum calls)
-  that are validated bit-exact against their serial kernel before
-  being installed.
-- :mod:`repro.runtime.engine` — per-site shard planning: by batch
-  when ``N > 1`` (every shard >= 2 samples), by output row blocks
-  (via :func:`repro.kernels.fused.select_block_rows`) when ``N`` is
-  small.
+- :mod:`repro.runtime.engine` — batch-shard planning (every shard
+  >= 2 samples).
 """
 
 from repro.runtime.pool import (
@@ -36,8 +30,7 @@ from repro.runtime.pool import (
     pool_stats,
     resolve_threads,
 )
-from repro.runtime.engine import SiteParallel, plan_batch_shards
-from repro.runtime.prepared import PreparedTDCRunner, fast_pairwise_einsum
+from repro.runtime.engine import plan_batch_shards
 
 __all__ = [
     "MAX_WORKERS",
@@ -46,8 +39,5 @@ __all__ = [
     "get_pool",
     "pool_stats",
     "resolve_threads",
-    "SiteParallel",
     "plan_batch_shards",
-    "PreparedTDCRunner",
-    "fast_pairwise_einsum",
 ]

@@ -151,13 +151,20 @@ class AutoReplanPolicy:
 
 
 class _Pending:
-    """Handle for one submitted request (a tiny future)."""
+    """Handle for one submitted request (a tiny future).
 
-    __slots__ = ("_event", "_result", "_error", "_cancelled",
+    Completion is signalled by a lock acquired at creation and
+    released by the first :meth:`_finish`: a pre-acquired
+    ``threading.Lock`` holds about a tenth of the memory of a
+    ``threading.Event``, and callers may keep every finished handle.
+    """
+
+    __slots__ = ("_lock", "_result", "_error", "_cancelled",
                  "enqueued_at", "done_at")
 
     def __init__(self) -> None:
-        self._event = threading.Event()
+        self._lock = threading.Lock()
+        self._lock.acquire()
         self._result: Optional[np.ndarray] = None
         self._error: Optional[BaseException] = None
         self._cancelled = False
@@ -166,17 +173,33 @@ class _Pending:
 
     def _finish(self, result: Optional[np.ndarray],
                 error: Optional[BaseException] = None) -> None:
+        """Record the outcome and wake every waiter; only the worker
+        thread finishes a handle, and a second finish is a no-op."""
+        if self.done_at is not None:
+            return
         self._result = result
         self._error = error
         self.done_at = time.perf_counter()
-        self._event.set()
+        self._lock.release()
 
     def done(self) -> bool:
-        return self._event.is_set()
+        return self.done_at is not None
 
     def wait(self, timeout: Optional[float] = None) -> bool:
-        """Block until finished (or ``timeout``); True when done."""
-        return self._event.wait(timeout)
+        """Block until finished (or ``timeout``; None waits forever, a
+        timeout <= 0 polls); True when done."""
+        if self.done_at is not None:
+            return True
+        if timeout is None:
+            got = self._lock.acquire()
+        elif timeout <= 0:
+            got = self._lock.acquire(False)
+        else:
+            got = self._lock.acquire(True, timeout)
+        if got:
+            # Pass the wake-up on to the next waiter.
+            self._lock.release()
+        return got
 
     def cancel(self) -> bool:
         """Best-effort cancellation of a still-queued request.
@@ -186,7 +209,7 @@ class _Pending:
         request already finished; a request the worker has already
         staged may still be computed (its result is simply discarded).
         """
-        if self._event.is_set():
+        if self.done_at is not None:
             return False
         self._cancelled = True
         return True
@@ -202,7 +225,7 @@ class _Pending:
         if it is still queued, so an abandoned waiter never costs batch
         capacity.
         """
-        if not self._event.wait(timeout):
+        if not self.wait(timeout):
             self.cancel()
             raise TimeoutError("inference request timed out")
         if self._error is not None:
@@ -692,10 +715,9 @@ def warm_for_model(
     """Warm the kernel-backend caches for a model's Tucker cores.
 
     Serving-side alias of :func:`repro.planning.warm_model_backends`
-    (PlanCache-backed, optional process-pool fan-out): covers both the
-    shapes planning dispatches on and the padded execution shapes
-    compilation materializes kernels for, so a deployment's
-    ``plan_model`` + ``compile_plan`` is all cache hits.
+    (PlanCache-backed, optional process-pool fan-out): covers the
+    shapes planning dispatches on, so a deployment's ``plan_model`` is
+    all cache hits.
     """
     from repro.planning.warmup import warm_model_backends
 

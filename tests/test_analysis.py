@@ -75,9 +75,35 @@ class DirectKernel:
     def run(self, x, w):
         return np.zeros_like(x)       # kernel .run allocates by design
 
-    def run_into(self, x, w, out, scratch):
-        np.copyto(out, x)
-        return out
+class ScaleStage:
+    def __init__(self, out):
+        self.out = out
+        self.tmp = np.empty_like(out)  # compile-time: fine
+
+    def run(self, x, lo, hi):
+        np.multiply(x[lo:hi], 2.0, out=self.out[lo:hi])
+"""
+
+STAGE_VIOLATION = """
+import numpy as np
+
+class _PaddedStage:
+    def _stage_input(self, x, lo, hi):
+        return np.pad(x[lo:hi], 1)     # inherited helper: allocates
+
+class ConvStage(_PaddedStage):
+    def run(self, x, lo, hi):
+        xp = self._stage_input(x, lo, hi)
+        cols = np.empty((hi - lo, 9))  # stage body: allocates
+        return xp, cols
+
+class CompiledSite:
+    def forward(self, x):
+        self._run(x, 0, len(x))
+
+    def _run(self, x, lo, hi):
+        for stage in self.stages:
+            stage.run(x, lo, hi)
 """
 
 
@@ -91,6 +117,17 @@ def test_hot_path_alloc_seeded_violation(tmp_path):
 
 def test_hot_path_alloc_clean_pass(tmp_path):
     assert lint(tmp_path, "mod.py", HOT_CLEAN, ["hot-path-alloc"]) == []
+
+
+def test_hot_path_alloc_seeded_stage_violation(tmp_path):
+    """Stage bodies are hot, including helpers they inherit from a
+    base class in the same module; each finding names the class that
+    defines the allocating method."""
+    findings = lint(tmp_path, "mod.py", STAGE_VIOLATION, ["hot-path-alloc"])
+    assert sorted((f.symbol, f.message.split()[2]) for f in findings) == [
+        ("ConvStage.run", "np.empty()"),
+        ("_PaddedStage._stage_input", "np.pad()"),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -468,6 +505,26 @@ def test_arena_overlap_detects_seeded_aliasing():
     arena.allocate("c", (4,))         # disjoint
     fake_exe = SimpleNamespace(arena=arena)
     assert arena_overlaps(fake_exe) == [("a", "b")]
+
+
+def test_arena_overlap_sees_the_stage_scratch():
+    """The shared stage scratch is a named arena buffer, so a buffer
+    aliasing it is caught like any other overlap."""
+    from repro.gpusim.device import A100
+    from repro.inference import compile_model
+    from repro.inference.executable import STAGE_SCRATCH
+    from repro.nn.module import Sequential
+    from repro.nn.tucker_conv import TuckerConv2d
+
+    model = Sequential(TuckerConv2d(6, 8, 3, rank_in=3, rank_out=4,
+                                    padding=1, seed=1)).eval()
+    exe = compile_model(model, A100, image_hw=(8, 8), in_channels=6,
+                        max_batch=2)
+    assert STAGE_SCRATCH in exe.arena.names()
+    assert arena_overlaps(exe) == []
+    scratch = exe.arena.get(STAGE_SCRATCH)
+    exe.arena.adopt("seeded", scratch[: scratch.size // 2])
+    assert arena_overlaps(exe) == [(STAGE_SCRATCH, "seeded")]
 
 
 # ---------------------------------------------------------------------------

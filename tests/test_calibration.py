@@ -259,9 +259,11 @@ def test_recalibration_converges_instead_of_oscillating(calibrated_setup):
     store_calibration(run2, merge=False)
     plan2 = plan_model(model, CalibratedDevice.from_cache(A100), IMAGE_HW,
                        core_backend="auto", model_name="resnet_tiny")
-    # Double-correction would put plan2 back at ~raw_total (an order
-    # of magnitude low); convergence keeps it in measured territory.
-    assert plan2.total_latency() > 5 * raw_total
+    # Double-correction would put plan2 back at ~raw_total (several
+    # times low); convergence keeps it at the measured wall time.
+    assert plan2.total_latency() == pytest.approx(
+        run2.total_measured_s, rel=0.5
+    )
     ratio = plan2.total_latency() / plan1.total_latency()
     assert 0.2 < ratio < 5.0
 

@@ -10,10 +10,16 @@ from repro.backends import backend_names, get_backend
 from repro.codesign.pipeline import decompose_for_device
 from repro.gpusim.device import A100
 from repro.inference import compile_model, compile_plan, plan_model
-from repro.inference.executable import BufferArena, CompiledTuckerConv2d
+from repro.inference.executable import (
+    BufferArena,
+    CompiledTuckerConv2d,
+    ConvStage,
+)
 from repro.inference.plan import plan_tucker_model
 from repro.kernels.base import reference_conv
 from repro.kernels.cudnn import CuDNNWinogradKernel
+from repro.nn.cp_conv import CPConv2d
+from repro.nn.tt_conv import TTConv2d
 from repro.models.arch_specs import LayerSpec, ModelSpec
 from repro.models.introspection import trace_layer_sites
 from repro.models.registry import build_model
@@ -106,7 +112,9 @@ def test_compile_respects_fixed_backend_dispatch():
     assert tucker_sites, "expected at least one compiled Tucker site"
     for site in tucker_sites:
         assert site.backend == "cudnn-winograd"
-        assert isinstance(site.kernel, CuDNNWinogradKernel)
+        # The backend shapes the plan; the host runs the one lowering.
+        assert not hasattr(site, "kernel")
+        assert isinstance(site.core_stage, ConvStage)
     assert exe.backend_counts() == {"cudnn-winograd": len(tucker_sites)}
 
 
@@ -118,28 +126,34 @@ def test_compiled_sites_are_inference_only():
 
 
 def test_executable_edge_geometries():
-    """Even kernels, padded 1x1, stride 3 — the same-conv wrapper's
-    extraction arithmetic must hold for every geometry."""
+    """Even kernels (dense and factored), padded 1x1, stride 3,
+    unpadded stride-2 CP/TT, a rectangular input — the direct strided
+    windows must hold for every geometry."""
     from repro.nn.conv import Conv2d
     from repro.nn.module import Sequential
 
     model = Sequential(
         Conv2d(3, 8, 4, stride=2, padding=1, bias=True, seed=1),
-        Conv2d(8, 6, 1, stride=2, padding=1, bias=True, seed=2),
+        CPConv2d(8, 8, 3, rank=5, stride=2, padding=0, bias=True, seed=4),
+        TTConv2d(8, 6, 3, rank1=2, rank2=3, stride=2, padding=0,
+                 bias=True, seed=5),
+        Conv2d(6, 6, 1, stride=2, padding=1, bias=True, seed=2),
         TuckerConv2d(6, 10, 3, rank_in=4, rank_out=5, stride=3,
                      padding=2, bias=True, seed=3),
+        TuckerConv2d(10, 8, 2, rank_in=3, rank_out=4, stride=1,
+                     padding=1, bias=True, seed=6),
     ).eval()
-    x = np.random.default_rng(7).standard_normal((2, 3, 11, 11))
+    x = np.random.default_rng(7).standard_normal((2, 3, 23, 29))
     ref = model.forward(x)
     exe = compile_model(
-        model, A100, image_hw=(11, 11), core_backend="auto", max_batch=2
+        model, A100, image_hw=(23, 29), core_backend="auto", max_batch=2
     )
     np.testing.assert_allclose(exe.run(x), ref, atol=1e-10)
 
 
 def test_executable_strided_tucker_core():
-    """A decomposed stride-2 conv runs its core through the dispatched
-    kernel at the padded extent and subsamples exactly."""
+    """A decomposed stride-2 conv computes only its strided core
+    outputs, under the dispatched backend's plan."""
     from repro.compression.baselines import decompose_model
 
     model = build_model("resnet_tiny", seed=0)
@@ -155,13 +169,41 @@ def test_executable_strided_tucker_core():
 
 
 # ---------------------------------------------------------------------------
+# The compiled path is never slower than the training-path forward
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n", [1, 8])
+@pytest.mark.parametrize("name", MODELS)
+def test_compiled_run_not_slower_than_module_forward(name, n):
+    """Interleaved best-of-7 host wall time at 32x32, one lane:
+    ``Executable.run`` <= ``Module.forward`` of the same decomposed
+    model (ROADMAP item 1's gate)."""
+    import time
+
+    hw = (32, 32)
+    model = build_model(name, seed=0)
+    decompose_for_device(model, A100, hw, budget=0.5, rank_step=2,
+                         theta=0.0)
+    model.eval()
+    exe = compile_model(model, A100, image_hw=hw, max_batch=n, threads=1)
+    x = np.random.default_rng(12).standard_normal((n, 3) + hw)
+    best = {"run": float("inf"), "forward": float("inf")}
+    for _ in range(7):
+        for key, fn in (("run", exe.run), ("forward", model.forward)):
+            t0 = time.perf_counter()
+            fn(x)
+            best[key] = min(best[key], time.perf_counter() - t0)
+    assert best["run"] <= best["forward"], best
+
+
+# ---------------------------------------------------------------------------
 # No-allocation hot path + arena reuse
 # ---------------------------------------------------------------------------
 
 def test_wino_transforms_cached_per_dtype():
-    """Regression (hot-path-alloc): run_into used to cast the float64
-    transform masters on every call — three fresh arrays per site per
-    request on float32 arenas.  The cast is now memoized per dtype."""
+    """Regression (hot-path-alloc): the Winograd kernel used to cast
+    the float64 transform masters on every call — three fresh arrays
+    per call on float32 inputs.  The cast is now memoized per dtype."""
     from repro.kernels.cudnn import WINO_BT, wino_transforms
 
     f32 = wino_transforms(np.float32)
@@ -329,8 +371,3 @@ def test_backend_kernel_factory_all_registered():
             continue
         kernel = backend.kernel(shape, A100)
         np.testing.assert_allclose(kernel.run(x, w), ref, atol=1e-6)
-        out = np.empty_like(ref)
-        scratch = kernel.allocate_scratch(shape)
-        np.testing.assert_allclose(
-            kernel.run_into(x, w, out, scratch), ref, atol=1e-6
-        )

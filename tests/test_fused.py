@@ -1,5 +1,5 @@
-"""Fused whole-chain executor: correctness matrix, backend dispatch,
-arena shrink, and the numba feature gate."""
+"""Fused backend: correctness matrix, backend dispatch, and the
+fused-planned site running its format's stage list."""
 
 from __future__ import annotations
 
@@ -18,13 +18,9 @@ from repro.inference import compile_model
 from repro.inference.executable import CompiledFusedSite
 from repro.kernels.base import ConvShape
 from repro.kernels.fused import (
-    HAVE_NUMBA,
-    FusedChainExecutor,
     FusedTiling,
     fused_core_launch,
     fused_smem_bytes,
-    jit_enabled,
-    select_block_rows,
     select_fused_tiling,
 )
 from repro.nn.cp_conv import CPConv2d
@@ -48,8 +44,9 @@ def make_site(fmt: str, k: int, stride: int, padding: int) -> Module:
 
 
 # ---------------------------------------------------------------------------
-# Satellite 1: the correctness sweep matrix.  Fused vs per-stage vs
-# Module.forward across stride / padding / kernel size / format.
+# The correctness sweep matrix: the one stage lowering under a fused
+# plan and under a per-stage plan, both against Module.forward, across
+# stride / padding / kernel size / format.
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("fmt", ["tucker", "cp", "tt"])
@@ -66,8 +63,8 @@ def test_fused_matches_per_stage_and_forward(fmt, k, stride, padding):
         model, A100, image_hw=(hw, hw), in_channels=6,
         core_backend="fused", max_batch=2,
     )
-    # tdc-model offers no dwcore hook, so every format binds its
-    # per-stage compiled form under it.
+    # tdc-model offers no dwcore hook, so every format compiles its
+    # per-stage site class under it.
     staged_exe = compile_model(
         model, A100, image_hw=(hw, hw), in_channels=6,
         core_backend="tdc-model", max_batch=2,
@@ -77,6 +74,7 @@ def test_fused_matches_per_stage_and_forward(fmt, k, stride, padding):
     y_fused = fused_exe.run(x)
     y_staged = staged_exe.run(x)
     assert np.max(np.abs(y_fused - ref)) <= 1e-9
+    assert np.max(np.abs(y_staged - ref)) <= 1e-9
     assert np.max(np.abs(y_fused - y_staged)) <= 1e-9
 
 
@@ -145,16 +143,8 @@ def test_select_fused_tiling_respects_smem_budget():
             assert fused_smem_bytes(shape, t) <= dev.shared_mem_per_block
 
 
-def test_select_block_rows_bounded_by_budget():
-    rows = select_block_rows(
-        mid_in=32, mid_out=32, oh=56, ow=56, ext_w=58,
-        kernel=3, stride=1, itemsize=8,
-    )
-    assert 1 <= rows <= 56
-
-
 # ---------------------------------------------------------------------------
-# Satellite 2: arena shrink + compiled binding
+# Compiled binding: a fused plan runs its format's stage list
 # ---------------------------------------------------------------------------
 
 def _deep_model():
@@ -165,7 +155,7 @@ def _deep_model():
     ).eval()
 
 
-def test_fused_sites_shrink_arena():
+def test_fused_plan_compiles_format_stage_lists():
     model = _deep_model()
     fused_exe = compile_model(
         model, A100, image_hw=(16, 16), in_channels=8,
@@ -175,19 +165,18 @@ def test_fused_sites_shrink_arena():
         model, A100, image_hw=(16, 16), in_channels=8,
         core_backend="tdc-model", max_batch=2,
     )
-    report = fused_exe.arena_report()
-    assert report["fused_sites"] == 3
-    assert report["saved_bytes"] > 0
-    assert report["arena_bytes"] == fused_exe.arena.nbytes
-    assert report["per_stage_equiv_bytes"] == \
-        report["arena_bytes"] + report["saved_bytes"]
-    assert fused_exe.arena.nbytes < staged_exe.arena.nbytes
-    # No per-stage intermediate buffers remain for fused sites.
-    for name in fused_exe.arena.names():
-        assert ".z1pad" not in name and ".ysame" not in name
-    # Numerics still agree between both compilations.
+    assert all(isinstance(s, CompiledFusedSite) for s in fused_exe.sites())
+    assert [s.backend for s in fused_exe.sites()] == ["fused"] * 3
+    assert fused_exe.backend_counts() != staged_exe.backend_counts()
+    # Same lowering: same stage types, same arena, bit-identical output.
+    for fused, staged in zip(fused_exe.sites(), staged_exe.sites()):
+        assert fused.format == staged.format
+        assert [type(st) for st in fused.stages] == \
+            [type(st) for st in staged.stages]
+    assert fused_exe.arena.names() == staged_exe.arena.names()
+    assert fused_exe.arena.nbytes == staged_exe.arena.nbytes
     x = np.random.default_rng(4).standard_normal((2, 8, 16, 16))
-    assert np.max(np.abs(fused_exe.run(x) - staged_exe.run(x))) <= 1e-9
+    np.testing.assert_array_equal(fused_exe.run(x), staged_exe.run(x))
 
 
 def test_auto_compile_binds_fused_site_end_to_end():
@@ -231,47 +220,10 @@ def test_fused_calibration_sample_and_attribution():
     assert len(fused_samples) == 3
     for s in fused_samples:
         assert s.predicted_s > 0 and s.measured_s > 0
-    # The chain's pw1/pw2 raws count toward the core bucket, so the
-    # aux split stays non-negative and unbiased.
+    # Each sample times the site's dw/conv core stage; the chain's
+    # pw1/pw2 raws stay in the aux bucket, which stays non-negative.
     assert run.core_predicted_s > 0
     assert run.aux_predicted_s >= 0
-
-
-# ---------------------------------------------------------------------------
-# Satellite: the numba JIT feature gate (numba is absent here)
-# ---------------------------------------------------------------------------
-
-def test_jit_gate_off_without_numba(monkeypatch):
-    if HAVE_NUMBA:  # pragma: no cover - environment-dependent
-        monkeypatch.setenv("REPRO_FUSED_JIT", "0")
-        assert jit_enabled() is False
-        return
-    assert jit_enabled() is False
-    monkeypatch.setenv("REPRO_FUSED_JIT", "1")
-    assert jit_enabled() is False  # no numba -> permanently off
-
-
-def test_executor_runs_without_jit():
-    ex = FusedChainExecutor(
-        "cp",
-        np.eye(4, 6),
-        np.ones((4, 3, 3)),
-        np.eye(8, 4),
-        np.zeros(8),
-        in_hw=(9, 9),
-        kernel_size=3,
-        stride=1,
-        padding=1,
-        max_batch=1,
-    )
-    assert ex.uses_jit is False
-    scratch = {
-        name: np.zeros(shape) for name, shape in ex.scratch_shapes().items()
-    }
-    ex.bind(scratch)
-    out = np.empty((1, 8, ex.oh, ex.ow))
-    ex.run(np.zeros((1, 6, 9, 9)), out)
-    np.testing.assert_array_equal(out, 0.0)
 
 
 def test_fused_tiling_str_roundtrip():

@@ -13,7 +13,6 @@ import repro.inference.executable as executable_mod
 from repro.codesign.pipeline import decompose_for_device
 from repro.gpusim.device import A100
 from repro.inference import compile_model, compile_plan, plan_model
-from repro.kernels.fused import FusedChainExecutor
 from repro.models.registry import build_model
 from repro.nn.cp_conv import CPConv2d
 from repro.nn.module import Module, Sequential
@@ -25,11 +24,7 @@ from repro.perfmodel.parallel import (
     parallel_speedup_estimate,
     should_parallelize,
 )
-from repro.runtime.engine import (
-    MIN_BATCH_SHARD,
-    plan_batch_shards,
-    plan_row_shards,
-)
+from repro.runtime.engine import MIN_BATCH_SHARD, plan_batch_shards
 from repro.runtime.pool import (
     MAX_WORKERS,
     WorkerPool,
@@ -182,24 +177,6 @@ def test_batch_shards_off_for_serial():
     assert plan_batch_shards(16, 1) == []
 
 
-def test_row_shards_cover_whole_tiles():
-    starts = [0, 4, 8, 12]
-    shards = plan_row_shards(starts, 14, 3)
-    assert shards[0][0] == 0 and shards[-1][1] == 14
-    for (lo, hi), (nlo, _) in zip(shards, shards[1:]):
-        assert hi == nlo
-    # Every boundary except the last is a tile start.
-    for lo, _ in shards:
-        assert lo in starts
-
-
-def test_row_shards_rows_cap_splits_further():
-    starts = list(range(0, 32, 4))
-    coarse = plan_row_shards(starts, 32, 2)
-    fine = plan_row_shards(starts, 32, 2, rows_cap=4)
-    assert len(fine) > len(coarse)
-
-
 # ---------------------------------------------------------------------------
 # The compile-time perf-model gate
 # ---------------------------------------------------------------------------
@@ -279,8 +256,7 @@ def test_whole_model_parallel_bit_identical(monkeypatch):
 
 def test_perf_model_selects_parallel_sites_organically():
     # No gate patching: the real fork/join model must shard the preset
-    # factored sites at realistic geometry, and row-block tasks must be
-    # available for the small-batch axis.
+    # factored sites at realistic geometry.
     model = build_model("resnet_tiny", seed=0)
     decompose_for_device(model, A100, (32, 32), budget=0.5, rank_step=2,
                          theta=0.0)
@@ -289,7 +265,6 @@ def test_perf_model_selects_parallel_sites_organically():
                         threads=4)
     rep = par.parallel_report()
     assert rep["parallel_sites"] >= 1
-    assert any(s["row_tasks"] >= 2 for s in rep["sites"].values())
     serial = compile_model(model, A100, image_hw=(32, 32), max_batch=4,
                            threads=1)
     x = np.random.default_rng(3).standard_normal((4, 3, 32, 32)).astype(
@@ -311,7 +286,7 @@ def test_parallel_hot_path_allocates_nothing(monkeypatch, count_allocations):
                         threads=4)
     assert exe.parallel_report()["parallel_sites"] >= 1
     rng = np.random.default_rng(9)
-    for n in (1, 8):  # row-block axis and batch-shard axis
+    for n in (1, 8):  # serial fallback and batch shards
         x = rng.standard_normal((n, 3, 8, 8)).astype(exe.dtype)
         exe.run(x)  # warm (first touch)
         counts = count_allocations(lambda: exe.run(x))
@@ -333,7 +308,7 @@ def test_threads_one_leaves_plan_untouched():
                        in_channels=6, threads=1)
     assert exe.plan is plan
     assert exe.plan.parallel_kernels() == 0
-    assert all(s._parallel is None for s in exe.sites())
+    assert all(s.pool is None for s in exe.sites())
 
 
 def test_parallel_compile_annotates_a_plan_copy(monkeypatch):
@@ -349,7 +324,7 @@ def test_parallel_compile_annotates_a_plan_copy(monkeypatch):
     assert all(not k.parallel for k in plan.kernels)
 
 
-def test_arena_report_accounts_per_worker_scratch(monkeypatch):
+def test_parallel_compile_adds_no_arena_bytes(monkeypatch):
     force_parallel(monkeypatch)
     model = make_site("tucker", 12)
     kwargs = dict(image_hw=(12, 12), in_channels=6,
@@ -357,18 +332,11 @@ def test_arena_report_accounts_per_worker_scratch(monkeypatch):
     serial = compile_model(model, A100, threads=1, **kwargs)
     par = compile_model(model, A100, threads=3, **kwargs)
     ser_rep, par_rep = serial.arena_report(), par.arena_report()
-    assert ser_rep["per_worker_scratch_bytes"] == 0
-    assert par_rep["per_worker_scratch_bytes"] > 0
-    # Lane scratch lives *in* the arena under <site>.scratch.w<lane>.*
-    # names, so the reported total stays truthful: the parallel arena
-    # is exactly the serial arena plus the extra lanes.
-    assert par_rep["arena_bytes"] == (
-        ser_rep["arena_bytes"] + par_rep["per_worker_scratch_bytes"]
-    )
-    lanes = [n for n in par.arena.names() if ".scratch.w" in n]
-    assert sum(par.arena.get(n).nbytes for n in lanes) == (
-        par_rep["per_worker_scratch_bytes"]
-    )
+    # Shards write disjoint sample slices of the same buffers, the
+    # shared stage scratch included: no per-lane carve-outs.
+    assert par_rep["arena_bytes"] == ser_rep["arena_bytes"]
+    assert par.arena.names() == serial.arena.names()
+    assert par_rep["stage_scratch_bytes"] > 0
     assert par_rep["workers"] == 3
 
 
@@ -382,79 +350,56 @@ def test_parallel_report_contents(monkeypatch):
     assert rep["parallel_sites"] == 1 and rep["serial_sites"] == 0
     (site,) = rep["sites"].values()
     assert site["est_speedup"] > 1.0
-    assert site["per_worker_scratch_bytes"] > 0
+    assert site["site_latency_s"] > 0
 
 
 # ---------------------------------------------------------------------------
-# FusedChainExecutor thread-safety contract (satellite regression)
+# Stage thread-safety contract: concurrent runs on disjoint samples
 # ---------------------------------------------------------------------------
-
-def _fused_executor(max_batch=2):
-    mod = make_site("tucker", 12).layer0
-    w = mod.export_weights()
-    ex = FusedChainExecutor(
-        "tucker", w["w_in"], w["core"], w["w_out"], w["bias"],
-        in_hw=(12, 12), kernel_size=3, stride=1, padding=1,
-        max_batch=max_batch,
-    )
-    scratch = {
-        name: np.zeros(shape, dtype=ex.dtype)
-        for name, shape in ex.scratch_shapes().items()
-    }
-    ex.bind(scratch)
-    return ex
-
-
-def test_fused_run_accepts_explicit_scratch():
-    ex = _fused_executor()
-    x = np.random.default_rng(0).standard_normal((2, 6, 12, 12))
-    out_a = np.zeros((2, ex.out_channels, ex.oh, ex.ow))
-    out_b = np.zeros_like(out_a)
-    ref = ex.run(x, out_a).copy()  # bound-scratch default path
-    own = {
-        name: np.zeros(shape, dtype=ex.dtype)
-        for name, shape in ex.scratch_shapes().items()
-    }
-    np.testing.assert_array_equal(ex.run(x, out_b, scratch=own), ref)
-
 
 def test_fused_concurrent_run_disjoint_scratch():
-    """Concurrent ``run`` calls with disjoint scratch never corrupt
-    each other — the documented thread-safety contract."""
-    ex = _fused_executor(max_batch=2)
-    rng = np.random.default_rng(1)
-    xs = [rng.standard_normal((2, 6, 12, 12)) for _ in range(4)]
-    outs = [np.zeros((2, ex.out_channels, ex.oh, ex.ow)) for _ in xs]
-    refs = [ex.run(x, np.zeros_like(outs[0])).copy() for x in xs]
-    scratches = [
-        {
-            name: np.zeros(shape, dtype=ex.dtype)
-            for name, shape in ex.scratch_shapes().items()
-        }
-        for _ in xs
-    ]
+    """Concurrent stage-list runs on disjoint sample slices of one
+    site's buffers (the shared stage scratch included) never corrupt
+    each other — the contract batch shards rely on, here under a fused
+    plan (which runs the format's stage list)."""
+    model = make_site("tucker", 12)
+    exe = compile_model(model, A100, image_hw=(12, 12), in_channels=6,
+                        core_backend="fused", max_batch=8, threads=1)
+    (site,) = exe.sites()
+    x = np.random.default_rng(1).standard_normal((8, 6, 12, 12))
+    ref = exe.run(x).copy()
+    shards = [(0, 2), (2, 4), (4, 6), (6, 8)]
     for _ in range(5):  # several rounds to give corruption a chance
-        barrier = threading.Barrier(len(xs))
+        site.out.fill(0.0)
+        barrier = threading.Barrier(len(shards))
 
-        def worker(i):
+        def worker(lo, hi):
             barrier.wait()
-            ex.run(xs[i], outs[i], scratch=scratches[i])
+            site._run(x, lo, hi)
 
         threads = [
-            threading.Thread(target=worker, args=(i,))
-            for i in range(len(xs))
+            threading.Thread(target=worker, args=shard) for shard in shards
         ]
         for t in threads:
             t.start()
         for t in threads:
             t.join()
-        for out, ref in zip(outs, refs):
-            np.testing.assert_array_equal(out, ref)
+        np.testing.assert_array_equal(site.out, ref)
 
 
 def test_fused_bound_scratch_is_exposed():
-    ex = _fused_executor()
-    assert set(ex.bound_scratch) == set(ex.scratch_shapes())
+    """A fused-planned site's stages bind the executable's one stage
+    scratch, which the arena exposes by name (so the aliasing probe
+    sees it)."""
+    from repro.inference.executable import STAGE_SCRATCH
+
+    exe = compile_model(make_site("tucker", 12), A100, image_hw=(12, 12),
+                        in_channels=6, core_backend="fused", max_batch=4)
+    (site,) = exe.sites()
+    scratch = exe.arena.get(STAGE_SCRATCH)
+    assert site.backend == "fused"
+    assert np.shares_memory(site.core_stage.cols, scratch)
+    assert exe.arena_report()["stage_scratch_bytes"] == scratch.nbytes
 
 
 # ---------------------------------------------------------------------------

@@ -497,3 +497,72 @@ def test_warm_for_model_covers_tucker_cores():
 def test_warm_for_model_dense_only_is_noop():
     model = build_model("resnet_tiny", seed=0)  # no Tucker sites
     assert warm_for_model(model, A100, IMAGE_HW) == {}
+
+
+# ---------------------------------------------------------------------------
+# The per-request handle
+# ---------------------------------------------------------------------------
+
+def test_finished_handle_is_small():
+    """A finished handle holds its result plus a few hundred bytes:
+    callers may keep every handle, so a ``threading.Event`` (over
+    1 KB each on CPython) would grow their memory with every request."""
+    import tracemalloc
+
+    from repro.serving.session import _Pending
+
+    result = np.zeros(10)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        handles = [_Pending() for _ in range(1000)]
+        for handle in handles:
+            handle._finish(result)
+        per_handle = (tracemalloc.get_traced_memory()[0] - before) / 1000
+    finally:
+        tracemalloc.stop()
+    assert per_handle < 400, per_handle
+
+
+def test_handle_concurrent_waiters_with_timeouts():
+    """The fleet's hedging path: several threads wait on one handle
+    with different timeouts while the worker finishes it."""
+    from repro.serving.session import _Pending
+
+    handle = _Pending()
+    assert not handle.done()
+    assert handle.wait(0) is False and handle.wait(-1.0) is False
+    outcomes = {}
+
+    def waiter(name, fn):
+        outcomes[name] = fn()
+
+    waiters = {
+        "short_a": lambda: handle.wait(0.01),
+        "short_b": lambda: handle.wait(0.02),
+        "long": lambda: handle.wait(10.0),
+        "forever": lambda: handle.wait(None),
+        "result": lambda: handle.result(10.0),
+    }
+    threads = [threading.Thread(target=waiter, args=item)
+               for item in waiters.items()]
+    for t in threads:
+        t.start()
+    time.sleep(0.1)
+    y = np.arange(3.0)
+    handle._finish(y)
+    for t in threads:
+        t.join(10.0)
+    assert outcomes["short_a"] is False and outcomes["short_b"] is False
+    assert outcomes["long"] is True and outcomes["forever"] is True
+    assert outcomes["result"] is y
+    assert handle.done() and handle.wait(0) and handle.wait(None)
+    handle._finish(None, RuntimeError("late"))   # a second finish: no-op
+    assert handle.result(0) is y
+    assert handle.cancel() is False and not handle.cancelled
+    assert handle.latency is not None and handle.latency > 0
+
+    abandoned = _Pending()
+    with pytest.raises(TimeoutError):
+        abandoned.result(0.01)
+    assert abandoned.cancelled and not abandoned.done()
