@@ -12,14 +12,8 @@ from repro.codesign.flops import (
     achieved_reduction,
     conv_flops,
     conv_params,
-    cp_flops,
-    cp_params,
     flops_reduction_ratio,
     param_reduction_ratio,
-    tt_flops,
-    tt_params,
-    tucker_flops,
-    tucker_params,
 )
 from repro.codesign.format_search import (
     FormatCandidate,
@@ -60,14 +54,8 @@ __all__ = [
     "achieved_reduction",
     "conv_flops",
     "conv_params",
-    "cp_flops",
-    "cp_params",
     "flops_reduction_ratio",
     "param_reduction_ratio",
-    "tt_flops",
-    "tt_params",
-    "tucker_flops",
-    "tucker_params",
     "FormatCandidate",
     "best_format_under_budget",
     "clear_candidate_cache",

@@ -27,10 +27,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.codesign.flops import conv_flops, tucker_flops
+from repro.codesign.flops import conv_flops
 from repro.codesign.rank_selection import LayerShape
 from repro.codesign.table import build_performance_table
 from repro.gpusim.device import DeviceSpec
+from repro.tensor.formats import get_format
 from repro.utils.validation import check_positive_int
 
 
@@ -148,7 +149,7 @@ def select_ranks_concurrent(
     # Start from the minimum-FLOPs pair per branch.
     def pair_flops(i: int, pair: Tuple[int, int]) -> int:
         b = group.branches[i]
-        return tucker_flops(b.c, b.n, b.h, b.w, pair[0], pair[1], b.r, b.s)
+        return get_format("tucker").flops(b.c, b.n, b.h, b.w, pair, b.r, b.s)
 
     current = [
         min(g, key=lambda p: pair_flops(i, p)) for i, g in enumerate(grids)

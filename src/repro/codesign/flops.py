@@ -1,15 +1,17 @@
-"""FLOPs / parameter accounting for dense and Tucker-format convs.
+"""FLOPs / parameter accounting for dense convs and budgets.
 
-Implements the complexity formulas of Sec. 3 and the reduction ratios
-of Eqs. (5)-(6).  All FLOPs counts use 2 FLOPs per MAC, matching the
-layer methods in :mod:`repro.nn`.
+Dense-conv complexity (Sec. 3) and the reduction ratios of Eqs.
+(5)-(6).  Factored-layer costs come from each format's chain
+(:meth:`repro.tensor.formats.DecompFormat.flops` / ``n_params``).  All
+FLOPs counts use 2 FLOPs per MAC, matching the layer methods in
+:mod:`repro.nn`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.utils.validation import check_positive_int
+from repro.tensor.formats import get_format
 
 
 def conv_flops(c: int, n: int, h: int, w: int, r: int = 3, s: int = 3,
@@ -26,77 +28,12 @@ def conv_params(c: int, n: int, r: int = 3, s: int = 3) -> int:
     return c * n * r * s
 
 
-def tucker_flops(
-    c: int, n: int, h: int, w: int, d1: int, d2: int,
-    r: int = 3, s: int = 3, out_h: int = 0, out_w: int = 0,
-) -> int:
-    """Tucker-format layer FLOPs (Sec. 3):
-
-        H*W*C*D1  +  H'*W'*R*S*D1*D2  +  H'*W'*N*D2   (x2 for MACs)
-    """
-    out_h = out_h or h
-    out_w = out_w or w
-    stage1 = 2 * h * w * c * d1
-    stage2 = 2 * out_h * out_w * r * s * d1 * d2
-    stage3 = 2 * out_h * out_w * n * d2
-    return stage1 + stage2 + stage3
-
-
-def tucker_params(c: int, n: int, d1: int, d2: int, r: int = 3, s: int = 3) -> int:
-    """Tucker-format parameter count: C*D1 + R*S*D1*D2 + N*D2."""
-    return c * d1 + r * s * d1 * d2 + n * d2
-
-
-def cp_flops(
-    c: int, n: int, h: int, w: int, q: int,
-    r: int = 3, s: int = 3, out_h: int = 0, out_w: int = 0,
-) -> int:
-    """CP-format layer FLOPs (1x1 C->Q, depthwise RxS, 1x1 Q->N):
-
-        H*W*C*Q  +  H'*W'*Q*R*S  +  H'*W'*Q*N   (x2 for MACs)
-    """
-    out_h = out_h or h
-    out_w = out_w or w
-    stage1 = 2 * h * w * c * q
-    stage2 = 2 * out_h * out_w * q * r * s
-    stage3 = 2 * out_h * out_w * q * n
-    return stage1 + stage2 + stage3
-
-
-def cp_params(c: int, n: int, q: int, r: int = 3, s: int = 3) -> int:
-    """CP-format parameter count: Q*C + Q*R*S + N*Q."""
-    return q * c + q * r * s + n * q
-
-
-def tt_flops(
-    c: int, n: int, h: int, w: int, r1: int, r2: int,
-    r: int = 3, s: int = 3, out_h: int = 0, out_w: int = 0,
-) -> int:
-    """TT-format layer FLOPs (1x1 C->r1*r2, depthwise RxS, group-sum
-    r1*r2->r1, 1x1 r1->N):
-
-        H*W*C*r1*r2 + H'*W'*r1*r2*R*S (+ group-sum adds) + H'*W'*r1*N
-        (x2 for MACs; the group-sum counts 1 add per element)
-    """
-    out_h = out_h or h
-    out_w = out_w or w
-    q = r1 * r2
-    stage1 = 2 * h * w * c * q
-    stage2 = 2 * out_h * out_w * q * r * s
-    group_sum = out_h * out_w * q if r2 > 1 else 0
-    stage3 = 2 * out_h * out_w * r1 * n
-    return stage1 + stage2 + group_sum + stage3
-
-
-def tt_params(c: int, n: int, r1: int, r2: int, r: int = 3, s: int = 3) -> int:
-    """TT-format parameter count (executed form): r1*r2*C + r1*r2*R*S + N*r1."""
-    return r1 * r2 * c + r1 * r2 * r * s + n * r1
-
-
 def param_reduction_ratio(c: int, n: int, d1: int, d2: int,
                           r: int = 3, s: int = 3) -> float:
     """Eq. 5: dense params over Tucker params (gamma_P)."""
-    return conv_params(c, n, r, s) / tucker_params(c, n, d1, d2, r, s)
+    return conv_params(c, n, r, s) / get_format("tucker").n_params(
+        c, n, r, s, (d1, d2)
+    )
 
 
 def flops_reduction_ratio(
@@ -104,9 +41,9 @@ def flops_reduction_ratio(
     r: int = 3, s: int = 3, out_h: int = 0, out_w: int = 0,
 ) -> float:
     """Eq. 6: dense FLOPs over Tucker FLOPs (gamma_F)."""
-    return conv_flops(c, n, h, w, r, s, out_h, out_w) / tucker_flops(
-        c, n, h, w, d1, d2, r, s, out_h, out_w
-    )
+    return conv_flops(c, n, h, w, r, s, out_h, out_w) / get_format(
+        "tucker"
+    ).flops(c, n, h, w, (d1, d2), r, s, out_h, out_w)
 
 
 @dataclass(frozen=True)

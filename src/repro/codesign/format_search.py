@@ -3,13 +3,15 @@
 Generalizes the per-layer performance table: instead of only Tucker's
 ``(D1, D2)`` grid, every registered decomposition format contributes
 its rank candidates, each costed as the sum of its kernel chain's
-analytical latencies on the target device:
+(:meth:`repro.tensor.formats.DecompFormat.chain`) analytical latencies
+on the target device:
 
 - ``tucker``: 1x1 + TDC core (tiling-selected) + 1x1 — taken straight
   from :func:`repro.codesign.table.build_performance_table`, so the
-  numbers (and the memoized cache) are identical to the legacy path;
-- ``cp``: 1x1 + depthwise + 1x1;
-- ``tt``: 1x1 + depthwise + group-sum (memory-bound) + 1x1.
+  numbers (and the memoized cache) are the paper's table;
+- every other format: 1x1 + core + 1x1, the core being the depthwise
+  stage plus any group-sum (:func:`repro.kernels.depthwise.dwcore_latency`)
+  or, for a dense core, its tiling-selected TDC latency.
 
 All stage latencies are evaluated at the layer's core-conv extent
 (``LayerShape.h/w`` = output resolution), matching the Tucker-table
@@ -22,15 +24,20 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.backends import get_backend
-from repro.codesign.flops import cp_flops, cp_params, tt_flops, tt_params, tucker_params
 from repro.codesign.rank_selection import LayerShape
 from repro.codesign.table import build_performance_table
 from repro.gpusim.device import DeviceSpec
-from repro.kernels.base import FLOAT_BYTES, ConvShape
-from repro.kernels.depthwise import DepthwiseConvKernel
-from repro.kernels.pointwise import memory_bound_op_latency, pointwise_latency
+from repro.kernels.base import ConvShape
+from repro.kernels.depthwise import dwcore_latency
+from repro.kernels.pointwise import pointwise_latency
 from repro.kernels.tdc_direct import Tiling
-from repro.tensor.formats import get_format, resolve_formats
+from repro.perfmodel.tiling import select_tiling
+from repro.tensor.formats import (
+    Chain,
+    DecompFormat,
+    get_format,
+    resolve_formats,
+)
 
 
 @dataclass(frozen=True)
@@ -57,13 +64,6 @@ class FormatCandidate:
 _CANDIDATE_CACHE: Dict[tuple, List[FormatCandidate]] = {}
 
 
-def _depthwise_latency(
-    channels: int, h: int, w: int, r: int, s: int, device: DeviceSpec
-) -> float:
-    shape = ConvShape(c=channels, n=channels, h=h, w=w, r=r, s=s)
-    return DepthwiseConvKernel().latency(shape, device)
-
-
 def _tucker_candidates(
     layer: LayerShape, device: DeviceSpec, rank_step: int, method: str
 ) -> List[FormatCandidate]:
@@ -71,6 +71,7 @@ def _tucker_candidates(
         layer.c, layer.n, layer.h, layer.w, device,
         r=layer.r, s=layer.s, rank_step=rank_step, method=method,
     )
+    tucker = get_format("tucker")
     return [
         FormatCandidate(
             format="tucker",
@@ -79,8 +80,8 @@ def _tucker_candidates(
             core_latency=e.core_latency,
             pw2_latency=e.pw2_latency,
             flops=e.flops,
-            params=tucker_params(
-                layer.c, layer.n, e.d1, e.d2, layer.r, layer.s
+            params=tucker.n_params(
+                layer.c, layer.n, layer.r, layer.s, (e.d1, e.d2)
             ),
             tiling=e.tiling,
         )
@@ -88,77 +89,44 @@ def _tucker_candidates(
     ]
 
 
-def _cp_candidates(
-    layer: LayerShape, device: DeviceSpec, rank_step: int
+def _chain_candidates(
+    fmt: DecompFormat, layer: LayerShape, device: DeviceSpec, rank_step: int,
+    method: str,
 ) -> List[FormatCandidate]:
-    fmt = get_format("cp")
+    """Candidates of a non-Tucker format, each stage priced from the
+    format's chain (stage latencies memoized per distinct width)."""
+    pw1: Dict[int, float] = {}
+    core: Dict[Chain, float] = {}
+    pw2: Dict[int, float] = {}
     out: List[FormatCandidate] = []
-    pw1_memo: Dict[int, float] = {}
-    for ranks in fmt.rank_candidates(layer.c, layer.n, layer.r, layer.s, rank_step):
-        (q,) = ranks
-        if q not in pw1_memo:
-            pw1_memo[q] = pointwise_latency(layer.c, q, layer.h, layer.w, device)
+    h, w = layer.h, layer.w
+    for ranks in fmt.rank_candidates(layer.c, layer.n, layer.r, layer.s,
+                                     rank_step):
+        ch = fmt.chain(ranks)
+        if ch.mid not in pw1:
+            pw1[ch.mid] = pointwise_latency(layer.c, ch.mid, h, w, device)
+        if ch not in core:
+            shape = ConvShape(c=ch.mid, n=ch.core_out, h=h, w=w,
+                              r=layer.r, s=layer.s)
+            if ch.depthwise:
+                core[ch] = dwcore_latency(shape, device, ch.collapse)
+            else:
+                core[ch] = select_tiling(
+                    shape, device, method=method
+                ).simulated_latency
+        if ch.out not in pw2:
+            pw2[ch.out] = pointwise_latency(ch.out, layer.n, h, w, device)
         out.append(
             FormatCandidate(
-                format="cp",
+                format=fmt.name,
                 ranks=ranks,
-                pw1_latency=pw1_memo[q],
-                core_latency=_depthwise_latency(
-                    q, layer.h, layer.w, layer.r, layer.s, device
+                pw1_latency=pw1[ch.mid],
+                core_latency=core[ch],
+                pw2_latency=pw2[ch.out],
+                flops=fmt.flops(
+                    layer.c, layer.n, h, w, ranks, layer.r, layer.s
                 ),
-                pw2_latency=pointwise_latency(
-                    q, layer.n, layer.h, layer.w, device
-                ),
-                flops=cp_flops(
-                    layer.c, layer.n, layer.h, layer.w, q, layer.r, layer.s
-                ),
-                params=cp_params(layer.c, layer.n, q, layer.r, layer.s),
-            )
-        )
-    return out
-
-
-def _tt_candidates(
-    layer: LayerShape, device: DeviceSpec, rank_step: int
-) -> List[FormatCandidate]:
-    fmt = get_format("tt")
-    out: List[FormatCandidate] = []
-    pw1_memo: Dict[int, float] = {}
-    mid_memo: Dict[Tuple[int, int], float] = {}
-    pw2_memo: Dict[int, float] = {}
-    map_bytes = layer.h * layer.w * FLOAT_BYTES
-    for ranks in fmt.rank_candidates(layer.c, layer.n, layer.r, layer.s, rank_step):
-        r1, r2 = ranks
-        q = r1 * r2
-        if q not in pw1_memo:
-            pw1_memo[q] = pointwise_latency(layer.c, q, layer.h, layer.w, device)
-        if (q, r2) not in mid_memo:
-            mid = _depthwise_latency(
-                q, layer.h, layer.w, layer.r, layer.s, device
-            )
-            if r2 > 1:
-                # Group-sum r1*r2 -> r1: reads the full depthwise output,
-                # writes the collapsed map.
-                mid += memory_bound_op_latency(
-                    q * map_bytes, (q // r2) * map_bytes, device
-                )
-            mid_memo[(q, r2)] = mid
-        if r1 not in pw2_memo:
-            pw2_memo[r1] = pointwise_latency(
-                r1, layer.n, layer.h, layer.w, device
-            )
-        out.append(
-            FormatCandidate(
-                format="tt",
-                ranks=ranks,
-                pw1_latency=pw1_memo[q],
-                core_latency=mid_memo[(q, r2)],
-                pw2_latency=pw2_memo[r1],
-                flops=tt_flops(
-                    layer.c, layer.n, layer.h, layer.w, r1, r2,
-                    layer.r, layer.s,
-                ),
-                params=tt_params(layer.c, layer.n, r1, r2, layer.r, layer.s),
+                params=fmt.n_params(layer.c, layer.n, layer.r, layer.s, ranks),
             )
         )
     return out
@@ -189,14 +157,9 @@ def layer_format_candidates(
         if cached is None:
             if name == "tucker":
                 cached = _tucker_candidates(layer, device, rank_step, method)
-            elif name == "cp":
-                cached = _cp_candidates(layer, device, rank_step)
-            elif name == "tt":
-                cached = _tt_candidates(layer, device, rank_step)
             else:
-                raise ValueError(
-                    f"format {name!r} is registered but has no analytical "
-                    f"cost model in layer_format_candidates"
+                cached = _chain_candidates(
+                    get_format(name), layer, device, rank_step, method
                 )
             _CANDIDATE_CACHE[key] = cached
         candidates.extend(cached)

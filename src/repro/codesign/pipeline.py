@@ -107,12 +107,11 @@ def decompose_for_device(
         budget=budget, theta=theta, rank_step=rank_step, method=method,
         formats=formats,
     )
-    format_map: Dict[str, Tuple[str, Tuple[int, ...]]] = {}
-    for d in plan.decisions:
-        if not d.decomposed:
-            continue
-        ranks = d.ranks if d.ranks is not None else (int(d.d1), int(d.d2))
-        format_map[d.layer.name] = (d.format, tuple(int(r) for r in ranks))
+    format_map: Dict[str, Tuple[str, Tuple[int, ...]]] = {
+        d.layer.name: (d.format, tuple(int(r) for r in d.ranks))
+        for d in plan.decisions
+        if d.decomposed
+    }
     if not format_map:
         rejections = "; ".join(
             f"{d.layer.name}: {d.reason}" for d in plan.decisions

@@ -17,12 +17,14 @@ budget ``B``, and a device, this module chooses per-layer ranks
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from typing import List, Optional, Sequence, Tuple
 
 from repro.codesign.flops import achieved_reduction
-from repro.codesign.table import PerformanceTable, build_performance_table
+from repro.codesign.table import build_performance_table
 from repro.gpusim.device import DeviceSpec
+from repro.tensor.formats import resolve_formats
 from repro.utils.validation import check_positive_int
 
 
@@ -48,8 +50,6 @@ class RankDecision:
     """Outcome of Algorithm 1 for one layer."""
 
     layer: LayerShape
-    d1: Optional[int]            # None => layer left dense or non-Tucker
-    d2: Optional[int]
     tucker_latency: float        # t1 (= original latency when skipped)
     original_latency: float      # t2
     dense_flops: int
@@ -57,7 +57,7 @@ class RankDecision:
     # "selected" | "theta_skip" | "no_candidate" | "not_decomposable"
     reason: str
     # Which decomposition format was chosen (meaningful when decomposed;
-    # "tucker" for every legacy decision).
+    # "tucker" for every dense decision).
     format: str = "tucker"
     # Format-generic rank tuple: (d1, d2) for Tucker, (q,) for CP,
     # (r1, r2) for TT.  None when the layer stays dense.
@@ -65,7 +65,22 @@ class RankDecision:
 
     @property
     def decomposed(self) -> bool:
-        return self.d1 is not None or self.ranks is not None
+        return self.ranks is not None
+
+    @property
+    def d1(self) -> Optional[int]:
+        """Tucker input-channel rank; None unless decomposed as Tucker."""
+        return self._tucker_rank(0)
+
+    @property
+    def d2(self) -> Optional[int]:
+        """Tucker output-channel rank; None unless decomposed as Tucker."""
+        return self._tucker_rank(1)
+
+    def _tucker_rank(self, mode: int) -> Optional[int]:
+        if self.ranks is None or self.format != "tucker":
+            return None
+        return self.ranks[mode]
 
     @property
     def reduction(self) -> float:
@@ -113,6 +128,42 @@ class RankPlan:
         return self.total_original_latency / self.total_latency
 
 
+def _layer_options(
+    layer: LayerShape, device: DeviceSpec, formats: Tuple[str, ...],
+    rank_step: int, method: str,
+):
+    """``(t2, candidates, pick)`` for one layer: the dense layer's
+    latency, its candidates (table entries or format candidates; both
+    carry ``format``, ``ranks``, ``flops`` and ``total_latency``), and
+    the plateau pick ``pick(max_flops)`` of Alg. 1 line 3."""
+    if formats == ("tucker",):
+        # The paper's table and its balanced-rank plateau pick.
+        table = build_performance_table(
+            layer.c, layer.n, layer.h, layer.w, device,
+            r=layer.r, s=layer.s, rank_step=rank_step, method=method,
+        )
+        return table.original_latency, table.entries, table.best_under_budget
+    # Deferred import: format_search imports LayerShape from here.
+    from repro.codesign.format_search import (
+        best_format_under_budget,
+        layer_format_candidates,
+    )
+
+    original, candidates = layer_format_candidates(
+        layer, device, formats, rank_step=rank_step, method=method
+    )
+    return original, candidates, partial(best_format_under_budget, candidates)
+
+
+def _left_dense(
+    layer: LayerShape, latency: float, dense_flops: int, reason: str
+) -> RankDecision:
+    return RankDecision(
+        layer=layer, tucker_latency=latency, original_latency=latency,
+        dense_flops=dense_flops, compressed_flops=dense_flops, reason=reason,
+    )
+
+
 def select_ranks(
     layers: Sequence[LayerShape],
     device: DeviceSpec,
@@ -144,8 +195,12 @@ def select_ranks(
     Algorithm 1, the default) to any set of registered decomposition
     formats — pass ``("tucker", "cp", "tt")``, ``"all"``, or ``"auto"``
     and each layer picks the (format, ranks) pair that wins on latency
-    under its FLOPs share.  The default Tucker-only path is numerically
-    identical to the legacy selector.
+    under its FLOPs share.  Both run the same loop; they differ only in
+    each layer's candidates and plateau pick: Tucker-only takes the
+    performance table's balanced-rank pick
+    (:meth:`~repro.codesign.table.PerformanceTable.best_under_budget`),
+    mixed formats
+    :func:`~repro.codesign.format_search.best_format_under_budget`.
     """
     if not layers:
         raise ValueError("select_ranks needs at least one layer")
@@ -161,15 +216,7 @@ def select_ranks(
     # tighter than the global budget itself.
     max_layer_reduction = max(max_layer_reduction, budget)
 
-    from repro.tensor.formats import resolve_formats
-
     formats = resolve_formats(formats)
-    if formats != ("tucker",):
-        return _select_ranks_multiformat(
-            layers, device, budget=budget, theta=theta,
-            rank_step=rank_step, method=method,
-            max_layer_reduction=max_layer_reduction, formats=formats,
-        )
 
     flops_list = [
         2 * l.h * l.w * l.c * l.n * l.r * l.s for l in layers
@@ -187,169 +234,45 @@ def select_ranks(
         target_reduction = min(
             budget * dense + carried, max_layer_reduction * dense
         )
-        max_tucker = dense - target_reduction
-
-        table = build_performance_table(
-            layer.c, layer.n, layer.h, layer.w, device,
-            r=layer.r, s=layer.s, rank_step=rank_step, method=method,
+        t2, candidates, pick = _layer_options(
+            layer, device, formats, rank_step, method
         )
-        if not table.entries:
+        if not candidates:
             # An extent-1 mode has no rank below the original extent:
             # "compressing" would add two 1x1 launches for zero
             # reduction.  Leave dense, carry the planned reduction on.
-            t2 = table.original_latency
-            decisions.append(
-                RankDecision(
-                    layer=layer, d1=None, d2=None,
-                    tucker_latency=t2, original_latency=t2,
-                    dense_flops=dense, compressed_flops=dense,
-                    reason="not_decomposable",
-                )
-            )
+            decisions.append(_left_dense(layer, t2, dense, "not_decomposable"))
             extra_budget += target_reduction
             continue
-        entry = table.best_under_budget(max_tucker)
-        if entry is None:
+        chosen = pick(dense - target_reduction)
+        reason = "selected"
+        if chosen is None:
             # The inflated target is unreachable: retry with the
             # layer's own base share before giving up on the budget.
-            entry = table.best_under_budget(dense * (1.0 - budget))
-            reason = "selected" if entry is not None else "no_candidate"
-            if entry is None:
-                entry = min(
-                    table.entries, key=lambda e: (e.flops, e.total_latency)
-                )
-        else:
-            reason = "selected"
-
-        t1 = entry.total_latency
-        t2 = table.original_latency
-        if t1 >= (1.0 - theta) * t2:
-            # θ rule: not enough latency benefit -> leave dense, carry
-            # the planned reduction to the remaining layers.
-            decisions.append(
-                RankDecision(
-                    layer=layer, d1=None, d2=None,
-                    tucker_latency=t2, original_latency=t2,
-                    dense_flops=dense, compressed_flops=dense,
-                    reason="theta_skip",
-                )
-            )
-            extra_budget += target_reduction
-        else:
-            decisions.append(
-                RankDecision(
-                    layer=layer, d1=entry.d1, d2=entry.d2,
-                    tucker_latency=t1, original_latency=t2,
-                    dense_flops=dense, compressed_flops=entry.flops,
-                    reason=reason,
-                    format="tucker", ranks=(entry.d1, entry.d2),
-                )
-            )
-            achieved = dense - entry.flops
-            # Reduce the carried pool by whatever this layer delivered
-            # beyond its own base share.
-            surplus = achieved - budget * dense
-            extra_budget = max(0.0, extra_budget - max(0.0, surplus))
-
-    return RankPlan(
-        decisions=decisions, budget=budget, theta=theta,
-        device_name=device.name,
-    )
-
-
-def _select_ranks_multiformat(
-    layers: Sequence[LayerShape],
-    device: DeviceSpec,
-    budget: float,
-    theta: float,
-    rank_step: int,
-    method: str,
-    max_layer_reduction: float,
-    formats: Tuple[str, ...],
-) -> RankPlan:
-    """Algorithm 1 with the format axis widened beyond Tucker.
-
-    Same budget / θ / carried-reduction structure as the legacy body;
-    the per-layer argmin runs over every format's rank candidates, and
-    latency plateaus resolve toward the most retained parameters (the
-    cross-format analog of "largest ranks").
-    """
-    # Deferred import: format_search imports LayerShape from here.
-    from repro.codesign.format_search import (
-        best_format_under_budget,
-        layer_format_candidates,
-    )
-
-    flops_list = [
-        2 * l.h * l.w * l.c * l.n * l.r * l.s for l in layers
-    ]
-    decisions: List[RankDecision] = []
-    extra_budget = 0.0
-
-    for i, layer in enumerate(layers):
-        dense = flops_list[i]
-        remaining = sum(flops_list[i:])
-        carried = extra_budget * dense / remaining if remaining else 0.0
-        target_reduction = min(
-            budget * dense + carried, max_layer_reduction * dense
-        )
-        max_compressed = dense - target_reduction
-
-        original, candidates = layer_format_candidates(
-            layer, device, formats, rank_step=rank_step, method=method
-        )
-        if not candidates:
-            t2 = original
-            decisions.append(
-                RankDecision(
-                    layer=layer, d1=None, d2=None,
-                    tucker_latency=t2, original_latency=t2,
-                    dense_flops=dense, compressed_flops=dense,
-                    reason="not_decomposable",
-                )
-            )
-            extra_budget += target_reduction
-            continue
-
-        chosen = best_format_under_budget(candidates, max_compressed)
-        if chosen is None:
-            chosen = best_format_under_budget(
-                candidates, dense * (1.0 - budget)
-            )
-            reason = "selected" if chosen is not None else "no_candidate"
+            chosen = pick(dense * (1.0 - budget))
             if chosen is None:
+                reason = "no_candidate"
                 chosen = min(
                     candidates, key=lambda c: (c.flops, c.total_latency)
                 )
-        else:
-            reason = "selected"
 
         t1 = chosen.total_latency
-        t2 = original
         if t1 >= (1.0 - theta) * t2:
-            decisions.append(
-                RankDecision(
-                    layer=layer, d1=None, d2=None,
-                    tucker_latency=t2, original_latency=t2,
-                    dense_flops=dense, compressed_flops=dense,
-                    reason="theta_skip",
-                )
-            )
+            # θ rule: not enough latency benefit -> leave dense, carry
+            # the planned reduction to the remaining layers.
+            decisions.append(_left_dense(layer, t2, dense, "theta_skip"))
             extra_budget += target_reduction
         else:
-            d1 = d2 = None
-            if chosen.format == "tucker":
-                d1, d2 = chosen.ranks
             decisions.append(
                 RankDecision(
-                    layer=layer, d1=d1, d2=d2,
-                    tucker_latency=t1, original_latency=t2,
+                    layer=layer, tucker_latency=t1, original_latency=t2,
                     dense_flops=dense, compressed_flops=chosen.flops,
-                    reason=reason,
-                    format=chosen.format, ranks=chosen.ranks,
+                    reason=reason, format=chosen.format, ranks=chosen.ranks,
                 )
             )
             achieved = dense - chosen.flops
+            # Reduce the carried pool by whatever this layer delivered
+            # beyond its own base share.
             surplus = achieved - budget * dense
             extra_budget = max(0.0, extra_budget - max(0.0, surplus))
 

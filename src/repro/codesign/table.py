@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.backends import get_backend
-from repro.codesign.flops import conv_flops, tucker_flops
+from repro.codesign.flops import conv_flops
 from repro.gpusim.device import DeviceSpec
 from repro.kernels.base import ConvShape
 from repro.kernels.pointwise import pointwise_latency
@@ -31,7 +31,7 @@ from repro.kernels.tdc_direct import TDCDirectKernel, Tiling
 from repro.perfmodel.tiling import select_tiling, select_tilings
 from repro.planning.cache import PlanCache
 from repro.planning.pool import map_maybe_parallel
-from repro.utils.validation import check_positive_int
+from repro.tensor.formats import get_format, rank_candidates
 
 
 @dataclass(frozen=True)
@@ -45,6 +45,14 @@ class TableEntry:
     pw2_latency: float       # 1x1 D2 -> N
     tiling: Tiling
     flops: int               # Tucker layer FLOPs
+
+    # Read by Algorithm 1, which records (format, ranks) per decision.
+    format = "tucker"
+
+    @property
+    def ranks(self) -> Tuple[int, int]:
+        """The ``tucker`` format's rank tuple."""
+        return (self.d1, self.d2)
 
     @property
     def total_latency(self) -> float:
@@ -127,23 +135,6 @@ class PerformanceTable:
             plateau,
             key=lambda e: (min(e.d1, e.d2), e.d1 + e.d2, -e.total_latency),
         )
-
-
-def rank_candidates(extent: int, step: int) -> List[int]:
-    """Rank grid for one mode: multiples of ``step`` strictly below the
-    original extent (reducing by ``step`` at a time, Sec. 6), with an
-    ``extent // 2`` floor candidate for slim models.
-
-    An extent of 1 yields an *empty* grid: the only "rank" would be 1,
-    i.e. the original extent — zero reduction plus two extra 1x1
-    launches — so such a mode is not decomposable at all.
-    """
-    step = check_positive_int("step", step)
-    extent = check_positive_int("extent", extent)
-    cands = [d for d in range(step, extent, step)]
-    if not cands and extent > 1:
-        cands = [max(1, extent // 2)]
-    return cands
 
 
 def _encode_table(table: PerformanceTable) -> dict:
@@ -251,7 +242,7 @@ def _grid_entries(
                 core_latency=choice.simulated_latency,
                 pw2_latency=pw2[d2],
                 tiling=choice.tiling,
-                flops=tucker_flops(c, n, h, w, d1, d2, r, s),
+                flops=get_format("tucker").flops(c, n, h, w, (d1, d2), r, s),
             )
         )
     return entries

@@ -44,6 +44,7 @@ from repro.compression.training import TrainHistory, evaluate, train_model
 from repro.data.synthetic import Dataset
 from repro.models.introspection import ConvSite, trace_conv_sites
 from repro.nn.module import Module
+from repro.tensor.formats import get_format
 from repro.tensor.vbmf import suggest_tucker2_ranks
 from repro.utils.rng import SeedLike
 
@@ -69,19 +70,11 @@ class CompressionReport:
 # FLOPs accounting per method's compressed representation
 # ---------------------------------------------------------------------------
 
+_TUCKER = get_format("tucker")
+
+
 def _dense_flops(site: ConvSite) -> int:
     return site.flops()
-
-
-def _tucker_site_flops(site: ConvSite, d2: int, d1: int) -> int:
-    h, w = site.height, site.width
-    k = site.kernel_size
-    oh, ow = site.layer.output_shape(h, w)
-    return (
-        2 * h * w * site.in_channels * d1
-        + 2 * oh * ow * k * k * d1 * d2
-        + 2 * oh * ow * site.out_channels * d2
-    )
 
 
 def _svd_site_flops(site: ConvSite, rank: int) -> int:
@@ -157,7 +150,9 @@ def uniform_tucker_ranks_for_budget(
     def flops_at(site: ConvSite, scale: float) -> int:
         d2 = max(min_rank, int(round(scale * site.out_channels)))
         d1 = max(min_rank, int(round(scale * site.in_channels)))
-        return _tucker_site_flops(site, d2, d1)
+        return _TUCKER.layer_flops(
+            site.layer, site.height, site.width, (d1, d2)
+        )
 
     scale = _search_scale(sites, budget, flops_at)
     return {
@@ -175,7 +170,8 @@ def achieved_tucker_reduction(
     """FLOPs reduction over the decomposable convs for a rank map."""
     dense = sum(_dense_flops(s) for s in sites)
     comp = sum(
-        _tucker_site_flops(s, *rank_map[s.name]) if s.name in rank_map
+        _TUCKER.layer_flops(s.layer, s.height, s.width, rank_map[s.name][::-1])
+        if s.name in rank_map
         else _dense_flops(s)
         for s in sites
     )
@@ -250,7 +246,9 @@ class MUSCOComparator(Comparator):
             b2, b1 = base_ranks[site.name]
             d2 = max(1, min(site.out_channels, int(round(scale * b2))))
             d1 = max(1, min(site.in_channels, int(round(scale * b1))))
-            return _tucker_site_flops(site, d2, d1)
+            return _TUCKER.layer_flops(
+                site.layer, site.height, site.width, (d1, d2)
+            )
 
         # EVBMF ranks may exceed the budget even at scale 1; searching
         # over (0, 2] also allows relaxing when EVBMF is conservative.

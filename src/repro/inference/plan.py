@@ -28,17 +28,17 @@ from repro.backends import (
 )
 from repro.codesign.rank_selection import RankPlan
 from repro.gpusim.device import DeviceSpec
-from repro.kernels.base import FLOAT_BYTES, ConvShape
-from repro.kernels.depthwise import depthwise_latency
+from repro.kernels.base import ConvShape
+from repro.kernels.depthwise import dwcore_latency
 from repro.kernels.pointwise import (
     batchnorm_relu_latency,
     fc_latency,
-    memory_bound_op_latency,
     pointwise_latency,
     pooling_latency,
 )
 from repro.models.arch_specs import LayerSpec, ModelSpec
 from repro.nn.module import Module
+from repro.tensor.formats import Chain, get_format, resolve_formats
 
 
 @dataclass(frozen=True)
@@ -122,20 +122,45 @@ def _aux_scale(device: DeviceSpec, kind: str) -> float:
     return float(correction(kind))
 
 
-def _dwcore_latency(
-    channels: int, oh: int, ow: int, kernel: int, device: DeviceSpec,
-    collapse_to: Optional[int] = None,
-) -> float:
-    """Latency of a CP/TT middle stage: depthwise conv, plus (for TT)
-    the memory-bound group-sum collapsing ``channels -> collapse_to``.
-    Carries the calibrated aux correction for kind ``"dwcore"``."""
-    lat = depthwise_latency(channels, oh, ow, kernel, device)
-    if collapse_to is not None and collapse_to < channels:
-        map_bytes = oh * ow * FLOAT_BYTES
-        lat += memory_bound_op_latency(
-            channels * map_bytes, collapse_to * map_bytes, device
+def _chain_kernels(
+    name: str, chain: Chain, c: int, n: int, h: int, w: int,
+    oh: int, ow: int, k: int, device: DeviceSpec, core_backend: str,
+) -> List[PlannedKernel]:
+    """``<name>.pw1`` / ``.core`` / ``.pw2`` for one factored conv
+    ``C=c -> N=n`` with a ``k x k`` core, input extent ``h x w`` and
+    output extent ``oh x ow``.  A dense core dispatches through the
+    backend registry (kind ``"core"``); a depthwise core (with TT's
+    group-sum folded in) through :func:`dispatch_dwcore` (kind
+    ``"dwcore"``)."""
+    pw_scale = _aux_scale(device, "pointwise")
+    shape = ConvShape(c=chain.mid, n=chain.core_out, h=oh, w=ow, r=k, s=k)
+    if chain.depthwise:
+        kind = "dwcore"
+        dispatch = dispatch_dwcore(
+            shape, device,
+            dwcore_latency(shape, device, collapse_to=chain.collapse)
+            * _aux_scale(device, "dwcore"),
+            collapse_to=chain.collapse,
+            backend=core_backend,
         )
-    return lat * _aux_scale(device, "dwcore")
+    else:
+        kind = "core"
+        dispatch = dispatch_core(shape, device, core_backend)
+    return [
+        PlannedKernel(
+            layer=f"{name}.pw1", kind="pointwise",
+            latency=pointwise_latency(c, chain.mid, h, w, device) * pw_scale,
+        ),
+        PlannedKernel(
+            layer=f"{name}.core", kind=kind, latency=dispatch.latency,
+            backend=dispatch.backend, tiling=dispatch.tiling,
+        ),
+        PlannedKernel(
+            layer=f"{name}.pw2", kind="pointwise",
+            latency=pointwise_latency(chain.out, n, oh, ow, device)
+            * pw_scale,
+        ),
+    ]
 
 
 def _dense_conv_latency(layer: LayerSpec, device: DeviceSpec) -> float:
@@ -246,10 +271,6 @@ def plan_model(
     can share one traced forward pass.
     """
     from repro.models.introspection import trace_layer_sites
-    from repro.nn.cp_conv import CPConv2d
-    from repro.nn.tt_conv import TTConv2d
-    from repro.nn.tucker_conv import TuckerConv2d
-    from repro.tensor.formats import resolve_formats
 
     validate_backend(core_backend)
     allowed_formats = resolve_formats(formats)
@@ -276,83 +297,12 @@ def plan_model(
     for site in sites:
         mod = site.module
         oh, ow = mod.output_shape(site.height, site.width)
-        if isinstance(mod, (CPConv2d, TTConv2d)):
-            if isinstance(mod, CPConv2d):
-                mid = mod.rank
-                out_rank = mod.rank
-                collapse = None
-            else:
-                mid = mod.rank1 * mod.rank2
-                out_rank = mod.rank1
-                collapse = mod.rank1
-            plan.kernels.append(
-                PlannedKernel(
-                    layer=f"{site.name}.pw1", kind="pointwise",
-                    latency=pointwise_latency(
-                        mod.in_channels, mid, site.height, site.width, device,
-                    ) * _aux_scale(device, "pointwise"),
-                )
-            )
-            dw_dispatch = dispatch_dwcore(
-                ConvShape(
-                    c=mid, n=mid, h=oh, w=ow,
-                    r=mod.kernel_size, s=mod.kernel_size,
-                ),
-                device,
-                _dwcore_latency(
-                    mid, oh, ow, mod.kernel_size, device,
-                    collapse_to=collapse,
-                ),
-                collapse_to=collapse,
-                backend=core_backend,
-            )
-            plan.kernels.append(
-                PlannedKernel(
-                    layer=f"{site.name}.core", kind="dwcore",
-                    latency=dw_dispatch.latency,
-                    backend=dw_dispatch.backend,
-                    tiling=dw_dispatch.tiling,
-                )
-            )
-            plan.kernels.append(
-                PlannedKernel(
-                    layer=f"{site.name}.pw2", kind="pointwise",
-                    latency=pointwise_latency(
-                        out_rank, mod.out_channels, oh, ow, device,
-                    ) * _aux_scale(device, "pointwise"),
-                )
-            )
-        elif isinstance(mod, TuckerConv2d):
-            plan.kernels.append(
-                PlannedKernel(
-                    layer=f"{site.name}.pw1", kind="pointwise",
-                    latency=pointwise_latency(
-                        mod.in_channels, mod.rank_in,
-                        site.height, site.width, device,
-                    ) * _aux_scale(device, "pointwise"),
-                )
-            )
-            core_shape = ConvShape(
-                c=mod.rank_in, n=mod.rank_out, h=oh, w=ow,
-                r=mod.kernel_size, s=mod.kernel_size,
-            )
-            dispatch = dispatch_core(core_shape, device, core_backend)
-            plan.kernels.append(
-                PlannedKernel(
-                    layer=f"{site.name}.core", kind="core",
-                    latency=dispatch.latency,
-                    backend=dispatch.backend,
-                    tiling=dispatch.tiling,
-                )
-            )
-            plan.kernels.append(
-                PlannedKernel(
-                    layer=f"{site.name}.pw2", kind="pointwise",
-                    latency=pointwise_latency(
-                        mod.rank_out, mod.out_channels, oh, ow, device,
-                    ) * _aux_scale(device, "pointwise"),
-                )
-            )
+        if site.is_factored:
+            plan.kernels.extend(_chain_kernels(
+                site.name, get_format(site.format).chain(mod.ranks),
+                mod.in_channels, mod.out_channels, site.height, site.width,
+                oh, ow, mod.kernel_size, device, core_backend,
+            ))
         elif mod.kernel_size == 1:
             plan.kernels.append(
                 PlannedKernel(
@@ -422,77 +372,14 @@ def plan_tucker_model(
         if layer.kind == "conv":
             decision = decisions.get(layer.name)
             if decision is not None and decision.decomposed:
-                if decision.format == "tucker":
-                    d1, d2 = int(decision.d1), int(decision.d2)
-                    mid, out_rank, collapse = d1, d2, None
-                elif decision.format == "cp":
-                    (q,) = decision.ranks
-                    mid, out_rank, collapse = int(q), int(q), None
-                elif decision.format == "tt":
-                    r1, r2 = (int(x) for x in decision.ranks)
-                    mid, out_rank, collapse = r1 * r2, r1, r1
-                else:
-                    raise ValueError(
-                        f"cannot plan layer {layer.name!r}: decision "
-                        f"carries unknown format {decision.format!r} "
-                        f"(plan formats: {plan_formats})"
-                    )
-                plan.kernels.append(
-                    PlannedKernel(
-                        layer=f"{layer.name}.pw1", kind="pointwise",
-                        latency=pointwise_latency(
-                            layer.in_channels, mid, layer.height, layer.width,
-                            device,
-                        ) * _aux_scale(device, "pointwise"),
-                    )
-                )
-                if decision.format == "tucker":
-                    core_shape = ConvShape(
-                        c=mid, n=out_rank,
-                        h=layer.out_height, w=layer.out_width,
-                        r=layer.kernel, s=layer.kernel,
-                    )
-                    dispatch = dispatch_core(core_shape, device, core_backend)
-                    plan.kernels.append(
-                        PlannedKernel(
-                            layer=f"{layer.name}.core", kind="core",
-                            latency=dispatch.latency,
-                            backend=dispatch.backend,
-                            tiling=dispatch.tiling,
-                        )
-                    )
-                else:
-                    dw_dispatch = dispatch_dwcore(
-                        ConvShape(
-                            c=mid, n=mid,
-                            h=layer.out_height, w=layer.out_width,
-                            r=layer.kernel, s=layer.kernel,
-                        ),
-                        device,
-                        _dwcore_latency(
-                            mid, layer.out_height, layer.out_width,
-                            layer.kernel, device, collapse_to=collapse,
-                        ),
-                        collapse_to=collapse,
-                        backend=core_backend,
-                    )
-                    plan.kernels.append(
-                        PlannedKernel(
-                            layer=f"{layer.name}.core", kind="dwcore",
-                            latency=dw_dispatch.latency,
-                            backend=dw_dispatch.backend,
-                            tiling=dw_dispatch.tiling,
-                        )
-                    )
-                plan.kernels.append(
-                    PlannedKernel(
-                        layer=f"{layer.name}.pw2", kind="pointwise",
-                        latency=pointwise_latency(
-                            out_rank, layer.out_channels,
-                            layer.out_height, layer.out_width, device,
-                        ) * _aux_scale(device, "pointwise"),
-                    )
-                )
+                plan.kernels.extend(_chain_kernels(
+                    layer.name,
+                    get_format(decision.format).chain(decision.ranks),
+                    layer.in_channels, layer.out_channels,
+                    layer.height, layer.width,
+                    layer.out_height, layer.out_width, layer.kernel,
+                    device, core_backend,
+                ))
             else:
                 plan.kernels.append(
                     PlannedKernel(

@@ -19,7 +19,7 @@ from repro.kernels.cudnn import (
     CuDNNWinogradKernel,
     GemmConfig,
 )
-from repro.kernels.depthwise import DepthwiseConvKernel, depthwise_latency
+from repro.kernels.depthwise import DepthwiseConvKernel, dwcore_latency
 from repro.kernels.pointwise import (
     PointwiseConvKernel,
     batchnorm_relu_latency,
@@ -47,7 +47,7 @@ __all__ = [
     "CuDNNWinogradKernel",
     "GemmConfig",
     "DepthwiseConvKernel",
-    "depthwise_latency",
+    "dwcore_latency",
     "PointwiseConvKernel",
     "batchnorm_relu_latency",
     "fc_latency",

@@ -9,13 +9,14 @@ flops_per_block, traffic-dominated).
 
 Weight shape is ``(C, R, S)`` — 3-D, unlike the dense-core kernels —
 so this kernel lives outside the dense-core backend registry and is
-priced directly by the planner for ``dwcore`` plan entries.
+priced directly (:func:`dwcore_latency`) by rank selection and the
+planners for ``dwcore`` plan entries.
 """
 
 from __future__ import annotations
 
 from math import ceil
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -28,6 +29,7 @@ from repro.kernels.base import (
     execution_dtype,
     pad_input,
 )
+from repro.kernels.pointwise import memory_bound_op_latency
 
 
 class DepthwiseConvKernel(ConvKernel):
@@ -110,12 +112,17 @@ class DepthwiseConvKernel(ConvKernel):
         return out
 
 
-def depthwise_latency(
-    channels: int, h: int, w: int, kernel: int, device: DeviceSpec,
-    include_launch_overhead: bool = True,
+def dwcore_latency(
+    shape: ConvShape, device: DeviceSpec, collapse_to: Optional[int] = None
 ) -> float:
-    """Latency of a depthwise KxK conv over ``channels`` on an HxW map."""
-    shape = ConvShape(c=channels, n=channels, h=h, w=w, r=kernel, s=kernel)
-    return DepthwiseConvKernel().latency(
-        shape, device, include_launch_overhead=include_launch_overhead
-    )
+    """Latency of a CP/TT middle stage: the depthwise conv of ``shape``
+    (``c == n``, output extent ``h x w``), plus for TT the
+    memory-bound group-sum that reads all ``shape.c`` maps and writes
+    ``collapse_to`` of them."""
+    lat = DepthwiseConvKernel().latency(shape, device)
+    if collapse_to is not None and collapse_to < shape.c:
+        map_bytes = shape.h * shape.w * FLOAT_BYTES
+        lat += memory_bound_op_latency(
+            shape.c * map_bytes, collapse_to * map_bytes, device
+        )
+    return lat

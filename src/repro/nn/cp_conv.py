@@ -26,6 +26,7 @@ from repro.nn.functional import (
 from repro.nn.init import kaiming_normal, zeros
 from repro.nn.module import Module, Parameter
 from repro.tensor.cp import cp_conv_kernel
+from repro.tensor.formats import get_format
 from repro.utils.rng import SeedLike, spawn_rngs
 from repro.utils.validation import check_positive_int
 
@@ -116,13 +117,14 @@ class CPConv2d(Module):
             conv_out_size(w, self.kernel_size, self.stride, self.padding),
         )
 
+    @property
+    def ranks(self) -> Tuple[int]:
+        """The ``cp`` format's rank tuple ``(q,)``."""
+        return (self.rank,)
+
     def flops(self, h: int, w: int) -> int:
         """Sum of the three stages' FLOPs (2 per MAC)."""
-        oh, ow = self.output_shape(h, w)
-        stage1 = 2 * h * w * self.in_channels * self.rank
-        stage2 = 2 * oh * ow * self.rank * self.kernel_size * self.kernel_size
-        stage3 = 2 * oh * ow * self.rank * self.out_channels
-        return stage1 + stage2 + stage3
+        return get_format("cp").layer_flops(self, h, w, self.ranks)
 
     def n_weight_params(self) -> int:
         return int(self.w_in.size + self.dw.size + self.w_out.size)

@@ -25,6 +25,7 @@ from repro.nn.functional import (
 )
 from repro.nn.init import kaiming_normal, zeros
 from repro.nn.module import Module, Parameter
+from repro.tensor.formats import get_format
 from repro.tensor.tt import tt_conv_kernel
 from repro.utils.rng import SeedLike, spawn_rngs
 from repro.utils.validation import check_positive_int
@@ -127,15 +128,14 @@ class TTConv2d(Module):
             conv_out_size(w, self.kernel_size, self.stride, self.padding),
         )
 
+    @property
+    def ranks(self) -> Tuple[int, int]:
+        """The ``tt`` format's rank tuple ``(r1, r2)``."""
+        return (self.rank1, self.rank2)
+
     def flops(self, h: int, w: int) -> int:
         """Sum of the four stages' FLOPs (2 per MAC; group-sum is adds)."""
-        oh, ow = self.output_shape(h, w)
-        q = self.rank1 * self.rank2
-        stage1 = 2 * h * w * self.in_channels * q
-        stage2 = 2 * oh * ow * q * self.kernel_size * self.kernel_size
-        group_sum = oh * ow * q if self.rank2 > 1 else 0
-        stage3 = 2 * oh * ow * self.rank1 * self.out_channels
-        return stage1 + stage2 + group_sum + stage3
+        return get_format("tt").layer_flops(self, h, w, self.ranks)
 
     def n_weight_params(self) -> int:
         return int(self.w_in.size + self.dw.size + self.w_out.size)

@@ -23,6 +23,7 @@ from repro.nn.functional import (
 )
 from repro.nn.init import kaiming_normal, zeros
 from repro.nn.module import Module, Parameter
+from repro.tensor.formats import get_format
 from repro.tensor.tucker import tucker2_conv_kernel
 from repro.utils.rng import SeedLike, spawn_rngs
 from repro.utils.validation import check_positive_int
@@ -127,21 +128,14 @@ class TuckerConv2d(Module):
             conv_out_size(w, self.kernel_size, self.stride, self.padding),
         )
 
+    @property
+    def ranks(self) -> Tuple[int, int]:
+        """The ``tucker`` format's rank tuple ``(d1, d2)``."""
+        return (self.rank_in, self.rank_out)
+
     def flops(self, h: int, w: int) -> int:
         """Sum of the three stages' FLOPs (Sec. 3 complexity analysis)."""
-        oh, ow = self.output_shape(h, w)
-        stage1 = 2 * h * w * self.in_channels * self.rank_in
-        stage2 = (
-            2
-            * oh
-            * ow
-            * self.rank_in
-            * self.rank_out
-            * self.kernel_size
-            * self.kernel_size
-        )
-        stage3 = 2 * oh * ow * self.rank_out * self.out_channels
-        return stage1 + stage2 + stage3
+        return get_format("tucker").layer_flops(self, h, w, self.ranks)
 
     def n_weight_params(self) -> int:
         """Parameter count (numerator comparison for Eq. 5)."""

@@ -65,7 +65,6 @@ from repro.serving.session import (
     create_session,
     get_session,
     latency_quantile,
-    warm_for_model,
 )
 
 __all__ = [
@@ -104,5 +103,4 @@ __all__ = [
     "get_session",
     "latency_quantile",
     "make_router",
-    "warm_for_model",
 ]

@@ -759,7 +759,7 @@ def deploy_fleet(
     from repro.inference.plan import plan_model
     from repro.models.introspection import trace_layer_sites
     from repro.models.registry import build_model
-    from repro.serving.session import warm_for_model
+    from repro.planning.warmup import warm_model_backends
 
     devices = list(devices)
     if not devices:
@@ -791,7 +791,7 @@ def deploy_fleet(
             from repro.calibration import CalibratedDevice
 
             target = CalibratedDevice.from_cache(device)
-        warm_for_model(
+        warm_model_backends(
             model, target, image_hw, in_channels=in_channels,
             backends=(backend,), workers=workers, sites=sites,
         )

@@ -53,6 +53,7 @@ from repro.inference.executable import Executable, compile_plan
 from repro.inference.plan import plan_model
 from repro.models.introspection import LayerSite
 from repro.nn.module import Module
+from repro.planning.warmup import warm_model_backends
 
 _SENTINEL = object()
 
@@ -703,30 +704,6 @@ class InferenceSession:
         self.close()
 
 
-def warm_for_model(
-    model: Module,
-    device: DeviceSpec,
-    image_hw: Tuple[int, int],
-    in_channels: int = 3,
-    backends: Sequence[str] = ("auto",),
-    workers: Optional[int] = None,
-    sites=None,
-) -> Dict[str, int]:
-    """Warm the kernel-backend caches for a model's Tucker cores.
-
-    Serving-side alias of :func:`repro.planning.warm_model_backends`
-    (PlanCache-backed, optional process-pool fan-out): covers the
-    shapes planning dispatches on, so a deployment's ``plan_model`` is
-    all cache hits.
-    """
-    from repro.planning.warmup import warm_model_backends
-
-    return warm_model_backends(
-        model, device, image_hw, in_channels=in_channels,
-        backends=backends, workers=workers, sites=sites,
-    )
-
-
 @dataclass
 class _Deployment:
     """Everything :meth:`SessionRegistry.recalibrate` needs to re-plan
@@ -848,7 +825,7 @@ class SessionRegistry:
             sites = trace_layer_sites(
                 model, image_hw, in_channels=in_channels
             )
-            warm_for_model(
+            warm_model_backends(
                 model, device, image_hw, in_channels=in_channels,
                 backends=(backend,), workers=workers, sites=sites,
             )

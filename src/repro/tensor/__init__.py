@@ -13,9 +13,9 @@ on (the authors used ``tensorly``, which is unavailable offline):
 - EVBMF analytic rank estimation (:mod:`repro.tensor.vbmf`) — used by
   the MUSCO-style comparator
 - decomposition formats as first-class objects
-  (:mod:`repro.tensor.formats`) — the Tucker/CP/TT math packaged behind
-  one interface so rank selection and planning can treat the format as
-  a search axis
+  (:mod:`repro.tensor.formats`) — each format's executed kernel chain
+  behind one interface, so costs, rank selection and planning can treat
+  the format as a search axis
 """
 
 from repro.tensor.cp import CPTensor, cp_als

@@ -2,15 +2,19 @@
 
 The paper plans one format (Tucker-2); Tensor Yard and HOTCAKE show
 the *right* format is layer-dependent, so the co-design treats the
-format itself as a planning axis.  A :class:`DecompFormat` packages
-everything the rest of the stack needs to reason about one compressed
-conv representation without knowing its math:
+format itself as a planning axis.  Every factored conv executes the
+same kind of kernel chain — a 1x1 conv, a KxK core (dense or
+depthwise), an optional group-sum, a 1x1 conv — and a format is
+described by the widths of that chain (:class:`Chain`).  Everything
+downstream reads the chain, never the format's math:
 
-- ``factorize(weight, ranks)`` / ``reconstruct(factors)`` — the tensor
-  algebra, implemented by the existing Tucker/CP/TT code;
-- ``n_params`` / ``flops`` — the analytical cost model of the factored
-  conv chain (2 FLOPs per MAC, matching :mod:`repro.codesign.flops`);
-- ``rank_candidates`` — the per-layer rank grid Algorithm 1 sweeps.
+- ``n_params`` / ``flops`` (2 FLOPs per MAC, the group-sum 1 add per
+  element) are derived from it in :class:`DecompFormat`;
+- Algorithm 1 prices each rank candidate stage by stage from it
+  (:mod:`repro.codesign.format_search`; Tucker additionally keeps the
+  paper's performance table);
+- both planners expand it into ``.pw1`` / ``.core`` / ``.pw2`` kernels
+  (:mod:`repro.inference.plan`).
 
 Rank conventions per format (all passed as tuples):
 
@@ -22,20 +26,26 @@ Rank conventions per format (all passed as tuples):
   R*S)`` reshaping; chain 1x1 ``C->r1*r2`` -> depthwise KxK ->
   group-sum ``r1*r2 -> r1`` -> 1x1 ``r1->N``.
 
-New formats (e.g. higher-order Tucker per HOTCAKE) plug in through
-:func:`register_format` and become visible to rank selection, planning,
-and serving without touching those layers.
+A new format (e.g. higher-order Tucker per HOTCAKE) must provide:
+
+1. a :class:`DecompFormat` subclass here with ``rank_arity``,
+   ``chain(ranks)`` and ``rank_candidates`` (built on
+   :func:`rank_candidates`), passed to :func:`register_format`;
+2. a ``repro.nn`` module with ``from_conv``, ``export_weights`` and a
+   ``ranks`` property in the format's rank order, known to
+   ``repro.models.introspection`` (``FACTORED_CONV_CLASSES``,
+   ``LayerSite.format``) and built by
+   ``repro.compression.baselines.decompose_model_formats``;
+3. its stage list in ``repro.inference.executable._lower`` (plus its
+   compiled site class in ``_SITE_CLASSES``).
+
+Costs, rank selection and both planners then need no change.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-import numpy as np
-
-from repro.tensor.cp import CPTensor, cp_conv_kernel
-from repro.tensor.tt import TTTensor, tt_conv_kernel
-from repro.tensor.tucker import tucker2_conv_kernel
 from repro.utils.validation import check_positive_int
 
 #: The formats Algorithm 1 may pick for a decomposed layer (the dense
@@ -43,10 +53,15 @@ from repro.utils.validation import check_positive_int
 FACTORED_FORMATS = ("tucker", "cp", "tt")
 
 
-def _mode_rank_candidates(extent: int, step: int) -> List[int]:
+def rank_candidates(extent: int, step: int) -> List[int]:
     """Rank grid for one mode: multiples of ``step`` strictly below the
-    extent, with an ``extent // 2`` floor for slim models (mirrors
-    :func:`repro.codesign.table.rank_candidates`)."""
+    original extent (reducing by ``step`` at a time, Sec. 6), with an
+    ``extent // 2`` floor candidate for slim models.
+
+    An extent of 1 yields an *empty* grid: the only "rank" would be 1,
+    i.e. the original extent — zero reduction plus two extra 1x1
+    launches — so such a mode is not decomposable at all.
+    """
     step = check_positive_int("step", step)
     extent = check_positive_int("extent", extent)
     cands = [d for d in range(step, extent, step)]
@@ -55,46 +70,82 @@ def _mode_rank_candidates(extent: int, step: int) -> List[int]:
     return cands
 
 
+class Chain(NamedTuple):
+    """The kernel chain a factored conv executes.
+
+    1x1 ``C -> mid``; KxK core ``mid -> core_out`` (depthwise when
+    ``depthwise``, then ``core_out == mid``); for TT a group-sum
+    ``core_out -> collapse``; 1x1 ``out -> N``.
+    """
+
+    mid: int
+    core_out: int
+    depthwise: bool
+    collapse: Optional[int] = None
+
+    @property
+    def out(self) -> int:
+        """Input width of the last 1x1."""
+        return self.core_out if self.collapse is None else self.collapse
+
+    @property
+    def core_filters(self) -> int:
+        """KxK filters the core stores (one per channel when depthwise)."""
+        return self.core_out if self.depthwise else self.mid * self.core_out
+
+
 class DecompFormat:
     """One compressed conv representation, viewed abstractly.
 
     ``c, n, r, s`` arguments follow the paper's kernel notation:
     ``(N, C, R, S)`` = (out-channels, in-channels, filter height,
-    filter width); ``h, w`` are the core-stage spatial extent.
+    filter width); ``h, w`` are the input extent and ``out_h, out_w``
+    the core-stage (output) extent, defaulting to ``h, w``.
     """
 
     name = "base"
     #: Number of integers in a rank tuple for this format.
     rank_arity = 0
 
-    # -- tensor math ----------------------------------------------------
-    def factorize(self, weight: np.ndarray, ranks: Sequence[int]):
-        """Decompose a 4-D conv kernel ``(N, C, R, S)``; returns the
-        format's factor object/tuple (consumed by :meth:`reconstruct`
-        and the matching ``repro.nn`` module's ``from_conv``)."""
+    def chain(self, ranks: Sequence[int]) -> Chain:
+        """The kernel chain this format executes at ``ranks``."""
         raise NotImplementedError
 
-    def reconstruct(self, factors) -> np.ndarray:
-        """Dense ``(N, C, R, S)`` kernel equivalent to ``factors``."""
-        raise NotImplementedError
-
-    # -- analytical costs ----------------------------------------------
-    def n_params(self, c: int, n: int, r: int, s: int,
-                 ranks: Sequence[int]) -> int:
-        """Stored weight parameters of the factored layer."""
-        raise NotImplementedError
-
-    def flops(self, c: int, n: int, h: int, w: int, ranks: Sequence[int],
-              r: int = 3, s: int = 3, out_h: int = 0, out_w: int = 0) -> int:
-        """FLOPs of the executed factored conv chain (2 per MAC)."""
-        raise NotImplementedError
-
-    # -- the search grid ------------------------------------------------
     def rank_candidates(
         self, c: int, n: int, r: int, s: int, step: int
     ) -> List[Tuple[int, ...]]:
         """Rank tuples Algorithm 1 should consider for one layer."""
         raise NotImplementedError
+
+    # -- analytical costs, derived from the chain ------------------------
+    def n_params(self, c: int, n: int, r: int, s: int,
+                 ranks: Sequence[int]) -> int:
+        """Stored weight parameters of the factored layer."""
+        ch = self.chain(ranks)
+        return c * ch.mid + r * s * ch.core_filters + n * ch.out
+
+    def flops(self, c: int, n: int, h: int, w: int, ranks: Sequence[int],
+              r: int = 3, s: int = 3, out_h: int = 0, out_w: int = 0) -> int:
+        """FLOPs of the executed chain: the first 1x1 at the input
+        extent, every later stage at the output extent."""
+        ch = self.chain(ranks)
+        out_h = out_h or h
+        out_w = out_w or w
+        # The group-sum adds once per element it reads, only when it
+        # actually collapses (TT at r2 == 1 has nothing to sum).
+        group_sum = ch.core_out if ch.out < ch.core_out else 0
+        return 2 * h * w * c * ch.mid + out_h * out_w * (
+            2 * r * s * ch.core_filters + group_sum + 2 * ch.out * n
+        )
+
+    def layer_flops(self, conv, h: int, w: int, ranks: Sequence[int]) -> int:
+        """:meth:`flops` for a conv layer (anything with ``in_channels``,
+        ``out_channels``, ``kernel_size`` and ``output_shape``) run at
+        an ``h x w`` input in this format."""
+        k = conv.kernel_size
+        oh, ow = conv.output_shape(h, w)
+        return self.flops(conv.in_channels, conv.out_channels, h, w, ranks,
+                          r=k, s=k, out_h=oh, out_w=ow)
 
     def check_ranks(self, ranks: Sequence[int]) -> Tuple[int, ...]:
         ranks = tuple(int(x) for x in ranks)
@@ -117,41 +168,15 @@ class TuckerFormat(DecompFormat):
     name = "tucker"
     rank_arity = 2
 
-    def __init__(self, n_iter: int = 10) -> None:
-        self.n_iter = int(n_iter)
-
-    def factorize(self, weight: np.ndarray, ranks: Sequence[int]):
+    def chain(self, ranks) -> Chain:
         d1, d2 = self.check_ranks(ranks)
-        # (u_out, core, u_in) with shapes (N, D2), (D2, D1, R, S), (C, D1)
-        return tucker2_conv_kernel(
-            weight, rank_out=d2, rank_in=d1, n_iter=self.n_iter
-        )
-
-    def reconstruct(self, factors) -> np.ndarray:
-        u_out, core, u_in = factors
-        return np.einsum(
-            "nd,defg,ce->ncfg", u_out, core, u_in, optimize=True
-        )
-
-    def n_params(self, c, n, r, s, ranks) -> int:
-        d1, d2 = self.check_ranks(ranks)
-        return c * d1 + r * s * d1 * d2 + n * d2
-
-    def flops(self, c, n, h, w, ranks, r=3, s=3, out_h=0, out_w=0) -> int:
-        d1, d2 = self.check_ranks(ranks)
-        out_h = out_h or h
-        out_w = out_w or w
-        return (
-            2 * h * w * c * d1
-            + 2 * out_h * out_w * r * s * d1 * d2
-            + 2 * out_h * out_w * n * d2
-        )
+        return Chain(mid=d1, core_out=d2, depthwise=False)
 
     def rank_candidates(self, c, n, r, s, step) -> List[Tuple[int, ...]]:
         return [
             (d1, d2)
-            for d1 in _mode_rank_candidates(c, step)
-            for d2 in _mode_rank_candidates(n, step)
+            for d1 in rank_candidates(c, step)
+            for d2 in rank_candidates(n, step)
         ]
 
 
@@ -162,35 +187,15 @@ class CPFormat(DecompFormat):
     name = "cp"
     rank_arity = 1
 
-    def __init__(self, n_iter: int = 60) -> None:
-        self.n_iter = int(n_iter)
-
-    def factorize(self, weight: np.ndarray, ranks: Sequence[int]) -> CPTensor:
+    def chain(self, ranks) -> Chain:
         (q,) = self.check_ranks(ranks)
-        return cp_conv_kernel(weight, rank=q, n_iter=self.n_iter)
-
-    def reconstruct(self, factors: CPTensor) -> np.ndarray:
-        return factors.to_full()
-
-    def n_params(self, c, n, r, s, ranks) -> int:
-        (q,) = self.check_ranks(ranks)
-        return q * c + q * r * s + n * q
-
-    def flops(self, c, n, h, w, ranks, r=3, s=3, out_h=0, out_w=0) -> int:
-        (q,) = self.check_ranks(ranks)
-        out_h = out_h or h
-        out_w = out_w or w
-        return (
-            2 * h * w * c * q
-            + 2 * out_h * out_w * q * r * s
-            + 2 * out_h * out_w * q * n
-        )
+        return Chain(mid=q, core_out=q, depthwise=True)
 
     def rank_candidates(self, c, n, r, s, step) -> List[Tuple[int, ...]]:
         # CP's rank is not bounded by a mode extent; sweep up to the
         # larger channel count (beyond that the chain stops compressing
         # in every regime the budget filter would accept anyway).
-        return [(q,) for q in _mode_rank_candidates(max(c, n), step)]
+        return [(q,) for q in rank_candidates(max(c, n), step)]
 
 
 class TTFormat(DecompFormat):
@@ -200,48 +205,23 @@ class TTFormat(DecompFormat):
     carries spatial core ``G2[b]``) -> group-sum over ``b`` -> 1x1
     ``r1 -> N``.  The final projection is narrow (``r1`` instead of
     ``r1*r2`` inputs), which is where TT wins latency over CP when the
-    output-channel count dominates.
+    output-channel count dominates.  The depthwise stage stores its
+    kernel per channel, so ``n_params`` counts the executed form.
     """
 
     name = "tt"
     rank_arity = 2
 
-    def factorize(self, weight: np.ndarray, ranks: Sequence[int]) -> TTTensor:
+    def chain(self, ranks) -> Chain:
         r1, r2 = self.check_ranks(ranks)
-        return tt_conv_kernel(weight, max_ranks=(r1, r2))
-
-    def reconstruct(self, factors: TTTensor) -> np.ndarray:
-        n, c, rs = factors.full_shape
-        full = factors.to_full()
-        # The conv kernel was reshaped (N, C, R, S) -> (N, C, R*S);
-        # callers reshape back with the original spatial extents.
-        return full.reshape(n, c, rs)
-
-    def n_params(self, c, n, r, s, ranks) -> int:
-        r1, r2 = self.check_ranks(ranks)
-        # Executed-form storage: the depthwise stage stores its kernel
-        # per channel (r1*r2 spatial filters), the projections store
-        # G1 and G0.
-        return r1 * r2 * c + r1 * r2 * r * s + n * r1
-
-    def flops(self, c, n, h, w, ranks, r=3, s=3, out_h=0, out_w=0) -> int:
-        r1, r2 = self.check_ranks(ranks)
-        out_h = out_h or h
-        out_w = out_w or w
-        q = r1 * r2
-        group_sum = out_h * out_w * q if r2 > 1 else 0
-        return (
-            2 * h * w * c * q
-            + 2 * out_h * out_w * q * r * s
-            + group_sum
-            + 2 * out_h * out_w * r1 * n
-        )
+        return Chain(mid=r1 * r2, core_out=r1 * r2, depthwise=True,
+                     collapse=r1)
 
     def rank_candidates(self, c, n, r, s, step) -> List[Tuple[int, ...]]:
         # TT-SVD of (N, C, R*S) bounds r1 by N and r2 by min(r1*C, R*S).
         return [
             (r1, r2)
-            for r1 in _mode_rank_candidates(n, step)
+            for r1 in rank_candidates(n, step)
             for r2 in range(1, min(r * s, r1 * c) + 1)
         ]
 

@@ -9,6 +9,12 @@ from repro.data.synthetic import make_cifar_like
 from repro.gpusim.device import A100, RTX2080TI
 
 
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers", "slow: scaled-down training experiments (minutes)"
+    )
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)

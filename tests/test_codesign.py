@@ -12,8 +12,6 @@ from repro.codesign.flops import (
     conv_params,
     flops_reduction_ratio,
     param_reduction_ratio,
-    tucker_flops,
-    tucker_params,
 )
 from repro.codesign.pipeline import layer_shapes_from_spec
 from repro.codesign.rank_selection import LayerShape, select_ranks
@@ -24,6 +22,7 @@ from repro.codesign.table import (
 )
 from repro.gpusim.device import A100
 from repro.models.arch_specs import get_model_spec
+from repro.tensor.formats import get_format
 
 
 class TestFlopsFormulas:
@@ -31,7 +30,7 @@ class TestFlopsFormulas:
         assert conv_flops(64, 32, 56, 56) == 2 * 56 * 56 * 64 * 32 * 9
 
     def test_tucker_flops_three_stages(self):
-        got = tucker_flops(64, 32, 56, 56, d1=16, d2=8)
+        got = get_format("tucker").flops(64, 32, 56, 56, (16, 8))
         expected = (
             2 * 56 * 56 * 64 * 16
             + 2 * 56 * 56 * 9 * 16 * 8

@@ -13,10 +13,16 @@ from repro.codesign.format_search import (
     layer_format_candidates,
 )
 from repro.codesign.pipeline import decompose_for_device
-from repro.codesign.rank_selection import LayerShape, select_ranks
+from repro.codesign.rank_selection import (
+    LayerShape,
+    RankDecision,
+    RankPlan,
+    select_ranks,
+)
 from repro.gpusim.device import A100
-from repro.inference import compile_plan, plan_model
+from repro.inference import compile_plan, plan_model, plan_tucker_model
 from repro.inference.executable import CompiledCPConv2d, CompiledTTConv2d
+from repro.models.arch_specs import LayerSpec, ModelSpec
 from repro.models.introspection import (
     find_module,
     replace_module,
@@ -26,6 +32,7 @@ from repro.models.registry import build_model
 from repro.nn.conv import Conv2d
 from repro.nn.cp_conv import CPConv2d
 from repro.nn.functional import conv2d_forward
+from repro.nn.module import Sequential
 from repro.nn.tt_conv import TTConv2d
 from repro.nn.tucker_conv import TuckerConv2d
 from repro.tensor.formats import (
@@ -60,8 +67,29 @@ def test_resolve_formats_aliases_and_errors():
 
 
 # ---------------------------------------------------------------------------
-# Round-trip error bounds + factorize/reconstruct consistency
+# Round-trip error bounds (from_conv -> to_conv_weight) and cost accounting
 # ---------------------------------------------------------------------------
+
+def _from_conv(fmt_name, conv, ranks):
+    """The format's module factorized from ``conv`` at ``ranks`` (in
+    the format's rank order), with the default iteration counts."""
+    if fmt_name == "tucker":
+        d1, d2 = ranks
+        return TuckerConv2d.from_conv(conv, rank_out=d2, rank_in=d1)
+    if fmt_name == "cp":
+        (q,) = ranks
+        return CPConv2d.from_conv(conv, rank=q)
+    r1, r2 = ranks
+    return TTConv2d.from_conv(conv, rank1=r1, rank2=r2)
+
+
+def _roundtrip_error(fmt_name, weight, ranks):
+    n, c, k, _ = weight.shape
+    conv = Conv2d(c, n, k, seed=0)
+    conv.weight.data[...] = weight
+    recon = _from_conv(fmt_name, conv, ranks).to_conv_weight()
+    return np.linalg.norm(recon - weight) / np.linalg.norm(weight)
+
 
 @pytest.mark.parametrize("fmt_name", FACTORED_FORMATS)
 def test_full_rank_roundtrip_is_tight(fmt_name):
@@ -70,16 +98,13 @@ def test_full_rank_roundtrip_is_tight(fmt_name):
     rng = np.random.default_rng(7)
     c, n, k = 6, 8, 3
     weight = rng.standard_normal((n, c, k, k))
-    fmt = get_format(fmt_name)
     if fmt_name == "tucker":
         ranks = (c, n)
     elif fmt_name == "tt":
         ranks = (n, min(n * c, k * k))
     else:  # CP needs rank >= matrix rank of the unfolding for exactness
         ranks = (c * k * k,)
-    factors = fmt.factorize(weight, ranks)
-    recon = fmt.reconstruct(factors).reshape(weight.shape[0], weight.shape[1], -1)
-    rel = np.linalg.norm(recon - weight.reshape(n, c, -1)) / np.linalg.norm(weight)
+    rel = _roundtrip_error(fmt_name, weight, ranks)
     if fmt_name in ("tucker", "tt"):
         assert rel < 1e-10
     else:
@@ -92,21 +117,14 @@ def test_truncated_roundtrip_is_bounded_and_monotone(fmt_name):
     rng = np.random.default_rng(3)
     c, n, k = 8, 12, 3
     weight = rng.standard_normal((n, c, k, k))
-    fmt = get_format(fmt_name)
     if fmt_name == "tucker":
         rank_pairs = [(2, 3), (6, 9)]
     elif fmt_name == "tt":
         rank_pairs = [(3, 2), (9, 6)]
     else:
         rank_pairs = [(4,), (16,)]
-    errors = []
-    for ranks in rank_pairs:
-        recon = fmt.reconstruct(fmt.factorize(weight, ranks))
-        rel = np.linalg.norm(
-            recon.reshape(n, c, -1) - weight.reshape(n, c, -1)
-        ) / np.linalg.norm(weight)
-        errors.append(rel)
-        assert rel < 1.0
+    errors = [_roundtrip_error(fmt_name, weight, r) for r in rank_pairs]
+    assert all(rel < 1.0 for rel in errors)
     assert errors[1] < errors[0]
 
 
@@ -115,17 +133,39 @@ def test_params_accounting_matches_modules(fmt_name):
     """``DecompFormat.n_params`` agrees with the actual module's
     factor-parameter count."""
     conv = Conv2d(8, 12, 3, padding=1, seed=0)
+    ranks = {"tucker": (4, 6), "cp": (5,), "tt": (6, 4)}[fmt_name]
+    mod = _from_conv(fmt_name, conv, ranks)
+    # TT-SVD may truncate below the request; the module has the truth.
+    assert get_format(fmt_name).n_params(8, 12, 3, 3, mod.ranks) == (
+        mod.n_weight_params()
+    )
+
+
+# C=8 -> N=12, 3x3 core, 10x10 input, padding 0: the output is 8x8 at
+# stride 1 and 4x4 at stride 2.  Stage by stage (2 FLOPs per MAC, the
+# TT group-sum 1 add per element it reads):
+#   tucker (4, 6): 2*100*8*4 + 2*HW'*9*4*6 + 2*HW'*6*12
+#   cp (5,):       2*100*8*5 + 2*HW'*5*9   + 2*HW'*5*12
+#   tt (6, 1):     2*100*8*6 + 2*HW'*6*9   + 0         + 2*HW'*6*12
+#   tt (6, 3):     2*100*8*18 + 2*HW'*18*9 + HW'*18    + 2*HW'*6*12
+# Params: C*mid + 9*(core filters) + N*(last 1x1 input width).
+@pytest.mark.parametrize("fmt_name,ranks,flops_s1,flops_s2,params", [
+    ("tucker", (4, 6), 43264, 15616, 320),
+    ("cp", (5,), 21440, 11360, 145),
+    ("tt", (6, 1), 25728, 13632, 174),
+    ("tt", (6, 3), 59904, 36576, 378),
+])
+def test_flops_and_params_pinned(fmt_name, ranks, flops_s1, flops_s2, params):
     fmt = get_format(fmt_name)
-    if fmt_name == "tucker":
-        mod = TuckerConv2d.from_conv(conv, rank_out=6, rank_in=4)
-        ranks = (4, 6)
-    elif fmt_name == "cp":
-        mod = CPConv2d.from_conv(conv, rank=5)
-        ranks = (5,)
-    else:
-        mod = TTConv2d.from_conv(conv, rank1=6, rank2=4)
-        ranks = (mod.rank1, mod.rank2)
-    assert fmt.n_params(8, 12, 3, 3, ranks) == mod.n_weight_params()
+    assert fmt.n_params(8, 12, 3, 3, ranks) == params
+    for stride, expected in ((1, flops_s1), (2, flops_s2)):
+        conv = Conv2d(8, 12, 3, stride=stride, padding=0, seed=0)
+        mod = _from_conv(fmt_name, conv, ranks)
+        assert mod.ranks == ranks
+        assert mod.flops(10, 10) == expected
+        assert mod.n_weight_params() == params
+        oh, ow = mod.output_shape(10, 10)
+        assert fmt.flops(8, 12, 10, 10, ranks, 3, 3, oh, ow) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -223,6 +263,41 @@ def test_select_ranks_multiformat_decisions_are_well_formed():
                 assert d.d1 is not None and d.d2 is not None
             else:
                 assert d.d1 is None and d.d2 is None
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("fmt_name,ranks", [
+    ("tucker", (8, 12)), ("cp", (12,)), ("tt", (8, 3)),
+])
+def test_both_planners_expand_a_site_identically(fmt_name, ranks, stride):
+    """``plan_model`` on a one-conv model and ``plan_tucker_model`` on
+    the matching one-layer spec emit the same chain kernels."""
+    conv = Conv2d(16, 24, 3, stride=stride, padding=1, seed=0)
+    model = Sequential(_from_conv(fmt_name, conv, ranks))
+    from_model = plan_model(model, A100, (16, 16), in_channels=16)
+    layer = LayerSpec(
+        name="layer0", kind="conv", in_channels=16, out_channels=24,
+        height=16, width=16, kernel=3, stride=stride, padding=1,
+    )
+    decision = RankDecision(
+        layer=LayerShape(name="layer0", c=16, n=24, h=layer.out_height,
+                         w=layer.out_width),
+        tucker_latency=0.0, original_latency=0.0, dense_flops=1,
+        compressed_flops=1, reason="selected", format=fmt_name, ranks=ranks,
+    )
+    from_spec = plan_tucker_model(
+        ModelSpec("one", [layer]), RankPlan([decision], 0.5, 0.15, A100.name),
+        A100, core_backend="auto", include_bn_relu=False,
+    )
+
+    def chain(plan):
+        return [(k.layer, k.kind, k.latency, k.backend, k.tiling)
+                for k in plan.kernels]
+
+    assert [k.layer for k in from_model.kernels] == [
+        "layer0.pw1", "layer0.core", "layer0.pw2"
+    ]
+    assert chain(from_model) == chain(from_spec)
 
 
 def test_decompose_error_names_formats_and_sites():

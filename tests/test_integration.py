@@ -46,13 +46,15 @@ class TestLayerKernelConsistency:
         np.testing.assert_allclose(y_layer, y_kernel, atol=1e-10)
 
     def test_flops_accounting_matches_codesign(self):
-        """The NN layer's flops() and the codesign formula agree."""
-        from repro.codesign.flops import tucker_flops
+        """The NN layer's flops() and the format's chain accounting
+        both give the hand-computed three-stage count."""
+        from repro.tensor.formats import get_format
 
         layer = TuckerConv2d(16, 24, 3, rank_in=4, rank_out=6, padding=1)
-        got = layer.flops(14, 14)
-        expected = tucker_flops(16, 24, 14, 14, d1=4, d2=6)
-        assert got == expected
+        # 2*14*14*16*4 + 2*14*14*9*4*6 + 2*14*14*6*24
+        expected = 25088 + 84672 + 56448
+        assert layer.flops(14, 14) == expected
+        assert get_format("tucker").flops(16, 24, 14, 14, (4, 6)) == expected
 
     def test_conv_flops_match(self):
         from repro.codesign.flops import conv_flops

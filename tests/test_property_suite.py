@@ -10,11 +10,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.codesign.flops import conv_flops, tucker_flops, tucker_params
+from repro.codesign.flops import conv_flops
 from repro.gpusim.device import A100
 from repro.kernels.base import ConvShape, reference_conv
 from repro.kernels.tdc_direct import TDCDirectKernel, Tiling, is_feasible
 from repro.nn.tucker_conv import TuckerConv2d
+from repro.tensor.formats import get_format
 from repro.tensor.tucker import tucker2_project
 from repro.tensor.unfold import relative_error
 
@@ -68,8 +69,9 @@ class TestTuckerLayerInvariants:
     @given(st.integers(4, 32), st.integers(4, 32))
     @settings(max_examples=20, deadline=None)
     def test_params_monotone_in_ranks(self, c, n):
-        small = tucker_params(c, n, d1=1, d2=1)
-        large = tucker_params(c, n, d1=min(4, c), d2=min(4, n))
+        tucker = get_format("tucker")
+        small = tucker.n_params(c, n, 3, 3, (1, 1))
+        large = tucker.n_params(c, n, 3, 3, (min(4, c), min(4, n)))
         assert large >= small
 
 
@@ -78,12 +80,13 @@ class TestFlopsInvariants:
     @settings(max_examples=25, deadline=None)
     def test_tucker_flops_below_dense_at_quarter_rank(self, c, n, hw):
         d1, d2 = max(1, c // 4), max(1, n // 4)
-        assert tucker_flops(c, n, hw, hw, d1, d2) < conv_flops(c, n, hw, hw)
+        tucker_flops = get_format("tucker").flops(c, n, hw, hw, (d1, d2))
+        assert tucker_flops < conv_flops(c, n, hw, hw)
 
     @given(st.integers(2, 64), st.integers(2, 64), st.integers(4, 28))
     @settings(max_examples=25, deadline=None)
     def test_flops_positive(self, c, n, hw):
-        assert tucker_flops(c, n, hw, hw, 1, 1) > 0
+        assert get_format("tucker").flops(c, n, hw, hw, (1, 1)) > 0
 
 
 class TestLatencyModelInvariants:

@@ -12,12 +12,12 @@ from repro.codesign.pipeline import decompose_for_device
 from repro.gpusim.device import A100
 from repro.inference import compile_model
 from repro.models.registry import build_model
+from repro.planning import warm_model_backends
 from repro.serving import (
     AutoReplanPolicy,
     InferenceSession,
     SessionRegistry,
     latency_quantile,
-    warm_for_model,
 )
 
 IMAGE_HW = (8, 8)
@@ -486,7 +486,9 @@ def test_auto_replan_policy_triggers_on_drift():
 def test_warm_for_model_covers_tucker_cores():
     model = build_model("resnet_tiny", seed=0)
     decompose_for_device(model, A100, IMAGE_HW, budget=0.5, rank_step=2)
-    evaluations = warm_for_model(model, A100, IMAGE_HW, backends=("auto",))
+    evaluations = warm_model_backends(
+        model, A100, IMAGE_HW, backends=("auto",)
+    )
     # auto expands to every registered backend; each reports a count.
     from repro.backends import backend_names
 
@@ -496,7 +498,7 @@ def test_warm_for_model_covers_tucker_cores():
 
 def test_warm_for_model_dense_only_is_noop():
     model = build_model("resnet_tiny", seed=0)  # no Tucker sites
-    assert warm_for_model(model, A100, IMAGE_HW) == {}
+    assert warm_model_backends(model, A100, IMAGE_HW) == {}
 
 
 # ---------------------------------------------------------------------------
