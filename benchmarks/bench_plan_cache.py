@@ -1,17 +1,13 @@
-"""Planning-cache benchmark: cold vs warm, serial vs parallel, disk.
+"""Planning-cache benchmark: cold vs warm, and disk.
 
-Three measurements over a ResNet-sized planning workload:
+Two measurements over a ResNet-sized planning workload:
 
 - cold-vs-warm: full Algorithm 1 rank selection from empty caches vs
   a second run against warm caches (must be >= 5x faster warm);
-- serial-vs-parallel: table warm-up in-process vs fanned out over a
-  ``concurrent.futures`` process pool (asserted faster only on
-  multi-core hosts — process pools cannot win on one core);
 - disk round-trip: persisting the warm caches and replanning from the
-  loaded state instead of recomputing.
+  loaded state instead of recomputing (must be faster).
 """
 
-import os
 import time
 
 from repro.codesign.pipeline import layer_shapes_from_spec
@@ -23,7 +19,6 @@ from repro.planning.cache import (
     load_plan_caches,
     save_plan_caches,
 )
-from repro.planning.warmup import warm_tables
 
 SPEC = get_model_spec("resnet18")
 LAYERS = layer_shapes_from_spec(SPEC)
@@ -50,30 +45,6 @@ def test_cold_vs_warm_planning(once):
     print(f"\ncold {cold * 1e3:.1f} ms -> warm {warm * 1e3:.3f} ms "
           f"({speedup:.0f}x)")
     assert speedup >= 5.0, f"warm cache only {speedup:.1f}x faster"
-
-
-def test_parallel_vs_serial_table_construction(once):
-    jobs = os.cpu_count() or 1
-
-    def run():
-        clear_plan_caches()
-        t0 = time.perf_counter()
-        warm_tables(LAYERS, (A100,), workers=None)
-        serial = time.perf_counter() - t0
-        clear_plan_caches()
-        t0 = time.perf_counter()
-        warm_tables(LAYERS, (A100,), workers=jobs)
-        parallel = time.perf_counter() - t0
-        return serial, parallel
-
-    serial, parallel = once(run)
-    print(f"\nserial {serial * 1e3:.1f} ms vs parallel({jobs}) "
-          f"{parallel * 1e3:.1f} ms ({serial / parallel:.2f}x)")
-    if jobs >= 2:
-        assert parallel < serial, (
-            f"parallel warm-up ({parallel:.3f}s) should beat serial "
-            f"({serial:.3f}s) on {jobs} cores"
-        )
 
 
 def test_disk_reload_vs_recompute(once, tmp_path):

@@ -1,17 +1,14 @@
 """Cold-sweep benchmark: scalar vs batched tiling selection.
 
-Times the planner's *cold* path — the part PR 1's planning cache
-cannot help with — in four scenarios:
+Times the planner's *cold* path — the part the planning cache cannot
+help with — in three scenarios:
 
 1. cold ORACLE sweep on single shapes: per-candidate scalar loop vs
    one vectorized batch pass (single process);
 2. cold MODEL sweep on the same shapes, scalar vs batched;
 3. the performance-table selection grid (every ``(D1, D2)`` core
    shape's full candidate sweep): per-shape scalar loops vs one
-   concatenated ``select_tilings_grid`` pass;
-4. cold ``build_performance_table`` serial vs ``workers=N`` (both on
-   the batched path) — process fan-out composing with per-worker
-   vectorization.
+   concatenated ``select_tilings_grid`` pass.
 
 Every comparison first asserts the batched winner is *identical* to
 the scalar winner (exit code 1 on mismatch — the CI smoke job runs
@@ -26,16 +23,14 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from typing import Callable, Tuple
 
-from repro.codesign.table import build_performance_table, clear_table_cache, rank_candidates
+from repro.codesign.table import rank_candidates
 from repro.gpusim.device import get_device
 from repro.kernels.base import ConvShape
 from repro.perfmodel.tiling import (
-    clear_tiling_cache,
     select_tiling_model,
     select_tiling_model_scalar,
     select_tiling_oracle,
@@ -126,43 +121,13 @@ def bench_table_grid(device, method: str, repeats: int) -> dict:
     }
 
 
-def bench_table_build(device, method: str, repeats: int, workers: int) -> dict:
-    c, n, h, w = TABLE_SHAPE
-
-    def cold_build(n_workers):
-        clear_tiling_cache()
-        clear_table_cache()
-        return build_performance_table(
-            c, n, h, w, device, method=method, use_cache=False, workers=n_workers
-        )
-
-    serial_s, serial_table = _best_of(repeats, lambda: cold_build(None))
-    parallel_s, parallel_table = _best_of(repeats, lambda: cold_build(workers))
-    if [ (e.d1, e.d2, e.tiling, e.total_latency) for e in serial_table.entries ] != [
-        (e.d1, e.d2, e.tiling, e.total_latency) for e in parallel_table.entries
-    ]:
-        raise SystemExit("MISMATCH: serial vs parallel table build")
-    print(
-        f"  table  {method:6s} cold build    serial {serial_s * 1e3:8.2f} ms"
-        f"  workers={workers} {parallel_s * 1e3:7.2f} ms"
-    )
-    return {
-        "method": method,
-        "layer_shape": list(TABLE_SHAPE),
-        "workers": workers,
-        "serial_s": serial_s,
-        "parallel_s": parallel_s,
-    }
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true",
-                        help="one shape, one repeat, skip the process-pool "
-                        "scenario; never asserts speedup (CI smoke mode)")
+                        help="one shape, one repeat; never asserts speedup "
+                        "(CI smoke mode)")
     parser.add_argument("--device", default="A100")
     parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument("--workers", type=int, default=os.cpu_count() or 2)
     parser.add_argument("--json", dest="json_path", default=None,
                         help="output path (default BENCH_tiling_sweep.json; "
                         "--quick writes BENCH_tiling_sweep.quick.json so the "
@@ -194,11 +159,6 @@ def main() -> int:
         ],
         "table_grid": [bench_table_grid(device, "oracle", repeats)],
     }
-    if not args.quick:
-        results["table_build"] = [
-            bench_table_build(device, "oracle", 1, args.workers)
-        ]
-
     oracle_speedups = [
         r["speedup"] for r in results["single_shape"][0]["rows"]
     ]

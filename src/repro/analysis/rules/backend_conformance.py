@@ -1,6 +1,6 @@
 """backend-conformance: KernelBackend subclasses honor the protocol.
 
-The registry (``repro.backends.registry``) defines the seven-hook
+The registry (``repro.backends.registry``) defines the eight-hook
 ``KernelBackend`` protocol that planning, warm-up, calibration and
 compilation all dispatch through.  A subclass with a drifted signature
 fails at dispatch time, on whichever preset happens to exercise it.
@@ -43,8 +43,6 @@ FALLBACK_PROTOCOL: Dict[str, Tuple[str, ...]] = {
     "calibrated_latency": ("self", "shape", "device"),
     "tiling": ("self", "shape", "device"),
     "kernel": ("self", "shape", "device", "tiling"),
-    "batch_latencies": ("self", "shapes", "device"),
-    "warm": ("self", "shapes_devices", "workers"),
     "dispatch": ("self", "shape", "device"),
     "dwcore_latency": ("self", "shape", "device", "collapse_to"),
     "calibrated_dwcore_latency": ("self", "shape", "device", "collapse_to"),

@@ -16,7 +16,6 @@ from repro.backends.registry import (
     dispatch_core,
     dispatch_dwcore,
     get_backend,
-    group_pairs_by_device,
     known_backend_names,
     register_backend,
     registered_backends,
@@ -40,7 +39,6 @@ __all__ = [
     "dispatch_core",
     "dispatch_dwcore",
     "get_backend",
-    "group_pairs_by_device",
     "known_backend_names",
     "register_backend",
     "registered_backends",

@@ -8,16 +8,15 @@ planning: ``cudnn-winograd`` and ``cudnn-fft``.  Importing this module
 
 The TDC backends ride the planning caches: ``core_latency`` goes
 through :func:`repro.perfmodel.tiling.select_tiling` (memoized per
-shape/device/method) and ``batch_latencies``/``warm`` through the
-batched selectors, so ``auto`` dispatch and warm-up sweeps stay
-vectorized.  The TVM backend memoizes its exhaustive tuning per
+shape/device/method; each selection is one vectorized candidate
+sweep).  The TVM backend memoizes its exhaustive tuning per
 (shape, device) — previously every planned layer re-tuned from
-scratch.
+scratch.  The cuDNN backends are closed-form and memoize nothing.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 from repro.backends.registry import KernelBackend, register_backend
 from repro.gpusim.device import DeviceSpec
@@ -29,7 +28,7 @@ from repro.kernels.cudnn import (
 )
 from repro.kernels.tdc_direct import TDCDirectKernel
 from repro.kernels.tvm_direct import TVMDirectKernel, TVMTiling
-from repro.perfmodel.tiling import select_tiling, select_tilings
+from repro.perfmodel.tiling import select_tiling
 from repro.planning.cache import PlanCache
 
 #: The paper's four compressed end-to-end variants (bar order of
@@ -60,25 +59,6 @@ class _TDCBackend(KernelBackend):
     ) -> ConvKernel:
         choice = select_tiling(shape, device, method=self.method)
         return TDCDirectKernel(choice.tiling)
-
-    def batch_latencies(
-        self, shapes: Sequence[ConvShape], device: DeviceSpec
-    ) -> List[float]:
-        return [
-            choice.simulated_latency
-            for choice in select_tilings(shapes, device, method=self.method)
-        ]
-
-    def warm(
-        self,
-        shapes_devices: Sequence[Tuple[ConvShape, DeviceSpec]],
-        workers: Optional[int] = None,
-    ) -> int:
-        # warm_tilings composes process-pool fan-out with per-worker
-        # vectorized sweeps and seeds the shared tiling cache.
-        from repro.planning.warmup import warm_tilings
-
-        return warm_tilings(shapes_devices, method=self.method, workers=workers)
 
 
 @register_backend
@@ -119,14 +99,6 @@ _TVM_TUNING_CACHE = PlanCache(
 )
 
 
-def _tvm_tune_job(args: tuple) -> Tuple[float, TVMTiling]:
-    """Tune one shape uncached; module-level so a process pool can
-    pickle it (the parallel warm-up path)."""
-    shape, device = args
-    kernel = TVMDirectKernel.tuned(shape, device)
-    return (kernel.latency(shape, device), kernel.tiling)
-
-
 @register_backend
 class TVMBackend(KernelBackend):
     """TVM-style direct conv (Listing 1), exhaustively auto-tuned."""
@@ -134,42 +106,18 @@ class TVMBackend(KernelBackend):
     name = "tvm"
     description = "TVM-style direct conv (Listing 1), auto-tuned"
 
-    @staticmethod
-    def _key(shape: ConvShape, device: DeviceSpec) -> tuple:
-        return shape.as_tuple() + (device.fingerprint(),)
-
     def _tune(
         self, shape: ConvShape, device: DeviceSpec
     ) -> Tuple[float, TVMTiling]:
         # Tuning sweeps ~400 candidates; planned models repeat shapes.
-        return _TVM_TUNING_CACHE.get_or_build(
-            self._key(shape, device), lambda: _tvm_tune_job((shape, device))
+        key = shape.as_tuple() + (device.fingerprint(),)
+        hit = _TVM_TUNING_CACHE.get(key)
+        if hit is not None:
+            return hit
+        kernel = TVMDirectKernel.tuned(shape, device)
+        return _TVM_TUNING_CACHE.put(
+            key, (kernel.latency(shape, device), kernel.tiling)
         )
-
-    def warm(
-        self,
-        shapes_devices: Sequence[Tuple[ConvShape, DeviceSpec]],
-        workers: Optional[int] = None,
-    ) -> int:
-        """Fan uncached tuning sweeps out over a process pool and seed
-        the parent's tuning cache (cached pairs skip)."""
-        from repro.planning.pool import map_maybe_parallel
-
-        todo: List[Tuple[tuple, ConvShape, DeviceSpec]] = []
-        seen = set()
-        for shape, device in shapes_devices:
-            key = self._key(shape, device)
-            if key in seen or _TVM_TUNING_CACHE.peek(key) is not None:
-                continue
-            seen.add(key)
-            todo.append((key, shape, device))
-        results = map_maybe_parallel(
-            _tvm_tune_job, [(shape, device) for _, shape, device in todo],
-            workers,
-        )
-        for (key, _, _), value in zip(todo, results):
-            _TVM_TUNING_CACHE.put(key, value)
-        return len(todo)
 
     def core_latency(self, shape: ConvShape, device: DeviceSpec) -> float:
         return self._tune(shape, device)[0]
@@ -186,20 +134,8 @@ class TVMBackend(KernelBackend):
         return TVMDirectKernel(self._tune(shape, device)[1])
 
 
-class _StatelessBackend(KernelBackend):
-    """A backend with no memoization: every latency is recomputed on
-    demand, so warm-up would only evaluate and discard."""
-
-    def warm(
-        self,
-        shapes_devices: Sequence[Tuple[ConvShape, DeviceSpec]],
-        workers: Optional[int] = None,
-    ) -> int:
-        return 0
-
-
 @register_backend
-class CuDNNGemmBackend(_StatelessBackend):
+class CuDNNGemmBackend(KernelBackend):
     """cuDNN IMPLICIT_GEMM, the paper's baseline core kernel."""
 
     name = "cudnn"
@@ -218,7 +154,7 @@ class CuDNNGemmBackend(_StatelessBackend):
 
 
 @register_backend
-class CuDNNWinogradBackend(_StatelessBackend):
+class CuDNNWinogradBackend(KernelBackend):
     """cuDNN WINOGRAD F(2x2, 3x3); 3x3 cores only."""
 
     name = "cudnn-winograd"
@@ -240,7 +176,7 @@ class CuDNNWinogradBackend(_StatelessBackend):
 
 
 @register_backend
-class CuDNNFFTBackend(_StatelessBackend):
+class CuDNNFFTBackend(KernelBackend):
     """cuDNN FFT convolution (frequency-domain products)."""
 
     name = "cudnn-fft"

@@ -29,13 +29,15 @@ A backend provides:
   :class:`~repro.kernels.base.ConvKernel` behind ``core_latency``: the
   functional mirror of the scheme that the kernel tests validate (the
   compiled executable runs the same host stages for every backend);
-- ``batch_latencies(shapes, device)`` — optional vectorized path for
-  many shapes at once (the TDC backends ride the batched tiling
-  selectors of :mod:`repro.perfmodel.tiling`);
-- ``warm(shapes_devices, workers=)`` — pre-populate whatever caches
-  the backend consults, used by :func:`repro.planning.warmup` so that
-  oracle sweeps stay batched (and optionally fan out over a process
-  pool).
+- ``dispatch(shape, device)`` — the calibrated latency and tiling as
+  one :class:`CoreDispatch`;
+- ``dwcore_latency(shape, device, collapse_to=)`` and
+  ``calibrated_dwcore_latency`` — optional offer for a CP/TT depthwise
+  middle stage (see :func:`dispatch_dwcore`).
+
+A backend with an expensive selection (a tiling sweep, a tuning run)
+memoizes it inside ``core_latency`` on first use, through a
+:class:`~repro.planning.cache.PlanCache`.
 
 ``"auto"`` is *not* a registry entry — it is the dispatcher itself:
 for each core shape it evaluates every registered backend that
@@ -47,7 +49,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Type, Union
+from typing import Dict, Iterator, Optional, Tuple, Type, Union
 
 from repro.gpusim.device import DeviceSpec
 from repro.kernels.base import ConvKernel, ConvShape
@@ -63,8 +65,8 @@ def base_device(device: DeviceSpec) -> DeviceSpec:
 
     :class:`repro.calibration.CalibratedDevice` carries measured
     correction factors on top of a plain spec; the analytical machinery
-    (simulators, tiling caches, process-pool warm-up) always works on
-    the base spec so memoized state stays shared with uncalibrated
+    (simulators, tiling caches, backend warm-up) always works on the
+    base spec so memoized state stays shared with uncalibrated
     planning.  Plain specs pass through unchanged.
     """
     return getattr(device, "base_spec", device)
@@ -142,44 +144,6 @@ class KernelBackend:
             f"override KernelBackend.kernel() to make it compilable"
         )
 
-    def batch_latencies(
-        self, shapes: Sequence[ConvShape], device: DeviceSpec
-    ) -> List[float]:
-        """Latencies for many shapes; override for a vectorized path."""
-        return [self.core_latency(shape, device) for shape in shapes]
-
-    def warm(
-        self,
-        shapes_devices: Sequence[Tuple[ConvShape, DeviceSpec]],
-        workers: Optional[int] = None,
-    ) -> int:
-        """Pre-populate the backend's caches for explicit pairs.
-
-        The default dedupes the pairs, groups them by device, and
-        drives each group through :meth:`batch_latencies` *serially* —
-        appropriate for backends that memoize inside
-        ``core_latency``/``batch_latencies``.  ``workers`` is advisory
-        and only honored by backends with cache-seeding process-pool
-        machinery (the TDC tiling caches, TVM tuning), which override
-        this; backends with nothing to memoize should override it as a
-        no-op instead of paying for discarded evaluations.  Returns the
-        number of (shape, device) evaluations performed.
-        """
-        seen = set()
-        deduped = []
-        for shape, device in shapes_devices:
-            key = shape.as_tuple() + (device.fingerprint(),)
-            if key not in seen:
-                seen.add(key)
-                deduped.append((shape, device))
-        count = 0
-        for device, shapes in group_pairs_by_device(deduped):
-            supported = [s for s in shapes if self.supports(s, device)]
-            if supported:
-                self.batch_latencies(supported, device)
-            count += len(supported)
-        return count
-
     def dispatch(self, shape: ConvShape, device: DeviceSpec) -> CoreDispatch:
         """Resolve one core shape through this backend (calibrated)."""
         return CoreDispatch(
@@ -224,20 +188,6 @@ class KernelBackend:
         if correction is None:
             return raw
         return raw * correction(self.name, shape)
-
-
-def group_pairs_by_device(
-    shapes_devices: Sequence[Tuple[ConvShape, DeviceSpec]],
-) -> List[Tuple[DeviceSpec, List[ConvShape]]]:
-    """Group (shape, device) pairs by device *fingerprint* — batched
-    backend paths want one pass per distinct device."""
-    groups: Dict[str, Tuple[DeviceSpec, List[ConvShape]]] = {}
-    for shape, device in shapes_devices:
-        fp = device.fingerprint()
-        if fp not in groups:
-            groups[fp] = (device, [])
-        groups[fp][1].append(shape)
-    return list(groups.values())
 
 
 # Registration order is preserved: ``auto`` breaks latency ties in

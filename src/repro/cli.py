@@ -18,7 +18,7 @@ Usage:
     python -m repro.cli budget-sweep
     python -m repro.cli codegen --shape 64 32 56 56
     python -m repro.cli cache stats
-    python -m repro.cli cache warm --models resnet18 --devices A100 --jobs 4
+    python -m repro.cli cache warm --models resnet18 --devices A100 2080Ti
     python -m repro.cli cache clear --dir ~/.cache/repro-tdc
 """
 
@@ -246,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
                          "(default: $REPRO_CACHE_DIR or ~/.cache/repro-tdc)")
 
     cw = cache_sub.add_parser(
-        "warm", help="pre-build tables/tilings and persist them"
+        "warm", help="plan models x devices and persist the caches it fills"
     )
     cw.add_argument("--models", nargs="+", default=["resnet18"],
                     help="model specs to warm (default %(default)s)")
@@ -256,8 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="FLOPs-reduction budgets (default %(default)s)")
     cw.add_argument("--method", choices=["model", "oracle"], default="model")
     cw.add_argument("--rank-step", type=int, default=32)
-    cw.add_argument("--jobs", type=int, default=None,
-                    help="process-pool size for table construction")
     cw.add_argument("--dir", default=None,
                     help="cache dir (default: $REPRO_CACHE_DIR or "
                          "~/.cache/repro-tdc)")
@@ -346,7 +344,7 @@ def _run_cache(args: argparse.Namespace) -> int:
         devices = [get_device(d) for d in args.devices]
         plans = plan_many(
             specs, devices, args.budgets,
-            rank_step=args.rank_step, method=args.method, workers=args.jobs,
+            rank_step=args.rank_step, method=args.method,
         )
         saved = save_plan_caches(cache_dir)
 

@@ -18,7 +18,6 @@ from repro.codesign.flops import (
 from repro.codesign.format_search import (
     FormatCandidate,
     best_format_under_budget,
-    clear_candidate_cache,
     layer_format_candidates,
 )
 from repro.codesign.pipeline import (
@@ -58,7 +57,6 @@ __all__ = [
     "param_reduction_ratio",
     "FormatCandidate",
     "best_format_under_budget",
-    "clear_candidate_cache",
     "layer_format_candidates",
     "TDCPipelineResult",
     "decompose_for_device",

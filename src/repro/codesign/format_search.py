@@ -32,6 +32,7 @@ from repro.kernels.depthwise import dwcore_latency
 from repro.kernels.pointwise import pointwise_latency
 from repro.kernels.tdc_direct import Tiling
 from repro.perfmodel.tiling import select_tiling
+from repro.planning.cache import PlanCache
 from repro.tensor.formats import (
     Chain,
     DecompFormat,
@@ -59,9 +60,10 @@ class FormatCandidate:
 
 
 # (format, shape tuple, device fingerprint, rank_step, method) -> candidates.
-# The Tucker rows additionally hit the persistent table cache; CP/TT rows
-# are cheap to build but planning sweeps revisit the same shapes a lot.
-_CANDIDATE_CACHE: Dict[tuple, List[FormatCandidate]] = {}
+# Memory-only: the Tucker rows additionally hit the persistent table
+# cache; CP/TT rows are cheap to build but planning sweeps revisit the
+# same shapes a lot.
+_CANDIDATE_CACHE = PlanCache("format_candidates", maxsize=1024)
 
 
 def _tucker_candidates(
@@ -161,7 +163,7 @@ def layer_format_candidates(
                 cached = _chain_candidates(
                     get_format(name), layer, device, rank_step, method
                 )
-            _CANDIDATE_CACHE[key] = cached
+            cached = _CANDIDATE_CACHE.put(key, cached)
         candidates.extend(cached)
 
     if "tucker" in formats:
@@ -211,8 +213,3 @@ def best_format_under_budget(
         ]
         picks.append(max(plateau, key=lambda c: (c.params, -c.total_latency)))
     return min(picks, key=lambda c: (c.total_latency, -c.params))
-
-
-def clear_candidate_cache() -> None:
-    """Drop memoized candidate lists (used by tests/benchmarks)."""
-    _CANDIDATE_CACHE.clear()

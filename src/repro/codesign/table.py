@@ -9,12 +9,13 @@ conv, each including kernel-launch overhead.  The original layer's
 latency under cuDNN IMPLICIT_GEMM (the kernel an undecomposed layer
 would use at inference) is kept for the θ-threshold rule.
 
-Tables are memoized in the planning-cache subsystem
-(:mod:`repro.planning.cache`) keyed on the full shape, the device's
-content fingerprint, the rank step, and the selection method, since
-the five CNNs repeat many layer shapes.  Construction can fan the
-``D1`` rank candidates out over a process pool (``workers=``), and
-warm tables optionally persist to disk between runs.
+Tables are built on first use and memoized in the planning-cache
+subsystem (:mod:`repro.planning.cache`) keyed on the full shape, the
+device's content fingerprint, the rank step, and the selection method,
+since the five CNNs repeat many layer shapes.  Construction drives the
+whole rank grid through the batched tiling selector, which memoizes
+every core shape's selection too; warm tables optionally persist to
+disk between runs (``repro cache warm``).
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from repro.kernels.pointwise import pointwise_latency
 from repro.kernels.tdc_direct import TDCDirectKernel, Tiling
 from repro.perfmodel.tiling import select_tiling, select_tilings
 from repro.planning.cache import PlanCache
-from repro.planning.pool import map_maybe_parallel
 from repro.tensor.formats import get_format, rank_candidates
 
 
@@ -248,17 +248,6 @@ def _grid_entries(
     return entries
 
 
-def _entries_for_d1(args: tuple) -> List[TableEntry]:
-    """One D1 row of the table; module-level so a process pool can
-    pickle it (the parallel construction path).  Each row batches its
-    D2 candidates through the vectorized selector, so ``workers=``
-    fan-out composes with per-worker vectorization."""
-    c, n, h, w, r, s, device, method, d1, d2_list = args
-    return _grid_entries(
-        c, n, h, w, r, s, device, method, [(d1, d2) for d2 in d2_list]
-    )
-
-
 def build_performance_table(
     c: int,
     n: int,
@@ -270,15 +259,12 @@ def build_performance_table(
     rank_step: int = 32,
     method: str = "model",
     use_cache: bool = True,
-    workers: Optional[int] = None,
 ) -> PerformanceTable:
     """Generate (or fetch memoized) the table T for one layer shape.
 
     The whole ``(D1, D2)`` rank grid is driven through the batched
-    tiling selector: serial builds evaluate every core shape's
-    candidate sweep in one vectorized pass, and with ``workers > 1``
-    the D1 rank rows fan out over a process pool whose workers each
-    batch their row — parallelism composes with vectorization.
+    tiling selector, which evaluates every core shape's candidate
+    sweep in one vectorized pass.
     """
     key = table_key(c, n, h, w, r, s, device, rank_step, method)
     if use_cache:
@@ -293,19 +279,10 @@ def build_performance_table(
 
     d1_list = rank_candidates(c, rank_step)
     d2_list = rank_candidates(n, rank_step)
-    entries: List[TableEntry] = []
-    if d1_list and d2_list:
-        if workers is not None and workers > 1:
-            jobs = [
-                (c, n, h, w, r, s, device, method, d1, d2_list) for d1 in d1_list
-            ]
-            for row in map_maybe_parallel(_entries_for_d1, jobs, workers):
-                entries.extend(row)
-        else:
-            entries = _grid_entries(
-                c, n, h, w, r, s, device, method,
-                [(d1, d2) for d1 in d1_list for d2 in d2_list],
-            )
+    entries = _grid_entries(
+        c, n, h, w, r, s, device, method,
+        [(d1, d2) for d1 in d1_list for d2 in d2_list],
+    )
 
     table = PerformanceTable(
         c=c, n=n, h=h, w=w, r=r, s=s,

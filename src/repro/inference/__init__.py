@@ -13,7 +13,6 @@ from repro.inference.engine import (
     E2EResult,
     ORIGINAL_VARIANT,
     estimate_e2e,
-    estimate_e2e_many,
     resolve_backend_list,
 )
 from repro.inference.executable import (
@@ -56,7 +55,6 @@ __all__ = [
     "compile_plan",
     "model_dtype",
     "estimate_e2e",
-    "estimate_e2e_many",
     "plan_dense_model",
     "plan_model",
     "plan_tucker_model",

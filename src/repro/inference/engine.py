@@ -26,7 +26,6 @@ from repro.codesign.pipeline import layer_shapes_from_spec
 from repro.codesign.rank_selection import RankPlan, select_ranks
 from repro.gpusim.device import DeviceSpec
 from repro.inference.plan import ExecutionPlan, plan_dense_model, plan_tucker_model
-from repro.kernels.base import ConvShape
 from repro.models.arch_specs import ModelSpec
 
 #: Key of the uncompressed-network variant in ``E2EResult.variants``.
@@ -193,68 +192,3 @@ def estimate_e2e(
         plans=plans,
     )
 
-
-def estimate_e2e_many(
-    specs: Sequence[ModelSpec],
-    devices: Sequence[DeviceSpec],
-    budgets: Sequence[float] = (0.6,),
-    theta: float = 0.15,
-    rank_step: int = 32,
-    workers: Optional[int] = None,
-    backends: Optional[Sequence[str]] = None,
-    formats: object = ("tucker",),
-) -> List[E2EResult]:
-    """Batched end-to-end estimation over ``specs x devices x budgets``.
-
-    One shared warm-up (via :func:`repro.planning.plan_many`) builds
-    every performance table once — optionally across ``workers``
-    processes — and every requested backend is warmed over the planned
-    core shapes through :func:`repro.planning.warm_backends` (the
-    tdc-oracle backend's exhaustive sweeps dominate the remaining cold
-    cost, and stay batched).  Results are ordered spec-major, then
-    device, then budget.
-    """
-    from repro.planning.warmup import plan_key, plan_many, warm_backends
-
-    backends = resolve_backend_list(backends)
-    specs = list(specs)
-    devices = list(devices)
-    budgets = list(budgets)
-    plans = plan_many(
-        specs, devices, budgets,
-        theta=theta, rank_step=rank_step, workers=workers, formats=formats,
-    )
-    # Fingerprint -> device, built once: the plans dict keys devices by
-    # content fingerprint, and an O(plans x devices) linear rescan per
-    # plan is pure waste on big sweeps.
-    device_by_fp = {d.fingerprint(): d for d in devices}
-    core_pairs = []
-    for (_, fp, _), plan in plans.items():
-        device = device_by_fp[fp]
-        for decision in plan.decisions:
-            # Only Tucker cores go through the backend registry; CP/TT
-            # middles bind the depthwise kernel directly (no warm-up).
-            if decision.decomposed and decision.format == "tucker":
-                layer = decision.layer
-                core_pairs.append((
-                    ConvShape(
-                        c=int(decision.d1), n=int(decision.d2),
-                        h=layer.h, w=layer.w, r=layer.r, s=layer.s,
-                    ),
-                    device,
-                ))
-    warm_backends(core_pairs, backends, workers=workers)
-
-    results: List[E2EResult] = []
-    for spec in specs:
-        for device in devices:
-            for budget in budgets:
-                results.append(
-                    estimate_e2e(
-                        spec, device, budget=budget, theta=theta,
-                        rank_step=rank_step,
-                        rank_plan=plans[plan_key(spec, device, budget)],
-                        backends=backends, formats=formats,
-                    )
-                )
-    return results

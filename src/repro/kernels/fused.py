@@ -27,13 +27,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import ceil
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.gpusim.device import DeviceSpec
 from repro.gpusim.engine import KernelLaunch
 from repro.kernels.base import FLOAT_BYTES, ConvKernel, ConvShape, pad_input
+from repro.planning.cache import PlanCache
 
 # --------------------------------------------------------------------------
 # Tiling: the generated fused kernel's shared-memory scheme.
@@ -71,7 +72,10 @@ def fused_smem_bytes(shape: ConvShape, tiling: FusedTiling) -> int:
 _TILE_CANDIDATES = (32, 16, 8, 4, 2, 1)
 _TC_CANDIDATES = (64, 32, 16, 8, 4, 2, 1)
 
-_TILING_MEMO: Dict[tuple, Optional[FusedTiling]] = {}
+# Memory-only memo of select_fused_tiling.  The cache reads None as a
+# miss, so "no feasible tiling" is stored as this sentinel.
+_TILING_CACHE = PlanCache("fused_tiling", maxsize=4096)
+_NO_TILING = FusedTiling(tb=0, tw=0, tc=0)
 
 
 def select_fused_tiling(
@@ -86,8 +90,9 @@ def select_fused_tiling(
     fit — only possible for pathologically wide core outputs.
     """
     key = shape.as_tuple() + (device.fingerprint(),)
-    if key in _TILING_MEMO:
-        return _TILING_MEMO[key]
+    hit = _TILING_CACHE.get(key)
+    if hit is not None:
+        return None if hit is _NO_TILING else hit
     smem_cap = device.shared_mem_per_block
     best: Optional[FusedTiling] = None
     best_rank: Tuple[int, int] = (-1, -1)
@@ -107,7 +112,7 @@ def select_fused_tiling(
                 if rank > best_rank:
                     best, best_rank = t, rank
                 break  # tc candidates descend; first fit is the best
-    _TILING_MEMO[key] = best
+    _TILING_CACHE.put(key, _NO_TILING if best is None else best)
     return best
 
 

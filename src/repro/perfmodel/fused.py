@@ -10,14 +10,15 @@ per-spatial-tile redundancy) remains.  That traffic asymmetry is what
 lets ``auto`` dispatch actually *prefer* the fused backend on
 memory-bound cores without any planner special-casing.
 
-Both entries are memoized per (shape, device, collapse) — planning
-sweeps revisit the same shapes constantly.
+Both entries are memoized per (shape, device, collapse) in the
+memory-only ``fused_latency`` plan cache — planning sweeps revisit the
+same shapes constantly.
 """
 
 from __future__ import annotations
 
 from math import ceil
-from typing import Dict, Optional
+from typing import Optional
 
 from repro.gpusim.device import DeviceSpec
 from repro.gpusim.engine import KernelLaunch, simulate_kernel
@@ -28,8 +29,9 @@ from repro.kernels.fused import (
     fused_smem_bytes,
     select_fused_tiling,
 )
+from repro.planning.cache import PlanCache
 
-_LATENCY_MEMO: Dict[tuple, float] = {}
+_LATENCY_CACHE = PlanCache("fused_latency", maxsize=8192)
 
 
 def fused_core_latency(shape: ConvShape, device: DeviceSpec) -> float:
@@ -40,7 +42,7 @@ def fused_core_latency(shape: ConvShape, device: DeviceSpec) -> float:
     never sees this).
     """
     key = ("core",) + shape.as_tuple() + (device.fingerprint(),)
-    hit = _LATENCY_MEMO.get(key)
+    hit = _LATENCY_CACHE.get(key)
     if hit is not None:
         return hit
     tiling = select_fused_tiling(shape, device)
@@ -52,8 +54,7 @@ def fused_core_latency(shape: ConvShape, device: DeviceSpec) -> float:
     latency = simulate_kernel(
         device, fused_core_launch(shape, device, tiling)
     ).total
-    _LATENCY_MEMO[key] = latency
-    return latency
+    return _LATENCY_CACHE.put(key, latency)
 
 
 def fused_dwcore_latency(
@@ -74,7 +75,7 @@ def fused_dwcore_latency(
         ("dwcore",) + shape.as_tuple()
         + (collapse_to, device.fingerprint())
     )
-    hit = _LATENCY_MEMO.get(key)
+    hit = _LATENCY_CACHE.get(key)
     if hit is not None:
         return hit
     tiling = select_fused_tiling(shape, device)
@@ -108,18 +109,11 @@ def fused_dwcore_latency(
         name=f"fused_dwcore{shape}",
     )
     latency = simulate_kernel(device, launch).total
-    _LATENCY_MEMO[key] = latency
-    return latency
-
-
-def clear_fused_latency_cache() -> None:
-    """Drop memoized fused latencies (tests)."""
-    _LATENCY_MEMO.clear()
+    return _LATENCY_CACHE.put(key, latency)
 
 
 __all__ = [
     "FusedTiling",
-    "clear_fused_latency_cache",
     "fused_core_latency",
     "fused_dwcore_latency",
     "fused_smem_bytes",

@@ -469,14 +469,6 @@ def select_tilings(
     return [found[key] for key in keys]
 
 
-def seed_tiling_choice(
-    shape: ConvShape, device: DeviceSpec, choice: TilingChoice
-) -> TilingChoice:
-    """Install an externally computed selection (the parallel warm-up
-    path builds choices in worker processes and seeds them here)."""
-    return _SELECT_CACHE.put(select_key(shape, device, choice.method), choice)
-
-
 def clear_tiling_cache() -> None:
     """Drop memoized tiling selections (used by tests/benchmarks)."""
     _SELECT_CACHE.clear()

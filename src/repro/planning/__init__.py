@@ -1,10 +1,11 @@
-"""Planning-cache subsystem: memoization, persistence, warm-up.
+"""Planning-cache subsystem: memoization on first use, persistence.
 
 :mod:`repro.planning.cache` holds the core :class:`PlanCache`
 (thread-safe bounded LRU with optional versioned-JSON persistence) and
-the process-wide registry the CLI operates on.
-:mod:`repro.planning.warmup` adds the parallel warm-up path
-(:func:`warm_tables`) and the batched :func:`plan_many` API.
+the process-wide registry the CLI operates on.  Every planner computes
+a value on first use and memoizes it there.  :mod:`repro.planning.warmup`
+adds the deploy path's backend warm-up (:func:`warm_model_backends`)
+and the batched :func:`plan_many` API.
 
 ``warmup`` is re-exported lazily: it imports the planner modules
 (which themselves construct caches from this package), so an eager
@@ -26,14 +27,10 @@ from repro.planning.cache import (
 )
 
 _WARMUP_EXPORTS = (
-    "WarmupStats",
     "plan_key",
     "plan_many",
-    "seed_from_table",
     "warm_backends",
     "warm_model_backends",
-    "warm_tables",
-    "warm_tilings",
 )
 
 
@@ -57,12 +54,8 @@ __all__ = [
     "load_plan_caches",
     "register_cache",
     "save_plan_caches",
-    "WarmupStats",
     "plan_key",
     "plan_many",
-    "seed_from_table",
     "warm_backends",
     "warm_model_backends",
-    "warm_tables",
-    "warm_tilings",
 ]

@@ -1,19 +1,22 @@
 """The unified planning-cache subsystem.
 
 Every planner in the repository — tiling selection (Sec. 5.5), the
-performance table T (Sec. 6), and anything built on top of them — is
-deterministic and expensive, so results are memoized.  Before this
-module each planner kept its own module-level dict keyed on
-``device.name``, which made two :class:`~repro.gpusim.device.DeviceSpec`
-instances that share a name but differ in hardware parameters (a
-device sweep, a user-tweaked spec) silently alias each other's
-entries.  A :class:`PlanCache` fixes that by construction:
+performance table T (Sec. 6), TVM tuning, the fused backend's tilings
+and latencies, the per-format candidate lists of Algorithm 1 — is
+deterministic per (shape, device), so each computes a value on first
+use and memoizes it in a :class:`PlanCache`.  Nothing computes these
+values ahead of time.  Before this module each planner kept its own
+module-level dict keyed on ``device.name``, which made two
+:class:`~repro.gpusim.device.DeviceSpec` instances that share a name
+but differ in hardware parameters (a device sweep, a user-tweaked spec)
+silently alias each other's entries.  A :class:`PlanCache` fixes that
+by construction:
 
 - **Content-fingerprint keys.**  Keys are tuples of primitives that
   include ``DeviceSpec.fingerprint()`` — a hash over *every* hardware
   parameter — never the display name.
-- **Thread safety.**  All operations are lock-guarded; table
-  construction and warm-up fan out across workers.
+- **Thread safety.**  All operations are lock-guarded; concurrent
+  deployments plan against the same caches.
 - **Bounded LRU.**  Entries are evicted least-recently-used once
   ``maxsize`` is exceeded, with hit/miss/eviction counters exposed via
   :meth:`PlanCache.stats`.

@@ -497,10 +497,10 @@ class ReplicaSet:
         )
         try:
             if decision == DEGRADE:
-                y = self._infer_fallback(x, deadline, pclass)
+                y = self._infer_fallback(x, deadline, deadline_s, pclass)
             else:
                 assert decision == ACCEPT
-                y = self._infer_replicated(x, deadline, pclass)
+                y = self._infer_replicated(x, deadline, deadline_s, pclass)
         except DeadlineExceeded:
             with self._lock:
                 self._counts[pclass.name]["deadline_exceeded"] += 1
@@ -520,7 +520,8 @@ class ReplicaSet:
         return y
 
     def _infer_fallback(
-        self, x: np.ndarray, deadline: float, pclass: PriorityClass
+        self, x: np.ndarray, deadline: float, deadline_s: float,
+        pclass: PriorityClass,
     ) -> np.ndarray:
         session = self.fallback
         assert session is not None
@@ -531,13 +532,12 @@ class ReplicaSet:
                 f"fallback plan unavailable for {self.name!r}: {exc}",
                 priority=pclass.name,
             ) from exc
-        remaining = deadline - time.perf_counter()
-        if not pending.wait(max(0.0, remaining)):
+        if not pending.wait(max(0.0, deadline - time.perf_counter())):
             pending.cancel()
             raise DeadlineExceeded(
                 f"degraded request missed its deadline on {self.name!r}",
                 priority=pclass.name,
-                deadline_s=remaining,
+                deadline_s=deadline_s,
             )
         y = pending.result(0)
         if not self._validate(y):
@@ -549,7 +549,8 @@ class ReplicaSet:
         return y
 
     def _infer_replicated(
-        self, x: np.ndarray, deadline: float, pclass: PriorityClass
+        self, x: np.ndarray, deadline: float, deadline_s: float,
+        pclass: PriorityClass,
     ) -> np.ndarray:
         retry = self.retry
         tried: List[Replica] = []
@@ -574,7 +575,7 @@ class ReplicaSet:
                             f"{self.name!r}",
                             priority=pclass.name,
                             est_delay_s=float("inf"),
-                            deadline_s=deadline - now,
+                            deadline_s=deadline_s,
                         )
                     if tried:
                         self._note(retries=1)
@@ -650,7 +651,7 @@ class ReplicaSet:
                 f"request missed its deadline on {self.name!r} after "
                 f"{len(tried)} attempt(s)",
                 priority=pclass.name,
-                deadline_s=deadline - (deadline - time.perf_counter()),
+                deadline_s=deadline_s,
                 last_error=repr(last_exc) if last_exc else None,
             )
         assert last_exc is not None
@@ -727,7 +728,6 @@ def deploy_fleet(
     name: Optional[str] = None,
     formats: object = ("tucker",),
     calibrated: bool = False,
-    workers: Optional[int] = None,
     threads: Optional[int] = None,
 ) -> ReplicaSet:
     """Deploy one model as a replicated fleet across devices.
@@ -793,7 +793,7 @@ def deploy_fleet(
             target = CalibratedDevice.from_cache(device)
         warm_model_backends(
             model, target, image_hw, in_channels=in_channels,
-            backends=(backend,), workers=workers, sites=sites,
+            backends=(backend,), sites=sites,
         )
         plan = plan_model(
             model, target, image_hw, in_channels=in_channels,

@@ -31,8 +31,8 @@ queued and in-flight requests are all answered, none dropped.
 :class:`SessionRegistry` keeps named sessions per (model, device,
 backend) and builds new ones through the full pipeline: build model →
 hardware-aware decomposition (:func:`repro.codesign.decompose_for_device`)
-→ registry warm-up (:func:`repro.planning.warm_backends`, riding the
-PlanCache subsystem) → ``plan_model`` → ``compile_plan`` → warm run.
+→ backend warm-up (:func:`repro.planning.warm_model_backends`, filling
+the PlanCache subsystem) → ``plan_model`` → ``compile_plan`` → warm run.
 """
 
 from __future__ import annotations
@@ -780,7 +780,6 @@ class SessionRegistry:
         batch_window_s: float = 0.002,
         decompose: bool = True,
         formats: object = ("tucker",),
-        workers: Optional[int] = None,
         name: Optional[str] = None,
         stats_window: int = 4096,
         auto_replan: Optional[AutoReplanPolicy] = None,
@@ -827,7 +826,7 @@ class SessionRegistry:
             )
             warm_model_backends(
                 model, device, image_hw, in_channels=in_channels,
-                backends=(backend,), workers=workers, sites=sites,
+                backends=(backend,), sites=sites,
             )
             plan = plan_model(
                 model, device, image_hw, in_channels=in_channels,

@@ -147,32 +147,22 @@ class TestDispatch:
         with pytest.raises(ValueError):
             dispatch_core(shape5, A100, "cudnn-winograd")
 
-    def test_batch_latencies_match_scalar(self):
-        shapes = [SHAPE, ConvShape(c=64, n=32, h=14, w=14)]
-        for backend in registered_backends():
-            batched = backend.batch_latencies(shapes, A100)
-            scalar = [backend.core_latency(s, A100) for s in shapes]
-            assert batched == pytest.approx(scalar), backend.name
-
 
 class TestWarmBackends:
     def test_counts_per_backend(self):
-        from repro.perfmodel.tiling import clear_tiling_cache
-
-        # warm_tilings counts only selections actually computed, so
-        # start the tdc backend from a cold tiling cache.  The cudnn
-        # backend is stateless — nothing to warm, count 0.
-        clear_tiling_cache()
-        pairs = [(SHAPE, A100)]
-        counts = warm_backends(pairs, ["cudnn", "tdc-model"])
-        assert counts == {"cudnn": 0, "tdc-model": 1}
-        # A second warm-up is a pure cache hit for the tdc backend.
-        assert warm_backends(pairs, ["tdc-model"]) == {"tdc-model": 0}
+        # Each backend counts the distinct pairs it resolved: repeats
+        # count once, and Winograd skips the 5x5 core it cannot run.
+        shape5 = ConvShape(c=32, n=32, h=14, w=14, r=5, s=5)
+        pairs = [(SHAPE, A100), (SHAPE, A100), (shape5, A100)]
+        counts = warm_backends(pairs, ["cudnn", "cudnn-winograd", "tdc-model"])
+        assert counts == {"cudnn": 2, "cudnn-winograd": 1, "tdc-model": 2}
 
     def test_default_warm_dedupes_pairs(self):
-        backend = _ConstantBackend("dedupe-test")
+        # A backend with no warm-up logic of its own still resolves a
+        # repeated pair once.
         pairs = [(SHAPE, A100), (SHAPE, A100), (SHAPE, A100)]
-        assert backend.warm(pairs) == 1
+        with temporary_backend(_ConstantBackend("dedupe-test")):
+            assert warm_backends(pairs, ["dedupe-test"]) == {"dedupe-test": 1}
 
     def test_auto_expands_to_all_registered(self):
         counts = warm_backends([(SHAPE, A100)], [AUTO_BACKEND])

@@ -540,6 +540,29 @@ def test_fleet_deadline_exceeded_is_typed_and_prompt():
             + sum(stats.admission.shed.values())) >= 1
 
 
+@pytest.mark.parametrize("path", ["replicated", "fallback"])
+def test_deadline_exceeded_reports_the_request_deadline(path):
+    # A latency spike the prediction does not show: admission lets the
+    # request through and the run misses its 50 ms deadline.
+    spike = FaultSpec(latency_spike_p=1.0, latency_spike_s=0.3)
+    _, fleet = make_fleet(n=1, fallback=path == "fallback",
+                          retry=RetryPolicy(max_attempts=1))
+    inj = FaultInjector(seed=12)
+    if path == "fallback":
+        # The primary honestly predicts a miss, so low traffic degrades.
+        inj.infect(fleet.replicas[0].session,
+                   FaultSpec(extra_latency_s=0.2))
+        inj.infect(fleet.fallback, spike)
+    else:
+        inj.infect(fleet.replicas[0].session, spike)
+    with fleet:
+        with pytest.raises(DeadlineExceeded) as info:
+            fleet.infer(sample(), priority="low", timeout=0.05)
+        degraded = fleet.stats().admission.degraded.get("low", 0)
+    assert degraded == (1 if path == "fallback" else 0)
+    assert info.value.deadline_s == 0.05
+
+
 def test_fleet_unknown_priority_and_closed_errors():
     _, fleet = make_fleet(n=1)
     with fleet:

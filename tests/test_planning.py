@@ -2,8 +2,8 @@
 
 Covers the PlanCache primitive (LRU, stats, thread safety, persistence
 with versioned invalidation), the stale-device regression the
-subsystem exists to fix, the parallel warm-up path, and the batched
-plan_many API.
+subsystem exists to fix, the deploy path's backend warm-up, and the
+batched plan_many API.
 """
 
 import json
@@ -12,6 +12,8 @@ from dataclasses import replace
 
 import pytest
 
+from repro.codesign.format_search import layer_format_candidates
+from repro.codesign.pipeline import decompose_for_device
 from repro.codesign.rank_selection import LayerShape, select_ranks
 from repro.codesign.table import (
     build_performance_table,
@@ -19,10 +21,14 @@ from repro.codesign.table import (
     table_cache,
     table_key,
 )
-from repro.gpusim.device import A100, RTX2080TI
-from repro.inference.engine import estimate_e2e, estimate_e2e_many
+from repro.gpusim.device import A100
+from repro.inference.engine import estimate_e2e
+from repro.inference.plan import plan_model
 from repro.kernels.base import ConvShape
+from repro.kernels.fused import select_fused_tiling
 from repro.models.arch_specs import get_model_spec
+from repro.models.registry import build_model
+from repro.perfmodel.fused import fused_core_latency
 from repro.perfmodel.tiling import (
     clear_tiling_cache,
     select_key,
@@ -41,13 +47,7 @@ from repro.planning.cache import (
     load_plan_caches,
     save_plan_caches,
 )
-from repro.planning.warmup import (
-    plan_key,
-    plan_many,
-    seed_from_table,
-    warm_tables,
-    warm_tilings,
-)
+from repro.planning.warmup import plan_key, plan_many, warm_model_backends
 
 # A user-tweaked A100: same display name, half the clock, a tenth of
 # the bandwidth.  Every planner result must reflect these parameters.
@@ -145,6 +145,29 @@ class TestPlanCache:
         names = {c.name for c in all_caches()}
         assert {"tiling", "table"} <= names
         assert set(cache_stats()) >= {"tiling", "table"}
+
+    def test_memo_caches_are_registered_and_cleared(self):
+        # The fused tiling/latency memos and the format-candidate lists
+        # are bounded registry caches: clear_plan_caches() drops them,
+        # so the next lookup of each is a recorded miss.
+        shape = ConvShape(32, 32, 14, 14)
+        layer = LayerShape("l1", 64, 64, 14, 14)
+        lookups = {
+            "fused_tiling": lambda: select_fused_tiling(shape, A100),
+            "fused_latency": lambda: fused_core_latency(shape, A100),
+            "format_candidates": lambda: layer_format_candidates(
+                layer, A100, ("cp",)
+            ),
+        }
+        for lookup in lookups.values():
+            lookup()
+        clear_plan_caches()
+        for name, lookup in lookups.items():
+            cache = get_cache(name)
+            assert len(cache) == 0, name
+            misses = cache.stats().misses
+            lookup()
+            assert cache.stats().misses == misses + 1, name
 
 
 class TestThreadSafety:
@@ -303,11 +326,8 @@ class TestPersistence:
 
 
 class TestWarmup:
-    def test_warm_tables_seeds_both_caches(self):
-        layers = [LayerShape("l1", 128, 128, 14, 14)]
-        stats = warm_tables(layers, (A100,))
-        assert stats.tables_built == 1
-        assert stats.tilings_seeded > 0
+    def test_table_build_fills_tiling_cache(self):
+        build_performance_table(128, 128, 14, 14, A100)
         # The table and every core-shape tiling are now hits.
         s0 = table_cache().stats()
         build_performance_table(128, 128, 14, 14, A100)
@@ -316,59 +336,20 @@ class TestWarmup:
         select_tiling(ConvShape(32, 32, 14, 14), A100, "model")
         assert tiling_cache().stats().hits == t0.hits + 1
 
-    def test_warm_tables_skips_cached(self):
-        layers = [LayerShape("l1", 128, 128, 14, 14)]
-        warm_tables(layers, (A100,))
-        again = warm_tables(layers, (A100,))
-        assert again.tables_built == 0
-        assert again.tables_cached == 1
-
-    def test_warm_tables_parallel_matches_serial(self):
-        layers = [
-            LayerShape("l1", 128, 128, 14, 14),
-            LayerShape("l2", 64, 64, 14, 14),
-        ]
-        warm_tables(layers, (A100,), workers=2)
-        parallel = build_performance_table(128, 128, 14, 14, A100)
-        serial = build_performance_table(
-            128, 128, 14, 14, A100, use_cache=False
-        )
-        assert parallel.entries == serial.entries
-        assert parallel.original_latency == serial.original_latency
-
-    def test_parallel_table_construction_matches_serial(self):
-        parallel = build_performance_table(
-            128, 96, 14, 14, A100, use_cache=False, workers=2
-        )
-        serial = build_performance_table(
-            128, 96, 14, 14, A100, use_cache=False
-        )
-        assert parallel.entries == serial.entries
-
-    def test_seed_from_table_device_mismatch(self):
-        table = build_performance_table(64, 64, 14, 14, A100, use_cache=False)
-        with pytest.raises(ValueError):
-            seed_from_table(table, RTX2080TI)
-
-    def test_seed_from_table_same_name_different_params_rejected(self):
-        # Same display name is not enough: seeding a tweaked-A100 table
-        # under the real A100 would poison both caches.
-        table = build_performance_table(
-            64, 64, 14, 14, TWEAKED_A100, use_cache=False
-        )
-        with pytest.raises(ValueError):
-            seed_from_table(table, A100)
-
-    def test_warm_tilings_oracle(self):
-        shape = ConvShape(32, 32, 14, 14)
-        computed = warm_tilings([(shape, A100)], method="oracle")
-        assert computed == 1
-        s0 = tiling_cache().stats()
-        choice = select_tiling(shape, A100, "oracle")
-        assert tiling_cache().stats().hits == s0.hits + 1
-        assert choice == select_tiling_oracle(shape, A100)
-        # Already warm: nothing recomputed.
-        assert warm_tilings([(shape, A100)], method="oracle") == 0
+    def test_warm_model_backends_leaves_plan_model_no_misses(self):
+        clear_plan_caches()
+        hw = (8, 8)
+        model = build_model("resnet_tiny", seed=0)
+        decompose_for_device(model, A100, hw, budget=0.5, rank_step=2)
+        model.eval()
+        resolved = warm_model_backends(model, A100, hw, backends=("auto",))
+        tuning = get_cache("tvm_tuning")
+        assert resolved["tvm"] > 0 and len(tuning) > 0
+        caches = (tiling_cache(), tuning)
+        misses = [c.stats().misses for c in caches]
+        plan = plan_model(model, A100, hw, core_backend="auto")
+        assert any(k.kind == "core" for k in plan.kernels)
+        assert [c.stats().misses for c in caches] == misses
 
     def test_plan_many_grid(self):
         spec = get_model_spec("resnet18")
@@ -401,8 +382,8 @@ class TestWarmup:
         p224 = plans[plan_key(spec224, A100, 0.6)]
         p112 = plans[plan_key(spec112, A100, 0.6)]
         assert p224.total_latency != p112.total_latency
-        # Batched result matches the single-spec path for each variant.
-        b224 = estimate_e2e_many([spec224], [A100], [0.6])[0]
+        # The batched plan matches the single-spec path for each variant.
+        b224 = estimate_e2e(spec224, A100, budget=0.6, rank_plan=p224)
         assert b224.as_milliseconds() == estimate_e2e(
             spec224, A100, budget=0.6
         ).as_milliseconds()
@@ -422,11 +403,16 @@ class TestWarmup:
             plan_many([], [A100], [0.6])
 
     def test_estimate_e2e_many_matches_single(self):
+        # An end-to-end estimate from a batched plan equals the one the
+        # single-spec path plans for itself.
         spec = get_model_spec("resnet18")
-        batched = estimate_e2e_many([spec], [A100], [0.6])
+        plans = plan_many([spec], [A100], [0.6])
+        assert len(plans) == 1
+        batched = estimate_e2e(
+            spec, A100, budget=0.6, rank_plan=plans[plan_key(spec, A100, 0.6)]
+        )
         single = estimate_e2e(spec, A100, budget=0.6)
-        assert len(batched) == 1
-        assert batched[0].as_milliseconds() == single.as_milliseconds()
+        assert batched.as_milliseconds() == single.as_milliseconds()
 
 
 class TestConvShapeKeyCompleteness:
