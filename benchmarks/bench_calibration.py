@@ -1,12 +1,13 @@
-"""Calibration benchmark: corrected-model error vs raw, session soak.
+"""Calibration benchmark: measured vs simulated per pair, session soak.
 
 Two gates, both hard failures (exit non-zero):
 
-1. **Predictor quality**: for every preset (device, model) pair, the
-   calibrated predicted latency must have *strictly lower* relative
-   error against ``Executable.measure`` than the raw analytical
-   prediction.  Factors are fitted per pair in a throwaway cache, then
-   evaluated against a fresh measurement.
+1. **Coverage**: for every preset (device, model) pair,
+   :func:`~repro.calibration.run_calibration` must measure every core
+   a registry backend priced — one sample per such plan kernel, each
+   with positive simulated and host seconds.  The simulated plan
+   total and the measured host time are printed side by side; they
+   time different hardware, so no bound is put on their ratio.
 2. **Session memory**: a 10k-request soak (2k in ``--quick``) through
    an :class:`~repro.serving.InferenceSession` must keep the latency
    window at its bounded capacity and must not grow traced Python
@@ -30,13 +31,12 @@ import tracemalloc
 
 import numpy as np
 
-from repro.calibration import CalibratedDevice, run_calibration, store_calibration
+from repro.backends import DEPTHWISE_BASELINE
+from repro.calibration import CORE_KINDS, run_calibration
 from repro.codesign.pipeline import decompose_for_device
 from repro.gpusim.device import get_device
 from repro.inference.executable import compile_model
-from repro.inference.plan import plan_model
 from repro.models.registry import build_model
-from repro.planning.cache import PlanCache
 from repro.serving import InferenceSession
 
 MODELS = ("resnet_tiny", "vgg_tiny")
@@ -48,6 +48,18 @@ IMAGE_HW = (8, 8)
 SOAK_GROWTH_LIMIT_BYTES = 2 * 1024 * 1024
 
 
+def registry_priced_sites(plan) -> set:
+    """Sites whose core a registry backend priced: core and dense conv
+    kernels, and a dwcore won by a registry backend."""
+    return {
+        k.layer.removesuffix(".core") for k in plan.kernels
+        if k.kind in CORE_KINDS or (
+            k.kind == "dwcore"
+            and k.backend not in (None, DEPTHWISE_BASELINE)
+        )
+    }
+
+
 def bench_pair(device, model_name: str, repeats: int) -> dict:
     model = build_model(model_name, seed=0)
     try:
@@ -55,49 +67,41 @@ def bench_pair(device, model_name: str, repeats: int) -> dict:
             model, device, IMAGE_HW, budget=0.5, rank_step=2
         )
     except ValueError:
-        pass  # θ rule decomposed nothing: calibrate the dense model
+        pass  # θ rule decomposed nothing: measure the dense model
     model.eval()
     exe = compile_model(
         model, device, image_hw=IMAGE_HW, core_backend="auto",
         max_batch=1, model_name=model_name,
     )
-    cache = PlanCache(
-        f"calibration-{model_name}-{device.name}", maxsize=256,
-        register=False,
-    )
     t0 = time.perf_counter()
     run = run_calibration(exe, warmup=1, repeats=repeats)
     calibrate_wall = time.perf_counter() - t0
-    store_calibration(run, cache=cache)
-    calibrated = CalibratedDevice.from_cache(device, cache=cache)
-    cal_plan = plan_model(
-        model, calibrated, IMAGE_HW, core_backend="auto",
-        model_name=model_name,
-    )
-    x = np.random.default_rng(1).standard_normal((1, 3) + IMAGE_HW)
-    measured = exe.measure(x, repeats=repeats)
-    raw_pred = exe.predicted_latency()
-    cal_pred = cal_plan.total_latency()
-    raw_err = abs(raw_pred - measured) / measured
-    cal_err = abs(cal_pred - measured) / measured
     print(f"    {model_name:>12s} on {device.name:>6s}  "
-          f"raw {raw_pred * 1e3:7.3f} ms  cal {cal_pred * 1e3:7.3f} ms  "
-          f"measured {measured * 1e3:7.3f} ms  "
-          f"err {raw_err:6.1%} -> {cal_err:6.1%}")
-    if cal_err >= raw_err:
-        print(f"FAIL: calibrated predictor is not better than raw for "
-              f"{model_name} on {device.name} "
-              f"({cal_err:.1%} >= {raw_err:.1%})")
+          f"{len(run.samples):2d} cores  "
+          f"simulated {run.total_predicted_s * 1e3:7.3f} ms  "
+          f"measured {run.total_measured_s * 1e3:7.3f} ms  "
+          f"(cores {run.core_predicted_s * 1e3:.3f} -> "
+          f"{run.core_measured_s * 1e3:.3f} ms)")
+    expected = registry_priced_sites(exe.plan)
+    measured = [s.site for s in run.samples]
+    if sorted(measured) != sorted(expected):
+        print(f"FAIL: {model_name} on {device.name} measured cores "
+              f"{sorted(measured)}, the plan's registry-priced cores are "
+              f"{sorted(expected)}")
+        sys.exit(1)
+    bad = [s.site for s in run.samples
+           if not (s.predicted_s > 0 and s.measured_s > 0)]
+    if bad or not run.total_measured_s > 0:
+        print(f"FAIL: {model_name} on {device.name} has non-positive "
+              f"simulated or host seconds at {bad or 'the whole run'}")
         sys.exit(1)
     return {
-        "raw_predicted_s": raw_pred,
-        "calibrated_predicted_s": cal_pred,
-        "measured_s": measured,
-        "raw_rel_error": raw_err,
-        "calibrated_rel_error": cal_err,
+        "simulated_s": run.total_predicted_s,
+        "measured_s": run.total_measured_s,
+        "core_simulated_s": run.core_predicted_s,
+        "core_measured_s": run.core_measured_s,
         "calibrate_wall_s": calibrate_wall,
         "sites_measured": len(run.samples),
-        "factors_fitted": len(run.factors()),
     }
 
 
@@ -174,7 +178,7 @@ def main() -> int:
 
     print(f"calibration benchmark "
           f"({'quick' if args.quick else 'full'})")
-    print("  calibrated vs raw prediction error:")
+    print("  measured vs simulated, every registry-priced core:")
     pairs = {}
     for device_name in DEVICES:
         device = get_device(device_name)

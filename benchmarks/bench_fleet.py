@@ -5,8 +5,8 @@ fails — this is what the CI smoke job runs with ``--quick``):
 
 1. **Router comparison** — a two-replica fleet where one replica is a
    modeled slow device (constant extra latency, honestly reflected in
-   its ``predicted_latency()``, exactly what a calibrated slow GPU
-   looks like to the planner).  The same closed-loop client traffic
+   its ``predicted_latency()``, exactly what a slower GPU's own plan
+   looks like to the router).  The same closed-loop client traffic
    runs once under ``least-loaded`` and once under ``round-robin``;
    the gate requires the latency-aware router to beat the speed-blind
    baseline on p99 (it avoids the slow replica until queueing makes it
@@ -76,7 +76,7 @@ def make_fleet(router: str, *, slow_extra_s: float = 0.0,
     if slow_extra_s > 0.0:
         # Model a slower device: the wrapper slows run() AND raises
         # predicted_latency() by the same amount, so the least-loaded
-        # router sees the truth a calibrated plan would tell it.
+        # router sees the truth a slower device's plan would tell it.
         injector = FaultInjector(seed=seed)
         injector.infect(fleet.replicas[-1].session,
                         FaultSpec(extra_latency_s=slow_extra_s))

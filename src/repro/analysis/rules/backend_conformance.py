@@ -1,22 +1,16 @@
 """backend-conformance: KernelBackend subclasses honor the protocol.
 
-The registry (``repro.backends.registry``) defines the eight-hook
-``KernelBackend`` protocol that planning, warm-up, calibration and
-compilation all dispatch through.  A subclass with a drifted signature
-fails at dispatch time, on whichever preset happens to exercise it.
-This rule checks statically, for every module defining a
-``KernelBackend`` subclass:
+The registry (``repro.backends.registry``) defines the six-hook
+``KernelBackend`` protocol that planning and warm-up dispatch
+through.  A subclass with a drifted signature fails at dispatch time,
+on whichever preset happens to exercise it.  This rule checks
+statically, for every module defining a ``KernelBackend`` subclass:
 
 - registered concrete classes (``@register_backend`` or a module-level
   ``register_backend(Cls)`` call) define a non-empty ``name`` and a
   ``core_latency``, either directly or via a local base class;
 - any overridden protocol hook keeps the protocol's positional
-  parameter names in order (extra trailing parameters need defaults);
-- the optional depthwise hooks are consistent: overriding
-  ``calibrated_dwcore_latency`` without ``dwcore_latency`` leaves the
-  capability probe (`dwcore_latency is None` ⇒ backend opted out) and
-  the calibrated path disagreeing, so the pair is all-or-none in that
-  direction.
+  parameter names in order (extra trailing parameters need defaults).
 
 The protocol signatures are read from ``backends/registry.py`` itself
 when it is part of the scanned module set (so the rule tracks protocol
@@ -40,17 +34,13 @@ REGISTER_NAME = "register_backend"
 FALLBACK_PROTOCOL: Dict[str, Tuple[str, ...]] = {
     "supports": ("self", "shape", "device"),
     "core_latency": ("self", "shape", "device"),
-    "calibrated_latency": ("self", "shape", "device"),
     "tiling": ("self", "shape", "device"),
     "kernel": ("self", "shape", "device", "tiling"),
     "dispatch": ("self", "shape", "device"),
     "dwcore_latency": ("self", "shape", "device", "collapse_to"),
-    "calibrated_dwcore_latency": ("self", "shape", "device", "collapse_to"),
 }
 
 REQUIRED_HOOKS = ("core_latency",)
-DWCORE_PRIMARY = "dwcore_latency"
-DWCORE_DERIVED = "calibrated_dwcore_latency"
 
 
 def _positional_names(fn: ast.FunctionDef) -> Tuple[str, ...]:
@@ -95,7 +85,7 @@ class BackendConformanceRule(Rule):
     name = "backend-conformance"
     description = (
         "KernelBackend subclasses define required hooks with protocol "
-        "signatures; dwcore hooks stay consistent"
+        "signatures"
     )
 
     def __init__(self) -> None:
@@ -234,22 +224,6 @@ class BackendConformanceRule(Rule):
             finding = self._check_signature(module, cls.name, node, proto)
             if finding is not None:
                 findings.append(finding)
-
-        # All-or-none dwcore pairing (through local bases).
-        if DWCORE_DERIVED in methods and DWCORE_PRIMARY not in methods:
-            node = methods[DWCORE_DERIVED]
-            findings.append(Finding(
-                rule=self.name,
-                path=module.relpath,
-                line=getattr(node, "lineno", cls.lineno),
-                symbol=cls.name,
-                message=(
-                    f"{cls.name} overrides {DWCORE_DERIVED}() without "
-                    f"{DWCORE_PRIMARY}(); the dwcore hooks are "
-                    f"all-or-none (the capability probe checks "
-                    f"{DWCORE_PRIMARY})"
-                ),
-            ))
         return findings
 
     def _check_signature(

@@ -12,7 +12,6 @@ from repro.backends.registry import (
     KernelBackend,
     auto_dispatch,
     backend_names,
-    base_device,
     dispatch_core,
     dispatch_dwcore,
     get_backend,
@@ -35,7 +34,6 @@ __all__ = [
     "PAPER_CORE_BACKENDS",
     "auto_dispatch",
     "backend_names",
-    "base_device",
     "dispatch_core",
     "dispatch_dwcore",
     "get_backend",

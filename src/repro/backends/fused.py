@@ -2,11 +2,11 @@
 
 Registers ``"fused"`` as a seventh :class:`KernelBackend`: the same
 protocol every per-stage core backend speaks (``supports`` /
-``core_latency`` / ``calibrated_latency`` / ``tiling`` / ``kernel``),
-so ``auto`` dispatch, planning, warm-up, and calibration adopt the
-fused kernel with zero special-casing.  The latency it reports is
-the fused chain's *core stage* — intermediate activation traffic
-dropped (see :mod:`repro.perfmodel.fused`); the pw1/pw2 plan entries
+``core_latency`` / ``tiling`` / ``kernel``), so ``auto`` dispatch,
+planning and warm-up adopt the fused kernel with zero
+special-casing.  The latency it reports is the fused chain's *core
+stage* — intermediate activation traffic dropped (see
+:mod:`repro.perfmodel.fused`); the pw1/pw2 plan entries
 keep their full per-stage latencies, a deliberate overcharge that
 keeps the comparison against per-stage backends conservative.
 
@@ -18,8 +18,8 @@ dispatch_dwcore`).
 When the planner selects ``"fused"`` for a site, the compile step
 binds a :class:`~repro.inference.executable.CompiledFusedSite`, which
 runs the site format's stage list like every other backend: the fused
-choice shapes the simulated plan, the calibration key and the
-generated CUDA source, not the host loop.
+choice shapes the simulated plan and the generated CUDA source, not
+the host loop.
 """
 
 from __future__ import annotations

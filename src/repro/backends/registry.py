@@ -17,11 +17,8 @@ A backend provides:
 - ``supports(shape, device)`` — whether the scheme can run this core
   shape at all (e.g. Winograd F(2x2,3x3) is 3x3-only);
 - ``core_latency(shape, device)`` — simulated seconds for the core
-  conv, launch overhead included;
-- ``calibrated_latency(shape, device)`` — the latency the dispatchers
-  actually consume: ``core_latency`` times the measured correction
-  factor a :class:`~repro.calibration.CalibratedDevice` carries
-  (identity for a plain spec);
+  conv on the target GPU, launch overhead included; the dispatchers
+  rank backends by it;
 - ``tiling(shape, device)`` — optional human-readable description of
   the tiling/config that produced the latency (recorded per kernel on
   the execution plan);
@@ -29,11 +26,13 @@ A backend provides:
   :class:`~repro.kernels.base.ConvKernel` behind ``core_latency``: the
   functional mirror of the scheme that the kernel tests validate (the
   compiled executable runs the same host stages for every backend);
-- ``dispatch(shape, device)`` — the calibrated latency and tiling as
-  one :class:`CoreDispatch`;
-- ``dwcore_latency(shape, device, collapse_to=)`` and
-  ``calibrated_dwcore_latency`` — optional offer for a CP/TT depthwise
-  middle stage (see :func:`dispatch_dwcore`).
+- ``dispatch(shape, device)`` — the latency and tiling as one
+  :class:`CoreDispatch`;
+- ``dwcore_latency(shape, device, collapse_to=)`` — optional offer for
+  a CP/TT depthwise middle stage (see :func:`dispatch_dwcore`).
+
+Host wall time never enters these numbers: a plan prices the target
+GPU only (:mod:`repro.calibration` reports host seconds next to it).
 
 A backend with an expensive selection (a tiling sweep, a tuning run)
 memoizes it inside ``core_latency`` on first use, through a
@@ -58,18 +57,6 @@ from repro.kernels.base import ConvKernel, ConvShape
 #: anywhere a backend name is accepted, but never stored in the
 #: registry itself (it would recurse).
 AUTO_BACKEND = "auto"
-
-
-def base_device(device: DeviceSpec) -> DeviceSpec:
-    """Unwrap a calibration wrapper to its underlying spec.
-
-    :class:`repro.calibration.CalibratedDevice` carries measured
-    correction factors on top of a plain spec; the analytical machinery
-    (simulators, tiling caches, backend warm-up) always works on the
-    base spec so memoized state stays shared with uncalibrated
-    planning.  Plain specs pass through unchanged.
-    """
-    return getattr(device, "base_spec", device)
 
 
 @dataclass(frozen=True)
@@ -98,23 +85,6 @@ class KernelBackend:
     def core_latency(self, shape: ConvShape, device: DeviceSpec) -> float:
         """Simulated core-conv latency in seconds."""
         raise NotImplementedError
-
-    def calibrated_latency(self, shape: ConvShape, device: DeviceSpec) -> float:
-        """Core latency with any measured correction applied.
-
-        The dispatch layer resolves core latencies through this hook:
-        for a plain :class:`DeviceSpec` it is identical to
-        :meth:`core_latency`; for a
-        :class:`~repro.calibration.CalibratedDevice` the analytical
-        latency (computed against the *base* spec, so backend caches
-        stay shared) is multiplied by the device's measured
-        per-backend/per-shape-class correction factor.
-        """
-        raw = self.core_latency(shape, base_device(device))
-        correction = getattr(device, "correction_for", None)
-        if correction is None:
-            return raw
-        return raw * correction(self.name, shape)
 
     def tiling(self, shape: ConvShape, device: DeviceSpec) -> Optional[str]:
         """Description of the tiling/config behind ``core_latency``."""
@@ -145,11 +115,11 @@ class KernelBackend:
         )
 
     def dispatch(self, shape: ConvShape, device: DeviceSpec) -> CoreDispatch:
-        """Resolve one core shape through this backend (calibrated)."""
+        """Resolve one core shape through this backend."""
         return CoreDispatch(
             backend=self.name,
-            latency=self.calibrated_latency(shape, device),
-            tiling=self.tiling(shape, base_device(device)),
+            latency=self.core_latency(shape, device),
+            tiling=self.tiling(shape, device),
         )
 
     def dwcore_latency(
@@ -169,25 +139,6 @@ class KernelBackend:
         backends need no changes to stay correct.
         """
         return None
-
-    def calibrated_dwcore_latency(
-        self,
-        shape: ConvShape,
-        device: DeviceSpec,
-        collapse_to: Optional[int] = None,
-    ) -> Optional[float]:
-        """``dwcore_latency`` with any measured correction applied,
-        mirroring :meth:`calibrated_latency` (same per-backend/
-        shape-class factor keys)."""
-        raw = self.dwcore_latency(
-            shape, base_device(device), collapse_to=collapse_to
-        )
-        if raw is None:
-            return None
-        correction = getattr(device, "correction_for", None)
-        if correction is None:
-            return raw
-        return raw * correction(self.name, shape)
 
 
 # Registration order is preserved: ``auto`` breaks latency ties in
@@ -290,20 +241,19 @@ def auto_dispatch(shape: ConvShape, device: DeviceSpec) -> CoreDispatch:
     ``ValueError`` (no feasible config) — are skipped.  Ties keep the
     earliest-registered backend.
     """
-    base = base_device(device)
     best: Optional[CoreDispatch] = None
     for backend in _REGISTRY.values():
-        if not backend.supports(shape, base):
+        if not backend.supports(shape, device):
             continue
         try:
-            latency = backend.calibrated_latency(shape, device)
+            latency = backend.core_latency(shape, device)
         except ValueError:
             continue
         if best is None or latency < best.latency:
             best = CoreDispatch(
                 backend=backend.name,
                 latency=latency,
-                tiling=backend.tiling(shape, base),
+                tiling=backend.tiling(shape, device),
             )
     if best is None:
         raise ValueError(
@@ -321,7 +271,7 @@ def dispatch_core(
     if backend == AUTO_BACKEND:
         return auto_dispatch(shape, device)
     resolved = get_backend(backend)
-    if not resolved.supports(shape, base_device(device)):
+    if not resolved.supports(shape, device):
         raise ValueError(
             f"backend {backend!r} does not support core shape {shape} "
             f"on {device.name}"
@@ -360,22 +310,19 @@ def dispatch_dwcore(
     """
     validate_backend(backend)
     best = CoreDispatch(backend=DEPTHWISE_BASELINE, latency=baseline_latency)
-    base = base_device(device)
     if backend != AUTO_BACKEND:
         cand = get_backend(backend)
-        latency = cand.calibrated_dwcore_latency(
-            shape, device, collapse_to=collapse_to
-        )
+        latency = cand.dwcore_latency(shape, device, collapse_to=collapse_to)
         if latency is None:
             return best
         return CoreDispatch(
             backend=cand.name,
             latency=latency,
-            tiling=cand.tiling(shape, base),
+            tiling=cand.tiling(shape, device),
         )
     for cand in _REGISTRY.values():
         try:
-            latency = cand.calibrated_dwcore_latency(
+            latency = cand.dwcore_latency(
                 shape, device, collapse_to=collapse_to
             )
         except ValueError:
@@ -384,6 +331,6 @@ def dispatch_dwcore(
             best = CoreDispatch(
                 backend=cand.name,
                 latency=latency,
-                tiling=cand.tiling(shape, base),
+                tiling=cand.tiling(shape, device),
             )
     return best

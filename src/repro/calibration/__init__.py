@@ -1,56 +1,28 @@
-"""Hardware calibration: close the predicted-vs-measured loop.
+"""Measured vs simulated: host seconds next to the plan's GPU seconds.
 
-The paper's premise is that a hardware-aware performance model should
-drive kernel decisions; this package validates (and corrects) that
-model against real measurements of the compiled kernels, so a
-miscalibrated analytical model cannot silently pick the wrong
-backend/tiling forever:
+The paper validates its performance model against the GPU it targets
+(Sec. 5.5).  This package only reports how the host that runs the
+compiled :class:`~repro.inference.Executable` compares:
+:func:`run_calibration` times every site's core stage and the whole
+run, and pairs each timing with the simulated latency the plan
+recorded for it.  ``repro calibrate`` prints that report.
 
-``compile → measure (run_calibration) → fit (CalibrationFactor) →
-persist (calibration PlanCache) → wrap (CalibratedDevice) → re-plan``
-
-Pass a :class:`CalibratedDevice` anywhere a
-:class:`~repro.gpusim.device.DeviceSpec` is accepted and every planner
-latency — core convs through ``KernelBackend.calibrated_latency``,
-auxiliary kernels through ``aux_correction`` — comes out corrected.
-:meth:`repro.serving.SessionRegistry.recalibrate` builds the full loop
-into the serving runtime (measure a live session, re-plan, hot-swap).
+Nothing here feeds planning: a plan prices the target GPU, and host
+time never enters it.
 """
 
-from repro.calibration.model import (
-    AUX_BACKEND,
-    AUX_CLASS,
-    CalibratedDevice,
-    CalibrationFactor,
-    calibration_cache,
-    device_factors,
-    factor_key,
-    store_factor,
-)
 from repro.calibration.runner import (
     CORE_KINDS,
     CalibrationRun,
     SiteSample,
-    calibrate_executable,
     run_calibration,
-    store_calibration,
 )
 from repro.perfmodel.analytical import shape_class
 
 __all__ = [
-    "AUX_BACKEND",
-    "AUX_CLASS",
     "CORE_KINDS",
-    "CalibratedDevice",
-    "CalibrationFactor",
     "CalibrationRun",
     "SiteSample",
-    "calibrate_executable",
-    "calibration_cache",
-    "device_factors",
-    "factor_key",
     "run_calibration",
     "shape_class",
-    "store_calibration",
-    "store_factor",
 ]

@@ -6,7 +6,6 @@ Usage:
     python -m repro.cli e2e --device A100
     python -m repro.cli e2e --models resnet18 --backend auto tdc-oracle
     python -m repro.cli e2e --measure
-    python -m repro.cli e2e --calibrated
     python -m repro.cli run --model resnet_tiny --backend auto
     python -m repro.cli serve --model resnet_tiny --requests 64
     python -m repro.cli calibrate --model resnet_tiny --device A100
@@ -71,12 +70,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="also compile the tiny trainable presets and report "
              "measured (numeric CPU) vs predicted (simulated) wall time "
              "per variant",
-    )
-    e2e.add_argument(
-        "--calibrated", action="store_true",
-        help="also calibrate the tiny trainable presets against their "
-             "compiled kernels and report raw vs calibrated prediction "
-             "error against measured wall time",
     )
 
     run_p = sub.add_parser(
@@ -185,14 +178,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     cal = sub.add_parser(
         "calibrate",
-        help="measure compiled kernels, fit correction factors, persist",
+        help="host time of each compiled core next to its simulated "
+             "latency",
     )
     _add_device(cal)
     cal.add_argument("--model", default="resnet_tiny",
                      help="trainable model preset (default %(default)s)")
     cal.add_argument("--backend", default="auto",
                      choices=known_backend_names(), metavar="BACKEND",
-                     help="core-conv backend to calibrate (default "
+                     help="core-conv backend to plan with (default "
                           "%(default)s)")
     cal.add_argument("--image-size", type=int, default=8)
     cal.add_argument("--budget", type=float, default=0.5,
@@ -201,11 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="best-of-k measurement repeats (default "
                           "%(default)s)")
     cal.add_argument("--warmup", type=int, default=2)
-    cal.add_argument("--no-persist", action="store_true",
-                     help="keep the fitted factors in memory only")
-    cal.add_argument("--dir", default=None,
-                     help="cache dir to persist the calibration store to "
-                          "(default: $REPRO_CACHE_DIR or ~/.cache/repro-tdc)")
 
     backends = sub.add_parser("backends", help="kernel-backend registry")
     backends_sub = backends.add_subparsers(dest="backends_command",
@@ -290,7 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _run_cache(args: argparse.Namespace) -> int:
     # Importing the planner modules registers their caches.
-    import repro.calibration  # noqa: F401
     import repro.codesign.table  # noqa: F401
     import repro.perfmodel.tiling  # noqa: F401
     from repro.planning.cache import (
@@ -491,7 +479,6 @@ def _run_serve(args: argparse.Namespace) -> int:
     table.add_row(["latency window (samples)", stats.latency_window])
     table.add_row(["predicted latency (ms)", stats.predicted_latency_s * 1e3])
     table.add_row(["drift (measured/predicted)", f"{stats.drift_ratio:.2f}x"])
-    table.add_row(["replans (hot swaps)", stats.replans])
     print(table.render())
     return 0
 
@@ -616,84 +603,49 @@ def _run_fleet(args: argparse.Namespace) -> int:
 
 
 def _run_calibrate(args: argparse.Namespace) -> int:
-    """`repro calibrate`: measure compiled kernels and fit corrections."""
-    import numpy as np
-
-    from repro.calibration import (
-        CalibratedDevice,
-        run_calibration,
-        store_calibration,
-    )
+    """`repro calibrate`: host seconds of each compiled core next to the
+    plan's simulated latency.  Reports only; persists nothing."""
+    from repro.calibration import run_calibration
     from repro.codesign.pipeline import decompose_for_device
     from repro.inference.executable import compile_model
-    from repro.inference.plan import plan_model
     from repro.models.registry import build_model
-    from repro.planning.cache import (
-        default_cache_dir,
-        load_plan_caches,
-        save_plan_caches,
-    )
     from repro.utils.tables import Table
 
     device = get_device(args.device)
-    cache_dir = args.dir or default_cache_dir()
-    if not args.no_persist:
-        # Load existing persisted state first: calibration factors are
-        # *measured* (cannot be rebuilt), and save() rewrites whole
-        # files — without this, calibrating device B would clobber the
-        # factors previously measured for device A.
-        load_plan_caches(cache_dir)
     hw = (args.image_size, args.image_size)
     model = build_model(args.model, seed=0)
     try:
         decompose_for_device(model, device, hw, budget=args.budget,
                              rank_step=2)
     except ValueError as exc:
-        print(f"note: calibrating dense ({exc})")
+        print(f"note: measuring dense ({exc})")
     model.eval()
     exe = compile_model(
         model, device, image_hw=hw, core_backend=args.backend,
         max_batch=1, model_name=args.model,
     )
     run = run_calibration(exe, warmup=args.warmup, repeats=args.repeats)
-    written = store_calibration(run)
 
     table = Table(
-        ["backend", "shape class", "samples", "predicted (ms)",
-         "measured (ms)", "factor"],
-        title=f"Calibration: {args.model} on {device.name} "
+        ["site", "backend", "shape class", "simulated (us)", "host (ms)",
+         "host / simulated"],
+        title=f"Measured vs simulated: {args.model} on {device.name} "
               f"({args.backend})",
     )
-    for (backend, cls), factor in sorted(run.factors().items()):
+    for s in run.samples:
         table.add_row([
-            backend, cls, factor.n_samples, factor.predicted_s * 1e3,
-            factor.measured_s * 1e3, f"{factor.factor:.2f}x",
+            s.site, s.backend, s.shape_class, s.predicted_s * 1e6,
+            s.measured_s * 1e3, f"{s.ratio:.1f}x",
+        ])
+    for label, simulated, host in (
+        ("core sites", run.core_predicted_s, run.core_measured_s),
+        ("whole run", run.total_predicted_s, run.total_measured_s),
+    ):
+        table.add_row([
+            f"({label})", "", "", simulated * 1e6, host * 1e3,
+            f"{host / simulated:.1f}x" if simulated > 0 else "-",
         ])
     print(table.render())
-
-    calibrated = CalibratedDevice.from_cache(device)
-    cal_plan = plan_model(
-        model, calibrated, hw, core_backend=args.backend,
-        model_name=args.model,
-    )
-    x = np.random.default_rng(0).standard_normal((1, 3) + hw)
-    measured = exe.measure(x, repeats=args.repeats)
-    raw = exe.predicted_latency()
-    cal = cal_plan.total_latency()
-    summary = Table(["metric", "value"], title="Prediction vs measured")
-    summary.add_row(["raw predicted (ms)", raw * 1e3])
-    summary.add_row(["calibrated predicted (ms)", cal * 1e3])
-    summary.add_row(["measured (ms)", measured * 1e3])
-    summary.add_row(["raw rel error", f"{abs(raw - measured) / measured:.1%}"])
-    summary.add_row(
-        ["calibrated rel error", f"{abs(cal - measured) / measured:.1%}"]
-    )
-    print()
-    print(summary.render())
-
-    if not args.no_persist:
-        save_plan_caches(cache_dir)
-        print(f"\npersisted {written} calibration factor(s) to {cache_dir}")
     return 0
 
 
@@ -824,11 +776,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.measure:
             print()
             print(e2e.measured_vs_predicted(
-                device, backends=args.backend
-            ).render())
-        if args.calibrated:
-            print()
-            print(e2e.calibrated_vs_measured(
                 device, backends=args.backend
             ).render())
     elif args.command == "run":

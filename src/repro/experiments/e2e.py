@@ -244,84 +244,3 @@ def measured_vs_predicted(
                 exe.arena.nbytes / 1e3,
             ])
     return table
-
-
-def calibrated_vs_measured(
-    device: DeviceSpec,
-    models: Sequence[str] = MEASURED_MODELS,
-    backends: Optional[Sequence[str]] = None,
-    image_hw: tuple = (8, 8),
-    repeats: int = 3,
-    budget: float = 0.5,
-    rank_step: int = 2,
-) -> Table:
-    """Close the loop: raw vs *calibrated* prediction vs measured.
-
-    For each trainable preset and core backend: compile, run one
-    calibration pass (:func:`repro.calibration.run_calibration` — the
-    bound kernels are measured through the arena and correction
-    factors fitted per backend/shape class), then re-predict through a
-    :class:`~repro.calibration.CalibratedDevice` and compare both
-    predictions against a *fresh* end-to-end measurement.  Factors are
-    fitted in a throwaway cache per (model, backend) pair so rows stay
-    independent and the process-wide calibration store is untouched.
-    """
-    from repro.backends import PAPER_CORE_BACKENDS
-    from repro.calibration import calibrate_executable
-    from repro.codesign.pipeline import decompose_for_device
-    from repro.inference.executable import compile_model
-    from repro.inference.plan import plan_model
-    from repro.models.registry import build_model
-    from repro.planning.cache import PlanCache
-
-    backends = tuple(backends) if backends is not None else PAPER_CORE_BACKENDS
-    rng = np.random.default_rng(0)
-    table = Table(
-        ["model", "variant", "raw pred (ms)", "cal pred (ms)",
-         "measured (ms)", "raw err", "cal err"],
-        title=f"Calibrated vs raw prediction vs measured ({device.name})",
-    )
-    for name in models:
-        model = build_model(name, seed=0)
-        try:
-            decompose_for_device(
-                model, device, image_hw, budget=budget, rank_step=rank_step,
-            )
-        except ValueError:
-            pass  # θ rule / budget decomposed nothing: calibrate dense
-        model.eval()
-        x = rng.standard_normal((1, 3) + tuple(image_hw))
-        for backend in backends:
-            try:
-                exe = compile_model(
-                    model, device, image_hw=image_hw,
-                    core_backend=backend, max_batch=1, model_name=name,
-                )
-            except (ValueError, NotImplementedError):
-                table.add_row(
-                    [name, display_name(backend), "-", "-", "-", "-", "-"]
-                )
-                continue
-            cache = PlanCache(
-                f"calibration-{name}-{backend}", maxsize=1024, register=False
-            )
-            calibrated = calibrate_executable(
-                exe, warmup=1, repeats=repeats, cache=cache
-            )
-            cal_plan = plan_model(
-                model, calibrated, image_hw, core_backend=backend,
-                model_name=name,
-            )
-            measured = exe.measure(x, repeats=repeats)
-            raw_pred = exe.predicted_latency()
-            cal_pred = cal_plan.total_latency()
-            table.add_row([
-                name,
-                display_name(backend),
-                raw_pred * 1e3,
-                cal_pred * 1e3,
-                measured * 1e3,
-                f"{abs(raw_pred - measured) / measured:.1%}",
-                f"{abs(cal_pred - measured) / measured:.1%}",
-            ])
-    return table

@@ -23,9 +23,8 @@ inference program after ``nvcc``:
   loop over the whole batch.  ``conv`` and ``dw`` compute only the
   strided output positions.
 - the plan's backend — ``fused`` included — drives the simulated
-  latency, the calibration keys and the generated CUDA source; it
-  does not pick a host loop, since every backend lowers to the same
-  stages;
+  latency and the generated CUDA source; it does not pick a host
+  loop, since every backend lowers to the same stages;
 - the model's core/factor weights are exported into the executable
   (contiguous, in the execution dtype), so later mutation of the
   source model cannot leak into a compiled artifact;
@@ -284,8 +283,8 @@ def _lower(site: LayerSite, arena: BufferArena, max_batch: int):
     """``(stages, core stage, core shape)`` for one conv site, writing
     into ``<site>.out`` (and the site's intermediate buffers).  The
     core stage is the ``conv``/``dw`` stage calibration times, the core
-    shape its plan-time ``ConvShape`` (calibration keys on it); both
-    are ``None`` for a plain 1x1 GEMM."""
+    shape its plan-time ``ConvShape``; both are ``None`` for a plain
+    1x1 GEMM."""
     mod, name, fmt = site.module, site.name, site.format
     m, h, w = max_batch, site.height, site.width
     k, stride, p = mod.kernel_size, mod.stride, mod.padding
@@ -408,7 +407,7 @@ class CompiledTTConv2d(_CompiledSite):
 class CompiledFusedSite(_CompiledSite):
     """A factored site the plan assigns to the ``fused`` backend: it
     runs its format's stage list; the fused choice shapes only the
-    simulated latency, the calibration key and the generated CUDA."""
+    simulated latency and the generated CUDA."""
 
 
 _SITE_CLASSES = {

@@ -109,19 +109,6 @@ class ExecutionPlan:
         return sum(1 for k in self.kernels if k.parallel)
 
 
-def _aux_scale(device: DeviceSpec, kind: str) -> float:
-    """Measured correction for one auxiliary kernel kind.
-
-    A :class:`~repro.calibration.CalibratedDevice` exposes
-    ``aux_correction``; a plain spec has none, so the scale is 1.0 and
-    uncalibrated planning is untouched.
-    """
-    correction = getattr(device, "aux_correction", None)
-    if correction is None:
-        return 1.0
-    return float(correction(kind))
-
-
 def _chain_kernels(
     name: str, chain: Chain, c: int, n: int, h: int, w: int,
     oh: int, ow: int, k: int, device: DeviceSpec, core_backend: str,
@@ -132,14 +119,12 @@ def _chain_kernels(
     backend registry (kind ``"core"``); a depthwise core (with TT's
     group-sum folded in) through :func:`dispatch_dwcore` (kind
     ``"dwcore"``)."""
-    pw_scale = _aux_scale(device, "pointwise")
     shape = ConvShape(c=chain.mid, n=chain.core_out, h=oh, w=ow, r=k, s=k)
     if chain.depthwise:
         kind = "dwcore"
         dispatch = dispatch_dwcore(
             shape, device,
-            dwcore_latency(shape, device, collapse_to=chain.collapse)
-            * _aux_scale(device, "dwcore"),
+            dwcore_latency(shape, device, collapse_to=chain.collapse),
             collapse_to=chain.collapse,
             backend=core_backend,
         )
@@ -149,7 +134,7 @@ def _chain_kernels(
     return [
         PlannedKernel(
             layer=f"{name}.pw1", kind="pointwise",
-            latency=pointwise_latency(c, chain.mid, h, w, device) * pw_scale,
+            latency=pointwise_latency(c, chain.mid, h, w, device),
         ),
         PlannedKernel(
             layer=f"{name}.core", kind=kind, latency=dispatch.latency,
@@ -157,8 +142,7 @@ def _chain_kernels(
         ),
         PlannedKernel(
             layer=f"{name}.pw2", kind="pointwise",
-            latency=pointwise_latency(chain.out, n, oh, ow, device)
-            * pw_scale,
+            latency=pointwise_latency(chain.out, n, oh, ow, device),
         ),
     ]
 
@@ -169,16 +153,15 @@ def _dense_conv_latency(layer: LayerSpec, device: DeviceSpec) -> float:
         return pointwise_latency(
             layer.in_channels, layer.out_channels,
             layer.out_height, layer.out_width, device,
-        ) * _aux_scale(device, "pointwise")
+        )
     shape = ConvShape(
         c=layer.in_channels, n=layer.out_channels,
         h=layer.out_height, w=layer.out_width,
         r=layer.kernel, s=layer.kernel,
     )
     # Dense layers run the paper's baseline kernel, resolved through
-    # the registry like every other latency lookup (calibrated when
-    # the device carries measured correction factors).
-    return get_backend("cudnn").calibrated_latency(shape, device)
+    # the registry like every other latency lookup.
+    return get_backend("cudnn").core_latency(shape, device)
 
 
 def _aux_latency(layer: LayerSpec, device: DeviceSpec) -> Optional[PlannedKernel]:
@@ -188,13 +171,12 @@ def _aux_latency(layer: LayerSpec, device: DeviceSpec) -> Optional[PlannedKernel
             latency=pooling_latency(
                 layer.in_channels, layer.height, layer.width,
                 layer.kernel, layer.stride, device,
-            ) * _aux_scale(device, "pool"),
+            ),
         )
     if layer.kind == "fc":
         return PlannedKernel(
             layer=layer.name, kind="fc",
-            latency=fc_latency(layer.in_channels, layer.out_channels, device)
-            * _aux_scale(device, "fc"),
+            latency=fc_latency(layer.in_channels, layer.out_channels, device),
         )
     return None
 
@@ -222,7 +204,7 @@ def plan_dense_model(
                         latency=batchnorm_relu_latency(
                             layer.out_channels, layer.out_height,
                             layer.out_width, device,
-                        ) * _aux_scale(device, "bn_relu"),
+                        ),
                     )
                 )
         else:
@@ -309,7 +291,7 @@ def plan_model(
                     layer=site.name, kind="pointwise",
                     latency=pointwise_latency(
                         mod.in_channels, mod.out_channels, oh, ow, device,
-                    ) * _aux_scale(device, "pointwise"),
+                    ),
                 )
             )
         else:
@@ -320,7 +302,7 @@ def plan_model(
             plan.kernels.append(
                 PlannedKernel(
                     layer=site.name, kind="conv",
-                    latency=get_backend("cudnn").calibrated_latency(
+                    latency=get_backend("cudnn").core_latency(
                         shape, device
                     ),
                     backend="cudnn",
@@ -395,7 +377,7 @@ def plan_tucker_model(
                         latency=batchnorm_relu_latency(
                             layer.out_channels, layer.out_height,
                             layer.out_width, device,
-                        ) * _aux_scale(device, "bn_relu"),
+                        ),
                     )
                 )
         else:

@@ -209,16 +209,14 @@ def memory_latency_batch(
 
 
 def shape_class(shape: ConvShape) -> str:
-    """Coarse equivalence class of a core-conv problem for calibration.
+    """Coarse equivalence class of a core-conv problem.
 
-    The hardware-calibration subsystem (:mod:`repro.calibration`) fits
-    one measured-vs-analytical correction factor per (backend, shape
-    class): individual shapes are too sparse to calibrate one by one,
-    while a single global factor washes out the model's shape-dependent
-    bias.  Classes group by filter extent (the algorithmic regime —
-    Winograd/FFT/direct behave differently per R x S) and by the
-    power-of-two bucket of useful FLOPs (the size regime — Eq. 14's
-    wave quantization biases small and large problems differently).
+    The measured-vs-simulated report (:mod:`repro.calibration`) labels
+    each sample with it.  Classes group by filter extent (the
+    algorithmic regime — Winograd/FFT/direct behave differently per
+    R x S) and by the power-of-two bucket of useful FLOPs (the size
+    regime — Eq. 14's wave quantization biases small and large
+    problems differently).
     """
     return f"{shape.r}x{shape.s}/2^{int(log2(shape.flops()))}"
 

@@ -147,25 +147,6 @@ class PlanCache:
                 self._evictions += 1
             return value
 
-    def replace(self, key: Key, value: Any) -> Any:
-        """Insert ``value`` under ``key``, overwriting any existing entry.
-
-        :meth:`put` is put-if-absent — correct for deterministic
-        planners, where every builder computes the same value.  Caches
-        holding *measured* state (hardware calibration factors) need
-        last-write-wins instead: a recalibration legitimately produces
-        a different value for an existing key.
-        """
-        if value is None:
-            raise ValueError("PlanCache cannot store None values")
-        with self._lock:
-            self._data[key] = value
-            self._data.move_to_end(key)
-            while len(self._data) > self.maxsize:
-                self._data.popitem(last=False)
-                self._evictions += 1
-            return value
-
     def get_or_build(self, key: Key, build: Callable[[], Any]) -> Any:
         """Return the cached value, building (outside the lock) on miss.
 

@@ -41,16 +41,15 @@ def warm_backends(
     Each name is validated against the registry; ``"auto"`` expands to
     *all* registered backends (auto dispatch evaluates every one of
     them per core shape, so its warm-up must too).  Each backend gets
-    one ``core_latency`` call per distinct pair it supports, on the
-    base spec, which is what fills its memoized state.  A backend that
-    finds no feasible config (``ValueError``) is skipped for that pair,
-    as ``auto`` dispatch skips it.  Returns the number of pairs
-    resolved per backend name.
+    one ``core_latency`` call per distinct pair it supports, which is
+    what fills its memoized state.  A backend that finds no feasible
+    config (``ValueError``) is skipped for that pair, as ``auto``
+    dispatch skips it.  Returns the number of pairs resolved per
+    backend name.
     """
     from repro.backends import (
         AUTO_BACKEND,
         backend_names,
-        base_device,
         get_backend,
         validate_backend,
     )
@@ -64,9 +63,8 @@ def warm_backends(
                 names.append(expanded_name)
     pairs: Dict[tuple, Tuple[ConvShape, DeviceSpec]] = {}
     for shape, device in shapes_devices:
-        base = base_device(device)
-        pairs.setdefault(shape.as_tuple() + (base.fingerprint(),),
-                         (shape, base))
+        pairs.setdefault(shape.as_tuple() + (device.fingerprint(),),
+                         (shape, device))
     resolved: Dict[str, int] = {}
     for name in names:
         backend = get_backend(name)

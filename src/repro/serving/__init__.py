@@ -3,13 +3,9 @@ Executables, and the fault-tolerant fleet above them.
 
 ``plan → compile → execute → serve``: this package is the last stage —
 :class:`InferenceSession` queues single-sample requests over one
-:class:`~repro.inference.Executable`, :class:`SessionRegistry` deploys
-model presets end to end (decompose → warm → plan → compile → serve)
-and closes the predicted↔measured loop:
-:meth:`SessionRegistry.recalibrate` measures a live session, fits
-calibration factors (:mod:`repro.calibration`), re-plans, and
-hot-swaps the executable; :class:`AutoReplanPolicy` triggers that loop
-automatically on sustained measured-vs-predicted drift.
+:class:`~repro.inference.Executable` and reports measured-vs-predicted
+drift as a statistic; :class:`SessionRegistry` deploys model presets
+end to end (decompose → warm → plan → compile → serve).
 
 The fleet layer (:func:`deploy_fleet` → :class:`ReplicaSet`) replicates
 one model across heterogeneous devices behind SLO-aware admission
@@ -56,7 +52,6 @@ from repro.serving.router import (
     make_router,
 )
 from repro.serving.session import (
-    AutoReplanPolicy,
     DEFAULT_REGISTRY,
     InferenceSession,
     RequestCancelled,
@@ -71,7 +66,6 @@ __all__ = [
     "ACCEPT",
     "AdmissionController",
     "AdmissionStats",
-    "AutoReplanPolicy",
     "CircuitBreakerPolicy",
     "CorruptedOutput",
     "DEFAULT_PRIORITY_CLASSES",

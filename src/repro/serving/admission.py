@@ -13,6 +13,10 @@ is touched — whether the request is
   a request that cannot possibly meet its SLO should cost one
   comparison, not a queue slot.
 
+The predicted delay comes from each replica's
+``Executable.predicted_latency()`` — the plan's simulated latency on
+the replica's device, never corrected by host measurements.
+
 Overload is tracked as the fraction of recent admissions whose
 predicted delay exceeded their deadline, over a sliding window with
 hysteresis (``degrade_enter``/``degrade_exit``), so the controller
@@ -202,8 +206,8 @@ class AdmissionController:
         or raises :class:`Overloaded` (the shed path).
 
         ``est_delay_s`` is the router's best predicted completion time
-        (calibrated per-replica latency x queue ahead, including this
-        request); ``deadline_s`` the request's SLO.  A predicted miss
+        (the replica plan's predicted latency x queue ahead, including
+        this request); ``deadline_s`` the request's SLO.  A predicted miss
         sheds immediately — except for degradable classes with a
         fallback available, which degrade instead.
         """

@@ -2,7 +2,8 @@
 
 A :class:`FaultInjector` wraps compiled
 :class:`~repro.inference.Executable` objects (or swaps a wrapper into a
-live :class:`~repro.serving.InferenceSession` at a batch boundary) so
+live :class:`~repro.serving.InferenceSession` at a batch boundary —
+the only way a live session's executable changes) so
 that robustness machinery — circuit breakers, retries, hedging, output
 validation — can be exercised against *reproducible* failure traffic:
 
@@ -18,8 +19,8 @@ validation — can be exercised against *reproducible* failure traffic:
   serve it;
 - **constant extra latency**: a per-run slowdown that is also added to
   ``predicted_latency()`` — this models a *genuinely slower device*
-  whose calibrated prediction matches its measured behavior, which is
-  what makes heterogeneous-fleet routing experiments honest.
+  whose prediction carries the same slowdown, which is what makes
+  heterogeneous-fleet routing experiments honest.
 
 Every wrapper draws from its own ``numpy`` Generator seeded by the
 injector seed plus a per-wrapper stream index, so a chaos scenario
@@ -127,7 +128,7 @@ class FaultyExecutable:
 
         Keeping the prediction honest about ``extra_latency_s`` is what
         lets latency-aware routers treat a wrapped replica as a
-        calibrated slow device rather than a mispredicted fast one.
+        predictably slow device rather than a mispredicted fast one.
         """
         return float(self.inner.predicted_latency()) + self.spec.extra_latency_s
 
@@ -195,7 +196,7 @@ class FaultInjector:
         """Swap a fault wrapper into a live session.
 
         Waits for the in-flight batch (swap lock), so the injection
-        lands on a batch boundary like a real hot swap.
+        lands on a batch boundary.
         """
         with session._swap_lock:
             wrapped = self.wrap(session.executable, spec)

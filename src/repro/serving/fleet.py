@@ -2,8 +2,8 @@
 
 The layer above :class:`~repro.serving.InferenceSession` that the
 ROADMAP's "millions of users" north star needs: a :class:`ReplicaSet`
-runs N session replicas of one model across heterogeneous (calibrated)
-devices and answers ``infer()`` calls through
+runs N session replicas of one model across heterogeneous devices and
+answers ``infer()`` calls through
 
 1. an :class:`~repro.serving.admission.AdmissionController` — typed
    :class:`~repro.serving.admission.Overloaded` rejects when the
@@ -11,7 +11,7 @@ devices and answers ``infer()`` calls through
    degradation of low-priority traffic onto a cheaper fallback plan
    (compiled alongside the primary) under sustained overload;
 2. a router (:mod:`repro.serving.router`) ranking replicas by
-   calibrated latency x live queue depth;
+   predicted latency x live queue depth;
 3. bounded retries with exponential backoff, optional hedged requests
    to a second replica (the loser is *cancelled*, so hedges cost queue
    slots only until the winner lands), and output validation that
@@ -727,7 +727,6 @@ def deploy_fleet(
     breaker: Optional[CircuitBreakerPolicy] = None,
     name: Optional[str] = None,
     formats: object = ("tucker",),
-    calibrated: bool = False,
     threads: Optional[int] = None,
 ) -> ReplicaSet:
     """Deploy one model as a replicated fleet across devices.
@@ -743,9 +742,6 @@ def deploy_fleet(
     ``fallback_budget`` additionally compiles a cheaper plan (a more
     aggressive FLOPs budget -> lower ranks -> faster) that degradable
     traffic lands on under sustained overload; pass ``None`` to skip.
-    ``calibrated=True`` plans against
-    :class:`~repro.calibration.CalibratedDevice` snapshots so router
-    capacity estimates use measured corrections.
 
     ``threads`` is the parallel-engine lane count each replica's
     executable compiles with (``None`` = ``REPRO_NUM_THREADS`` /
@@ -785,29 +781,20 @@ def deploy_fleet(
         model = build_decomposed(None)
     sites = trace_layer_sites(model, image_hw, in_channels=in_channels)
 
-    def plan_for(device: DeviceSpec):
-        target = device
-        if calibrated:
-            from repro.calibration import CalibratedDevice
-
-            target = CalibratedDevice.from_cache(device)
+    replicas: List[Replica] = []
+    for device in devices:
         warm_model_backends(
-            model, target, image_hw, in_channels=in_channels,
+            model, device, image_hw, in_channels=in_channels,
             backends=(backend,), sites=sites,
         )
         plan = plan_model(
-            model, target, image_hw, in_channels=in_channels,
+            model, device, image_hw, in_channels=in_channels,
             core_backend=backend, model_name=model_name, sites=sites,
         )
-        return target, plan
 
-    replicas: List[Replica] = []
-    for device in devices:
-        target, plan = plan_for(device)
-
-        def factory(target=target, plan=plan) -> InferenceSession:
+        def factory(device=device, plan=plan) -> InferenceSession:
             executable = compile_plan(
-                plan, model, target, image_hw=image_hw,
+                plan, model, device, image_hw=image_hw,
                 in_channels=in_channels, max_batch=max_batch, sites=sites,
                 threads=threads,
             )

@@ -6,11 +6,11 @@ fleet submits to the first candidate and walks down the ranking on
 retries and hedges.
 
 - ``least-loaded`` (default): order by estimated wait — the replica's
-  calibrated per-request latency prediction times the work already
-  ahead of it (queue depth + the request itself).  On a heterogeneous
-  fleet this sends traffic to fast devices until their queues make
-  them slower than an idle slow device, which is exactly the point of
-  carrying per-device calibrated plans.
+  predicted per-request latency (its plan's simulated latency on its
+  device) times the work already ahead of it (queue depth + the
+  request itself).  On a heterogeneous fleet this sends traffic to
+  fast devices until their queues make them slower than an idle slow
+  device, which is the point of carrying one plan per device.
 - ``round-robin``: the classic baseline — rotate through healthy
   replicas regardless of speed.  Kept both as a fallback and as the
   comparison arm for the router benchmark.

@@ -18,15 +18,13 @@ constant memory, and :meth:`InferenceSession.stats` copies the window
 under the lock but sorts/quantiles *off*-lock — the worker never
 stalls behind a stats reader.
 
-The session also tracks measured-vs-predicted **drift**: each batch
+The session also reports measured-vs-predicted **drift**: each batch
 records the ratio of per-sample wall time to the executable's
-predicted latency over a sliding window.  With an
-:class:`AutoReplanPolicy`, sustained drift triggers the registry's
-recalibration loop; :meth:`SessionRegistry.recalibrate` measures the
-live kernels (:mod:`repro.calibration`), re-plans against the
-resulting :class:`~repro.calibration.CalibratedDevice`, re-compiles,
-and **hot-swaps** the executable behind the session's swap lock —
-queued and in-flight requests are all answered, none dropped.
+predicted (simulated GPU) latency over a sliding window.  It is a
+statistic only; nothing re-plans from it.  The executable behind a
+live session changes only through the chaos harness
+(:meth:`~repro.serving.faults.FaultInjector.infect` / ``cure``), at a
+batch boundary under the session's swap lock.
 
 :class:`SessionRegistry` keeps named sessions per (model, device,
 backend) and builds new ones through the full pipeline: build model →
@@ -39,23 +37,22 @@ from __future__ import annotations
 
 import math
 import queue
-import sys
 import threading
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.gpusim.device import DeviceSpec
 from repro.inference.executable import Executable, compile_plan
 from repro.inference.plan import plan_model
-from repro.models.introspection import LayerSite
-from repro.nn.module import Module
 from repro.planning.warmup import warm_model_backends
 
 _SENTINEL = object()
+
+#: Per-batch measured/predicted ratios retained for ``drift_ratio``.
+DRIFT_WINDOW = 64
 
 
 class RequestCancelled(RuntimeError):
@@ -111,44 +108,8 @@ class _Ring:
     def snapshot(self) -> np.ndarray:
         return self._buf[: self._count].copy()
 
-    def clear(self) -> None:
-        self._count = 0
-        self._idx = 0
-
     def __len__(self) -> int:
         return self._count
-
-
-@dataclass(frozen=True)
-class AutoReplanPolicy:
-    """When should a session recalibrate and re-plan itself?
-
-    Once the drift window holds ``window`` batch observations, the
-    session compares the geometric-mean measured/predicted ratio to
-    1.0; if it deviates by more than ``threshold`` (relative, e.g. 0.5
-    = 50% off) — and at least ``cooldown_s`` passed since the last
-    swap — it fires the registry's recalibration callback.  After a
-    recalibrated re-plan the prediction is corrected, the ratio
-    re-centers on 1.0, and the policy goes quiet until real drift
-    reappears.
-    """
-
-    threshold: float = 0.5
-    window: int = 32
-    cooldown_s: float = 5.0
-
-    def __post_init__(self) -> None:
-        if self.threshold <= 0:
-            raise ValueError("threshold must be positive")
-        if self.window < 1:
-            raise ValueError("window must be >= 1")
-        if self.cooldown_s < 0:
-            raise ValueError("cooldown_s must be >= 0")
-
-    def exceeded(self, drift_ratio: float) -> bool:
-        if drift_ratio <= 0:
-            return False
-        return abs(math.log(drift_ratio)) > math.log1p(self.threshold)
 
 
 class _Pending:
@@ -250,8 +211,7 @@ class SessionStats:
     the most recent ``latency_window`` requests (the ring's fill), not
     the full history.  ``drift_ratio`` is the geometric mean of
     per-batch measured/predicted per-sample wall-time ratios over the
-    drift window (0.0 until the first batch); ``replans`` counts
-    executable hot-swaps.
+    drift window (0.0 until the first batch).
     """
 
     requests: int
@@ -265,7 +225,6 @@ class SessionStats:
     latency_window: int = 0
     predicted_latency_s: float = 0.0
     drift_ratio: float = 0.0
-    replans: int = 0
     #: Batches whose Executable.run raised; their waiters got the
     #: exception and the worker kept serving.
     failures: int = 0
@@ -294,14 +253,6 @@ class InferenceSession:
         latency does not pay first-touch/einsum-path costs.
     stats_window:
         Per-request latencies retained for quantiles (bounded ring).
-    drift_window:
-        Per-batch measured/predicted ratios retained for drift.
-    auto_replan:
-        Opt-in :class:`AutoReplanPolicy`; needs ``on_replan`` (wired
-        by :meth:`SessionRegistry.create`) to actually act.
-    on_replan:
-        Callback fired (from the worker thread — it must not block)
-        when the policy trips; receives this session.
     """
 
     def __init__(
@@ -310,9 +261,6 @@ class InferenceSession:
         batch_window_s: float = 0.002,
         warm: bool = True,
         stats_window: int = 4096,
-        drift_window: int = 64,
-        auto_replan: Optional[AutoReplanPolicy] = None,
-        on_replan: Optional[Callable[["InferenceSession"], None]] = None,
     ) -> None:
         self.executable = executable
         self.batch_window_s = float(batch_window_s)
@@ -328,29 +276,17 @@ class InferenceSession:
         self._closed = False
         self._requests = 0
         self._batches = 0
-        self._batched_requests = 0
         self._batch_histogram: Dict[int, int] = {}
         self._failures = 0
         self._cancelled = 0
         self._worker_died = False
         self._last_error: Optional[str] = None
         self._latencies = _Ring(stats_window)
-        # The drift ring must hold at least the policy's window of
-        # observations, or `filled < policy.window` would gate forever
-        # and auto-replan would silently never fire.
-        if auto_replan is not None:
-            drift_window = max(drift_window, auto_replan.window)
-        self._drift = _Ring(drift_window)
-        self._replans = 0
+        self._drift = _Ring(DRIFT_WINDOW)
         self._lock = threading.Lock()
-        # Serializes executable use between the worker and maintenance
-        # (calibration measurements, hot swaps).  RLock: recalibration
-        # holds it across measure + swap.
-        self._swap_lock = threading.RLock()
-        self.auto_replan = auto_replan
-        self.on_replan = on_replan
-        self._replan_pending = False
-        self._last_swap = time.perf_counter()
+        # Pins one executable per batch: the chaos harness swaps a
+        # fault wrapper in or out only at a batch boundary.
+        self._swap_lock = threading.Lock()
         if warm:
             self.executable.run(self._staging[:1])
         self._worker = threading.Thread(
@@ -395,18 +331,24 @@ class InferenceSession:
         per-handle allowance — asking for 1 s means the call raises
         :class:`TimeoutError` after ~1 s even with N handles still
         pending (per-handle timeouts would let it block for N seconds).
+        When the call raises, every handle still queued is cancelled, so
+        the worker skips work nobody waits for.
         """
         handles = [self.submit(x) for x in xs]
         deadline = (
             None if timeout is None else time.perf_counter() + timeout
         )
         results: List[np.ndarray] = []
-        for handle in handles:
-            remaining = (
-                None if deadline is None
-                else max(0.0, deadline - time.perf_counter())
-            )
-            results.append(handle.result(remaining))
+        try:
+            for handle in handles:
+                remaining = (
+                    None if deadline is None
+                    else max(0.0, deadline - time.perf_counter())
+                )
+                results.append(handle.result(remaining))
+        finally:
+            for handle in handles[len(results):]:
+                handle.cancel()
         return results
 
     # -- worker side --------------------------------------------------
@@ -480,26 +422,18 @@ class InferenceSession:
             if not batch:
                 continue
             b = len(batch)
-            # The swap lock pins one executable (and its staging
-            # buffer) for the whole batch; a concurrent hot swap waits
-            # for the batch boundary, so requests are never dropped.
-            # The batch was collected against the *previous*
-            # executable's max_batch — a swap to a smaller one may
-            # have happened since, so run in chunks of the pinned
-            # executable's limit.
+            # The swap lock pins one executable for the whole batch; a
+            # fault injection waits for the batch boundary.
             with self._swap_lock:
                 executable = self.executable
-                limit = executable.max_batch
                 try:
                     t0 = time.perf_counter()
-                    for start in range(0, b, limit):
-                        chunk = batch[start : start + limit]
-                        staged = self._staging[: len(chunk)]
-                        for i, (_, x) in enumerate(chunk):
-                            staged[i] = x  # copy + dtype cast, no alloc
-                        y = executable.run(staged)
-                        for i, (pending, _) in enumerate(chunk):
-                            pending._finish(y[i].copy())
+                    staged = self._staging[:b]
+                    for i, (_, x) in enumerate(batch):
+                        staged[i] = x  # copy + dtype cast, no alloc
+                    y = executable.run(staged)
+                    for i, (pending, _) in enumerate(batch):
+                        pending._finish(y[i].copy())
                     run_wall = time.perf_counter() - t0
                 except Exception as exc:
                     # Surface the failure to every waiter in the batch
@@ -537,101 +471,12 @@ class InferenceSession:
             with self._lock:
                 self._requests += b
                 self._batches += 1
-                self._batched_requests += b
                 self._batch_histogram[b] = (
                     self._batch_histogram.get(b, 0) + 1
                 )
                 self._latencies.extend(now_stats)
                 if ratio > 0:
                     self._drift.append(math.log(ratio))
-            self._maybe_request_replan()
-
-    # -- drift / replanning -------------------------------------------
-    def drift_ratio(self) -> float:
-        """Geometric-mean measured/predicted ratio over the window."""
-        with self._lock:
-            logs = self._drift.snapshot()
-        if logs.size == 0:
-            return 0.0
-        return float(math.exp(logs.mean()))
-
-    def _maybe_request_replan(self) -> None:
-        policy = self.auto_replan
-        if policy is None or self.on_replan is None or self._replan_pending:
-            return
-        with self._lock:
-            filled = len(self._drift)
-        if filled < policy.window:
-            return
-        if time.perf_counter() - self._last_swap < policy.cooldown_s:
-            return
-        if not policy.exceeded(self.drift_ratio()):
-            return
-        # Runs on the worker thread: the callback must hand off (the
-        # registry spawns a recalibration thread) rather than block —
-        # and a raising callback must not unwind the serve loop, or
-        # every future request would hang on an undrained queue.
-        # ``_replan_pending`` is also cleared by ``swap_executable`` on
-        # the recalibration thread, under ``_swap_lock``; take the same
-        # lock here so the worker's set never races the swap's clear.
-        with self._swap_lock:
-            self._replan_pending = True
-        try:
-            self.on_replan(self)
-        except Exception as exc:
-            with self._swap_lock:
-                self._replan_pending = False
-            print(
-                f"on_replan callback for session "
-                f"{getattr(self, 'name', self.executable.model_name)!r} "
-                f"failed: {exc}",
-                file=sys.stderr,
-            )
-
-    @contextmanager
-    def paused(self) -> Iterator[Executable]:
-        """Hold the worker at its next batch boundary.
-
-        Yields the current executable for exclusive use (calibration
-        measurements).  Queued requests wait — none are dropped — and
-        serving resumes when the block exits.
-        """
-        with self._swap_lock:
-            yield self.executable
-
-    def swap_executable(self, executable: Executable) -> Executable:
-        """Hot-swap the compiled model behind the session.
-
-        Blocks until the in-flight batch (if any) completes, then
-        installs the new executable and a matching staging buffer.
-        Requests already queued are served by the new executable; the
-        drift window resets so the policy judges the new plan afresh.
-        Returns the replaced executable.
-        """
-        if tuple(executable.input_shape) != tuple(self.executable.input_shape):
-            raise ValueError(
-                f"cannot swap executable with input shape "
-                f"{executable.input_shape} into a session serving "
-                f"{self.executable.input_shape}"
-            )
-        with self._swap_lock:
-            old = self.executable
-            if (
-                executable.max_batch != old.max_batch
-                or executable.dtype != old.dtype
-            ):
-                self._staging = np.zeros(
-                    (executable.max_batch,) + tuple(executable.input_shape),
-                    dtype=executable.dtype,
-                )
-            self.executable = executable
-            self.max_batch = executable.max_batch
-            with self._lock:
-                self._drift.clear()
-                self._replans += 1
-            self._last_swap = time.perf_counter()
-            self._replan_pending = False
-        return old
 
     # -- lifecycle / stats --------------------------------------------
     def queue_depth(self) -> int:
@@ -650,9 +495,7 @@ class InferenceSession:
             drift_logs = self._drift.snapshot()
             requests = self._requests
             batches = self._batches
-            batched_requests = self._batched_requests
             histogram = dict(self._batch_histogram)
-            replans = self._replans
             failures = self._failures
             cancelled = self._cancelled
             worker_died = self._worker_died
@@ -664,9 +507,7 @@ class InferenceSession:
         return SessionStats(
             requests=requests,
             batches=batches,
-            mean_batch_size=(
-                batched_requests / batches if batches else 0.0
-            ),
+            mean_batch_size=requests / batches if batches else 0.0,
             mean_latency_s=mean_lat,
             p95_latency_s=latency_quantile(lat, 0.95),
             queue_depth=self._queue.qsize(),
@@ -675,7 +516,6 @@ class InferenceSession:
             latency_window=int(lat.size),
             predicted_latency_s=self.executable.predicted_latency(),
             drift_ratio=drift,
-            replans=replans,
             failures=failures,
             cancelled=cancelled,
             worker_alive=not worker_died and self._worker.is_alive(),
@@ -685,7 +525,7 @@ class InferenceSession:
     def close(self, timeout: Optional[float] = 5.0) -> None:
         """Stop the worker after the queue drains."""
         # The serve loop also sets ``_closed`` (fatal-error path) while
-        # holding ``_swap_lock``; the reentrant check-and-set makes
+        # holding ``_swap_lock``; the locked check-and-set makes
         # concurrent close() calls enqueue exactly one sentinel.
         with self._swap_lock:
             if self._closed:
@@ -704,35 +544,13 @@ class InferenceSession:
         self.close()
 
 
-@dataclass
-class _Deployment:
-    """Everything :meth:`SessionRegistry.recalibrate` needs to re-plan
-    and re-compile a deployed session."""
-
-    model: Module
-    device: DeviceSpec
-    backend: str
-    image_hw: Tuple[int, int]
-    in_channels: int
-    max_batch: int
-    model_name: str
-    sites: List[LayerSite]
-    threads: Optional[int] = None
-
-
 class SessionRegistry:
     """Named inference sessions, one per deployed (model, device,
     backend) combination."""
 
     def __init__(self) -> None:
         self._sessions: Dict[str, InferenceSession] = {}
-        self._deployments: Dict[str, _Deployment] = {}
         self._lock = threading.Lock()
-        # In-flight background recalibration jobs.  close_all() joins
-        # them (and blocks new spawns) so a job never races a closed
-        # session or a cleared registry.
-        self._recal_threads: List[threading.Thread] = []
-        self._closing = False
         # Serializes create(): deployment is cold-path, and holding one
         # lock across check+build+add means concurrent deploys of the
         # same key reuse instead of racing (and never leak a session).
@@ -782,7 +600,6 @@ class SessionRegistry:
         formats: object = ("tucker",),
         name: Optional[str] = None,
         stats_window: int = 4096,
-        auto_replan: Optional[AutoReplanPolicy] = None,
         threads: Optional[int] = None,
     ) -> InferenceSession:
         """Deploy a model preset end to end and register the session.
@@ -793,13 +610,11 @@ class SessionRegistry:
         executable in a micro-batching session.  ``formats`` widens the
         decomposition search beyond Tucker (``"all"`` or an explicit
         list), deploying a mixed-format plan when CP/TT wins sites.
-        Reuses an existing session under the same key.  ``auto_replan``
-        opts the session into drift-triggered recalibration (see
-        :class:`AutoReplanPolicy` and :meth:`recalibrate`).
-        ``threads`` is the parallel-engine lane count for the compiled
-        executable (``None`` = ``REPRO_NUM_THREADS`` / ``min(cores,
-        8)``; micro-batches then shard through the one process-wide
-        worker pool); it sticks across :meth:`recalibrate` swaps.
+        Reuses an existing session under the same key.  ``threads`` is
+        the parallel-engine lane count for the compiled executable
+        (``None`` = ``REPRO_NUM_THREADS`` / ``min(cores, 8)``;
+        micro-batches then shard through the one process-wide worker
+        pool).
         """
         from repro.codesign.pipeline import decompose_for_device
         from repro.models.introspection import trace_layer_sites
@@ -839,143 +654,15 @@ class SessionRegistry:
             )
             session = InferenceSession(
                 executable, batch_window_s=batch_window_s, warm=True,
-                stats_window=stats_window, auto_replan=auto_replan,
-                on_replan=self._spawn_recalibration if auto_replan else None,
+                stats_window=stats_window,
             )
             session.name = key
-            with self._lock:
-                self._deployments[key] = _Deployment(
-                    model=model, device=device, backend=backend,
-                    image_hw=tuple(image_hw), in_channels=in_channels,
-                    max_batch=max_batch, model_name=model_name,
-                    sites=list(sites), threads=threads,
-                )
             return self.add(key, session)
 
-    # -- the predicted↔measured loop ----------------------------------
-    def recalibrate(
-        self, name: str, *, warmup: int = 1, repeats: int = 3
-    ):
-        """Measure a live session, re-plan calibrated, hot-swap.
-
-        1. Pause the session at a batch boundary and run a
-           :func:`repro.calibration.run_calibration` pass over its
-           executable (per-site kernel timings + end-to-end wall).
-        2. Store the fitted correction factors in the persistent
-           ``calibration`` cache (overwriting stale fits — drift means
-           the old measurements no longer describe the hardware).
-        3. Re-plan and re-compile against the resulting
-           :class:`~repro.calibration.CalibratedDevice` — ``auto``
-           dispatch now ranks backends by *corrected* latency, so the
-           plan can genuinely change.
-        4. Hot-swap the new executable in; queued requests are served
-           across the swap with zero drops.
-
-        Returns the :class:`~repro.calibration.CalibrationRun`.
-        """
-        from repro.calibration import (
-            CalibratedDevice,
-            run_calibration,
-            store_calibration,
-        )
-
-        session = self.get(name)
-        with self._lock:
-            if self._closing:
-                raise RuntimeError(
-                    "registry is closing; recalibration skipped"
-                )
-            deployment = self._deployments.get(name)
-        if deployment is None:
-            raise KeyError(
-                f"session {name!r} has no deployment record (it was added "
-                f"directly, not created by this registry); recalibrate "
-                f"needs the source model to re-plan"
-            )
-        with session.paused() as executable:
-            run = run_calibration(
-                executable, warmup=warmup, repeats=repeats
-            )
-        store_calibration(run, merge=False)
-        calibrated = CalibratedDevice.from_cache(deployment.device)
-        plan = plan_model(
-            deployment.model, calibrated, deployment.image_hw,
-            in_channels=deployment.in_channels,
-            core_backend=deployment.backend,
-            model_name=deployment.model_name, sites=deployment.sites,
-        )
-        executable = compile_plan(
-            plan, deployment.model, calibrated,
-            image_hw=deployment.image_hw,
-            in_channels=deployment.in_channels,
-            max_batch=deployment.max_batch,
-            dtype=session.executable.dtype, sites=deployment.sites,
-            threads=deployment.threads,
-        )
-        session.swap_executable(executable)
-        return run
-
-    def _spawn_recalibration(self, session: InferenceSession) -> None:
-        """Worker-thread callback: recalibrate without blocking serving.
-
-        The drift check runs on the session's worker, which must keep
-        draining the queue during the (slow) re-plan/re-compile, so
-        the actual recalibration happens on a daemon thread; the
-        session's ``_replan_pending`` latch stops repeat triggers
-        until the swap (or a failure) resolves.
-        """
-        name = getattr(session, "name", None)
-        if name is None:
-            session._replan_pending = False
-            return
-
-        def job() -> None:
-            try:
-                self.recalibrate(name)
-            except Exception as exc:  # pragma: no cover - diagnostics
-                # Advance the cooldown clock before releasing the
-                # latch: a persistently failing recalibration then
-                # retries at most once per cooldown instead of
-                # stalling serving with a measurement pass per batch.
-                session._last_swap = time.perf_counter()
-                session._replan_pending = False
-                print(
-                    f"auto-replan of session {name!r} failed: {exc}",
-                    file=sys.stderr,
-                )
-            finally:
-                with self._lock:
-                    if thread in self._recal_threads:
-                        self._recal_threads.remove(thread)
-
-        thread = threading.Thread(
-            target=job, name=f"recalibrate-{name}", daemon=True
-        )
-        with self._lock:
-            if self._closing:
-                # The registry is shutting down; a recalibration
-                # started now would race the closed session.
-                session._replan_pending = False
-                return
-            self._recal_threads.append(thread)
-        thread.start()
-
     def close_all(self) -> None:
-        # Block new recalibration spawns, then join the in-flight jobs
-        # *before* tearing sessions down — a background job otherwise
-        # races the close (measuring a closed session, swapping into
-        # it, or KeyErroring on the cleared registry).
-        with self._lock:
-            self._closing = True
-            jobs = list(self._recal_threads)
-        for job in jobs:
-            job.join(timeout=60.0)
         with self._lock:
             sessions = list(self._sessions.values())
             self._sessions.clear()
-            self._deployments.clear()
-            self._recal_threads.clear()
-            self._closing = False
         for session in sessions:
             session.close()
 

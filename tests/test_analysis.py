@@ -264,8 +264,8 @@ class DriftedBackend(KernelBackend):
     name = "drifted"
     def core_latency(self, shape):            # missing `device`
         return 0.0
-    def calibrated_dwcore_latency(self, shape, device, collapse_to=None):
-        return None                           # without dwcore_latency
+    def dwcore_latency(self, shape, device, collapse):
+        return None                           # renamed `collapse_to`
 
 @register_backend
 class NamelessBackend(KernelBackend):
@@ -294,13 +294,14 @@ def test_backend_conformance_seeded_violation(tmp_path):
     )
     messages = " | ".join(f.message for f in findings)
     assert "signature drift" in messages
-    assert "all-or-none" in messages
     assert "non-empty `name`" in messages
+    drifted = {f.symbol for f in findings if "signature drift" in f.message}
+    assert drifted == {"DriftedBackend.core_latency",
+                       "DriftedBackend.dwcore_latency"}
 
 
 def test_backend_conformance_clean_pass(tmp_path):
-    # Hooks inherited through a local base class satisfy the protocol;
-    # overriding dwcore_latency alone is the consistent direction.
+    # Hooks inherited through a local base class satisfy the protocol.
     assert lint(
         tmp_path, "mod.py", BACKEND_CLEAN, ["backend-conformance"]
     ) == []

@@ -1,44 +1,21 @@
-"""Hardware calibration: measured-vs-predicted loop closure.
+"""Measured vs simulated: the calibration report.
 
-Covers the tentpole subsystem: shape classes, factor fitting/merging,
-``CalibratedDevice`` transparency through the planners, the versioned
-persistence round-trip, and the acceptance property that calibrated
-predictions beat raw analytical ones against measured wall time.
+``run_calibration`` pairs each compiled core's host seconds with the
+simulated latency its plan recorded.
 """
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
-from repro.backends import get_backend
-from repro.calibration import (
-    AUX_BACKEND,
-    AUX_CLASS,
-    CalibratedDevice,
-    CalibrationFactor,
-    calibration_cache,
-    run_calibration,
-    shape_class,
-    store_calibration,
-)
+from repro.calibration import CORE_KINDS, run_calibration, shape_class
 from repro.codesign.pipeline import decompose_for_device
-from repro.gpusim.device import A100, RTX2080TI
-from repro.inference import compile_model, estimate_e2e, plan_model
+from repro.gpusim.device import A100
+from repro.inference import compile_model
 from repro.kernels.base import ConvShape
-from repro.models.arch_specs import get_model_spec
 from repro.models.registry import build_model
-from repro.planning.cache import PlanCache
 
 IMAGE_HW = (8, 8)
-
-
-@pytest.fixture(autouse=True)
-def _clean_calibration_cache():
-    """Keep the process-wide calibration store out of other tests."""
-    calibration_cache().clear()
-    yield
-    calibration_cache().clear()
 
 
 @pytest.fixture(scope="module")
@@ -52,12 +29,8 @@ def calibrated_setup():
         max_batch=1, model_name="resnet_tiny",
     )
     run = run_calibration(exe, warmup=1, repeats=3)
-    return model, exe, run
+    return exe, run
 
-
-# ---------------------------------------------------------------------------
-# Shape classes and factors
-# ---------------------------------------------------------------------------
 
 def test_shape_class_groups_by_filter_and_size():
     a = ConvShape(c=16, n=16, h=8, w=8, r=3, s=3)
@@ -70,249 +43,27 @@ def test_shape_class_groups_by_filter_and_size():
     assert shape_class(a).startswith("3x3/")
 
 
-def test_factor_fitting_and_merge():
-    f = CalibrationFactor.from_sums(2.0, 6.0, 3)
-    assert f.factor == pytest.approx(3.0)
-    merged = f.merged(CalibrationFactor.from_sums(2.0, 2.0, 1))
-    assert merged.factor == pytest.approx(8.0 / 4.0)
-    assert merged.n_samples == 4
-    with pytest.raises(ValueError, match="positive"):
-        CalibrationFactor.from_sums(0.0, 1.0, 1)
-    with pytest.raises(ValueError, match="finite and positive"):
-        CalibrationFactor(factor=-1.0, n_samples=1, predicted_s=1.0,
-                          measured_s=1.0)
-
-
-def test_plan_cache_replace_overwrites():
-    cache = PlanCache("replace-test", maxsize=4, register=False)
-    cache.put(("k",), 1)
-    assert cache.put(("k",), 2) == 1          # put-if-absent keeps 1
-    assert cache.replace(("k",), 2) == 2      # replace overwrites
-    assert cache.peek(("k",)) == 2
-
-
-# ---------------------------------------------------------------------------
-# The calibration run
-# ---------------------------------------------------------------------------
-
 def test_run_measures_every_bound_core(calibrated_setup):
-    _, exe, run = calibrated_setup
-    planned_cores = [
-        k for k in exe.plan.kernels if k.kind in ("core", "conv")
-    ]
-    assert len(run.samples) == len(planned_cores)
-    assert {s.backend for s in run.samples} <= set(
-        k.backend or "cudnn" for k in planned_cores
-    )
+    exe, run = calibrated_setup
+    planned_cores = {
+        k.layer.removesuffix(".core"): k for k in exe.plan.kernels
+        if k.kind in CORE_KINDS
+    }
+    assert sorted(s.site for s in run.samples) == sorted(planned_cores)
     for sample in run.samples:
-        assert sample.predicted_s > 0
+        kernel = planned_cores[sample.site]
+        # The plan's own simulated latency, untouched.
+        assert sample.predicted_s == kernel.latency
+        assert sample.backend == (kernel.backend or "cudnn")
         assert sample.measured_s > 0
         assert sample.shape_class == shape_class(sample.shape)
+    assert run.total_predicted_s == exe.predicted_latency()
+    assert run.core_predicted_s == pytest.approx(
+        sum(k.latency for k in planned_cores.values())
+    )
+    assert run.aux_predicted_s >= 0
     assert run.total_measured_s > 0
     assert run.core_measured_s == pytest.approx(
         sum(s.measured_s for s in run.samples)
     )
-    factors = run.factors()
-    assert (AUX_BACKEND, AUX_CLASS) in factors
-    assert all(f.factor > 0 for f in factors.values())
 
-
-def test_calibrated_device_transparent_delegation(calibrated_setup):
-    _, _, run = calibrated_setup
-    store_calibration(run)
-    calibrated = CalibratedDevice.from_cache(A100)
-    assert calibrated.is_calibrated
-    assert calibrated.name == A100.name
-    assert calibrated.n_sms == A100.n_sms
-    # Same fingerprint by design: only reported latencies change, so
-    # the memoized tiling/table/tuning state stays shared and hot.
-    assert calibrated.fingerprint() == A100.fingerprint()
-    # Nesting never stacks wrappers.
-    assert CalibratedDevice(calibrated).base_spec is A100
-
-
-def test_uncalibrated_wrapper_plans_identically(calibrated_setup):
-    model, _, _ = calibrated_setup
-    empty = CalibratedDevice(A100)
-    assert not empty.is_calibrated
-    raw = plan_model(model, A100, IMAGE_HW, core_backend="auto",
-                     model_name="m")
-    wrapped = plan_model(model, empty, IMAGE_HW, core_backend="auto",
-                         model_name="m")
-    assert [k.latency for k in raw.kernels] == [
-        k.latency for k in wrapped.kernels
-    ]
-    assert [k.backend for k in raw.kernels] == [
-        k.backend for k in wrapped.kernels
-    ]
-
-
-def test_calibrated_latency_protocol(calibrated_setup):
-    _, _, run = calibrated_setup
-    store_calibration(run)
-    calibrated = CalibratedDevice.from_cache(A100)
-    sample = run.samples[0]
-    backend = get_backend(sample.backend)
-    raw = backend.core_latency(sample.shape, A100)
-    # Plain spec: identity.
-    assert backend.calibrated_latency(sample.shape, A100) == raw
-    # Calibrated: scaled by exactly the stored factor.
-    expected = raw * calibrated.correction_for(sample.backend, sample.shape)
-    assert backend.calibrated_latency(sample.shape, calibrated) == (
-        pytest.approx(expected)
-    )
-    assert expected != raw  # CPU wall vs simulated GPU: never exactly 1
-
-
-def test_correction_fallback_chain():
-    f = CalibrationFactor.from_sums(1.0, 4.0, 2)
-    aux = CalibrationFactor.from_sums(1.0, 2.0, 1)
-    cls = shape_class(ConvShape(c=8, n=8, h=8, w=8, r=3, s=3))
-    dev = CalibratedDevice(A100, {
-        ("tdc-model", cls): f,
-        (AUX_BACKEND, AUX_CLASS): aux,
-    })
-    exact = ConvShape(c=8, n=8, h=8, w=8, r=3, s=3)
-    other = ConvShape(c=64, n=64, h=32, w=32, r=5, s=5)
-    assert dev.correction_for("tdc-model", exact) == pytest.approx(4.0)
-    # Unknown class for a known backend: pooled backend factor.
-    assert dev.correction_for("tdc-model", other) == pytest.approx(4.0)
-    # Unknown backend: pooled core factor.
-    assert dev.correction_for("cudnn", other) == pytest.approx(4.0)
-    assert dev.aux_correction("pointwise") == pytest.approx(2.0)
-    # No factors at all: identity.
-    empty = CalibratedDevice(A100)
-    assert empty.correction_for("cudnn", exact) == 1.0
-    assert empty.aux_correction("bn_relu") == 1.0
-
-
-# ---------------------------------------------------------------------------
-# Persistence round-trip
-# ---------------------------------------------------------------------------
-
-def test_calibration_round_trip_identical_plan(calibrated_setup, tmp_path):
-    model, _, run = calibrated_setup
-    store_calibration(run)
-    reference_plan = plan_model(
-        model, CalibratedDevice.from_cache(A100), IMAGE_HW,
-        core_backend="auto", model_name="m",
-    )
-    calibration_cache().save(tmp_path)
-    calibration_cache().clear()
-    assert not CalibratedDevice.from_cache(A100).is_calibrated
-
-    reloaded_store = PlanCache(
-        "calibration", maxsize=256,
-        payload_version=calibration_cache().payload_version,
-        encode=calibration_cache()._encode,
-        decode=calibration_cache()._decode,
-        register=False,
-    )
-    assert reloaded_store.load(tmp_path) == len(run.factors())
-    reloaded = CalibratedDevice.from_cache(A100, cache=reloaded_store)
-    replanned = plan_model(model, reloaded, IMAGE_HW, core_backend="auto",
-                           model_name="m")
-    assert [(k.layer, k.backend, k.latency) for k in reference_plan.kernels] \
-        == [(k.layer, k.backend, k.latency) for k in replanned.kernels]
-
-
-# ---------------------------------------------------------------------------
-# End-to-end integration + the acceptance property
-# ---------------------------------------------------------------------------
-
-def test_estimate_e2e_accepts_calibrated_device(calibrated_setup):
-    _, _, run = calibrated_setup
-    store_calibration(run)
-    calibrated = CalibratedDevice.from_cache(A100)
-    spec = get_model_spec("resnet18")
-    raw = estimate_e2e(spec, A100, backends=("tdc-model",))
-    cal = estimate_e2e(spec, calibrated, backends=("tdc-model",))
-    assert set(cal.variants) == set(raw.variants)
-    assert all(v > 0 for v in cal.variants.values())
-    # The rank plan is shape-driven (same fingerprint, same tables):
-    # calibration rescales latencies without changing the compression.
-    assert len(cal.rank_plan.decisions) == len(raw.rank_plan.decisions)
-
-
-def test_recalibration_converges_instead_of_oscillating(calibrated_setup):
-    """Fitting against an already-calibrated plan must invert the old
-    correction: factors stay ~stable across repeated calibration, and
-    predictions never collapse back to the raw analytical values."""
-    from repro.inference import compile_plan
-
-    model, exe, run = calibrated_setup
-    raw_total = exe.predicted_latency()
-    store_calibration(run, merge=False)
-    calibrated1 = CalibratedDevice.from_cache(A100)
-    plan1 = plan_model(model, calibrated1, IMAGE_HW, core_backend="auto",
-                       model_name="resnet_tiny")
-    exe1 = compile_plan(plan1, model, calibrated1, image_hw=IMAGE_HW,
-                        max_batch=1)
-    # Second pass measures the *calibrated* executable.
-    run2 = run_calibration(exe1, warmup=1, repeats=3)
-    # The fitted predicted sums are raw analytical again, not raw*f1
-    # (auto dispatch may pick different backends under corrected
-    # latencies, so totals match loosely — but nowhere near the
-    # calibrated total, which is an order of magnitude larger).
-    assert run2.total_predicted_s == pytest.approx(raw_total, rel=0.5)
-    assert run2.total_predicted_s < 0.5 * plan1.total_latency()
-    store_calibration(run2, merge=False)
-    plan2 = plan_model(model, CalibratedDevice.from_cache(A100), IMAGE_HW,
-                       core_backend="auto", model_name="resnet_tiny")
-    # Double-correction would put plan2 back at ~raw_total (several
-    # times low); convergence keeps it at the measured wall time.
-    assert plan2.total_latency() == pytest.approx(
-        run2.total_measured_s, rel=0.5
-    )
-    ratio = plan2.total_latency() / plan1.total_latency()
-    assert 0.2 < ratio < 5.0
-
-
-def test_calibrate_executable_front_door(calibrated_setup):
-    from repro.calibration import calibrate_executable
-
-    _, exe, _ = calibrated_setup
-    cache = PlanCache("front-door", maxsize=64, register=False)
-    calibrated = calibrate_executable(exe, warmup=1, repeats=2, cache=cache)
-    assert calibrated.is_calibrated
-    assert calibrated.n_factors == len(cache)
-    assert calibrated.base_spec is A100
-
-
-def test_calibrated_vs_measured_default_backends():
-    """The e2e --calibrated path with its default backend list."""
-    from repro.experiments.e2e import calibrated_vs_measured
-
-    table = calibrated_vs_measured(
-        A100, models=("resnet_tiny",), repeats=2
-    )
-    rendered = table.render()
-    assert "cal err" in rendered
-    assert "resnet_tiny" in rendered
-
-
-@pytest.mark.parametrize("device", [A100, RTX2080TI], ids=lambda d: d.name)
-def test_calibrated_prediction_beats_raw(device):
-    """The acceptance criterion, in-suite on one preset per device."""
-    model = build_model("resnet_tiny", seed=0)
-    try:
-        decompose_for_device(model, device, IMAGE_HW, budget=0.5,
-                             rank_step=2)
-    except ValueError:
-        pass  # θ rule decomposed nothing on this device: calibrate dense
-    model.eval()
-    exe = compile_model(
-        model, device, image_hw=IMAGE_HW, core_backend="auto",
-        max_batch=1, model_name="resnet_tiny",
-    )
-    cache = PlanCache("calibration-local", maxsize=256, register=False)
-    run = run_calibration(exe, warmup=1, repeats=3)
-    store_calibration(run, cache=cache)
-    calibrated = CalibratedDevice.from_cache(device, cache=cache)
-    cal_plan = plan_model(model, calibrated, IMAGE_HW, core_backend="auto",
-                          model_name="resnet_tiny")
-    x = np.random.default_rng(1).standard_normal((1, 3) + IMAGE_HW)
-    measured = exe.measure(x, repeats=3)
-    raw_err = abs(exe.predicted_latency() - measured) / measured
-    cal_err = abs(cal_plan.total_latency() - measured) / measured
-    assert cal_err < raw_err

@@ -82,6 +82,33 @@ class TestCommands:
         assert "requests completed" in out
         assert "replica resnet_tiny@A100#0" in out
 
+    def test_calibrate_reports_each_core_site_and_persists_nothing(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        from repro.calibration import CORE_KINDS
+        from repro.codesign.pipeline import decompose_for_device
+        from repro.gpusim.device import A100
+        from repro.inference import plan_model
+        from repro.models.registry import build_model
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        assert main([
+            "calibrate", "--device", "A100", "--repeats", "1",
+            "--warmup", "0",
+        ]) == 0
+        rows = [line.split(" | ")[0].strip()
+                for line in capsys.readouterr().out.splitlines()]
+        # The same deploy the command measures (its defaults).
+        model = build_model("resnet_tiny", seed=0)
+        decompose_for_device(model, A100, (8, 8), budget=0.5, rank_step=2)
+        plan = plan_model(model.eval(), A100, (8, 8), core_backend="auto")
+        sites = [k.layer.removesuffix(".core") for k in plan.kernels
+                 if k.kind in CORE_KINDS]
+        assert sites
+        for site in sites:
+            assert rows.count(site) == 1, site
+        assert list(tmp_path.iterdir()) == []
+
     def test_backends_list(self, capsys):
         from repro.backends import known_backend_names
 
