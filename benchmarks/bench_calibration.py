@@ -4,8 +4,9 @@ Two gates, both hard failures (exit non-zero):
 
 1. **Coverage**: for every preset (device, model) pair,
    :func:`~repro.calibration.run_calibration` must measure every core
-   a registry backend priced — one sample per such plan kernel, each
-   with positive simulated and host seconds.  The simulated plan
+   stage — one sample per planned core, dense conv or depthwise
+   middle, whichever backend won it, each with positive simulated and
+   host seconds.  The simulated plan
    total and the measured host time are printed side by side; they
    time different hardware, so no bound is put on their ratio.
 2. **Session memory**: a 10k-request soak (2k in ``--quick``) through
@@ -31,7 +32,6 @@ import tracemalloc
 
 import numpy as np
 
-from repro.backends import DEPTHWISE_BASELINE
 from repro.calibration import CORE_KINDS, run_calibration
 from repro.codesign.pipeline import decompose_for_device
 from repro.gpusim.device import get_device
@@ -48,15 +48,12 @@ IMAGE_HW = (8, 8)
 SOAK_GROWTH_LIMIT_BYTES = 2 * 1024 * 1024
 
 
-def registry_priced_sites(plan) -> set:
-    """Sites whose core a registry backend priced: core and dense conv
-    kernels, and a dwcore won by a registry backend."""
+def core_sites(plan) -> set:
+    """Sites with a core stage: every planned core, dense conv and
+    depthwise middle."""
     return {
         k.layer.removesuffix(".core") for k in plan.kernels
-        if k.kind in CORE_KINDS or (
-            k.kind == "dwcore"
-            and k.backend not in (None, DEPTHWISE_BASELINE)
-        )
+        if k.kind in CORE_KINDS
     }
 
 
@@ -82,11 +79,11 @@ def bench_pair(device, model_name: str, repeats: int) -> dict:
           f"measured {run.total_measured_s * 1e3:7.3f} ms  "
           f"(cores {run.core_predicted_s * 1e3:.3f} -> "
           f"{run.core_measured_s * 1e3:.3f} ms)")
-    expected = registry_priced_sites(exe.plan)
+    expected = core_sites(exe.plan)
     measured = [s.site for s in run.samples]
     if sorted(measured) != sorted(expected):
         print(f"FAIL: {model_name} on {device.name} measured cores "
-              f"{sorted(measured)}, the plan's registry-priced cores are "
+              f"{sorted(measured)}, the plan's core stages are "
               f"{sorted(expected)}")
         sys.exit(1)
     bad = [s.site for s in run.samples
@@ -178,7 +175,7 @@ def main() -> int:
 
     print(f"calibration benchmark "
           f"({'quick' if args.quick else 'full'})")
-    print("  measured vs simulated, every registry-priced core:")
+    print("  measured vs simulated, every core stage:")
     pairs = {}
     for device_name in DEVICES:
         device = get_device(device_name)

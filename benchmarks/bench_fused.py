@@ -13,7 +13,8 @@ Two gates, both enforced with a non-zero exit:
    fused-specific planner plumbing) selects the fused backend for at
    least one preset site.
 
-Results are written to ``BENCH_fused.json``.
+Results are written to ``BENCH_fused.json`` (``--quick``:
+``BENCH_fused.quick.json``, untracked).
 
 Run:  PYTHONPATH=src python benchmarks/bench_fused.py [--quick]
 """
@@ -95,8 +96,13 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--quick", action="store_true",
                     help="small model/device subset")
-    ap.add_argument("--out", default="BENCH_fused.json")
+    ap.add_argument("--out", default=None,
+                    help="output JSON (default: BENCH_fused.json, or "
+                         "BENCH_fused.quick.json with --quick)")
     args = ap.parse_args(argv)
+    if args.out is None:
+        args.out = ("BENCH_fused.quick.json" if args.quick
+                    else "BENCH_fused.json")
 
     models = QUICK_MODELS if args.quick else MODELS
     devices = QUICK_DEVICES if args.quick else DEVICES

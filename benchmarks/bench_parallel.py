@@ -17,7 +17,8 @@ Gates, all enforced with a non-zero exit:
    measure within noise of each other (the parallel engine must not
    tax the serial path).
 
-Results are written to ``BENCH_parallel.json``.
+Results are written to ``BENCH_parallel.json`` (``--quick``:
+``BENCH_parallel.quick.json``, untracked).
 
 Run:  PYTHONPATH=src python benchmarks/bench_parallel.py [--quick]
 """
@@ -105,8 +106,13 @@ def main(argv=None) -> int:
     ap.add_argument("--quick", action="store_true",
                     help="A100 pairs only, fewer repeats (CI smoke); the "
                          "perf gate relaxes to 'never slower than serial'")
-    ap.add_argument("--out", default="BENCH_parallel.json")
+    ap.add_argument("--out", default=None,
+                    help="output JSON (default: BENCH_parallel.json, or "
+                         "BENCH_parallel.quick.json with --quick)")
     args = ap.parse_args(argv)
+    if args.out is None:
+        args.out = ("BENCH_parallel.quick.json" if args.quick
+                    else "BENCH_parallel.json")
 
     pairs = QUICK_PAIRS if args.quick else PAIRS
     repeats = 2 if args.quick else 3

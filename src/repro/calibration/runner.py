@@ -23,13 +23,13 @@ from typing import List
 
 import numpy as np
 
-from repro.backends import DEPTHWISE_BASELINE
 from repro.inference.executable import Executable
 from repro.kernels.base import ConvShape
 from repro.perfmodel.analytical import shape_class
 
-#: Plan kinds of a measured core/conv kernel.
-CORE_KINDS = ("core", "conv")
+#: Plan kinds of a measured core: a Tucker core, a CP/TT middle, or a
+#: dense ``RxS`` conv — each one site's core stage.
+CORE_KINDS = ("core", "dwcore", "conv")
 
 
 @dataclass(frozen=True)
@@ -37,7 +37,8 @@ class SiteSample:
     """One measured kernel site: simulated vs host seconds."""
 
     site: str            # dotted module name of the compiled site
-    backend: str         # registered backend that planned the kernel
+    backend: str         # backend that planned the kernel (a registered
+                         # one, or the depthwise baseline for a middle)
     shape: ConvShape     # the plan-time core shape (output extent)
     shape_class: str
     predicted_s: float   # the plan's simulated GPU latency
@@ -79,25 +80,13 @@ def _best_of(fn, warmup: int, repeats: int) -> float:
     return best
 
 
-def _registry_priced(kernel) -> bool:
-    """Whether a plan kernel was priced by a registry backend: core
-    and dense conv kernels, and a dwcore won by a registry backend
-    (the depthwise baseline is no registry backend)."""
-    return kernel.kind in CORE_KINDS or (
-        kernel.kind == "dwcore"
-        and kernel.backend not in (None, DEPTHWISE_BASELINE)
-    )
-
-
 def _core_kernel(site, planned):
     """The plan kernel a site's core stage executes (None when the
-    site has no core stage or no registry backend priced it)."""
+    site has no core stage: a pointwise GEMM)."""
     if site.core_stage is None:
         return None
-    layer = site.site_name + (".core" if site.format != "dense" else "")
-    kernel = planned.get(layer)
-    return kernel if kernel is not None and _registry_priced(kernel) \
-        else None
+    return planned[site.site_name + (".core" if site.format != "dense"
+                                     else "")]
 
 
 def run_calibration(
@@ -128,7 +117,7 @@ def run_calibration(
     )
     for site, kernel in measured:
         # A core stage reads the arena buffer its predecessor wrote;
-        # only a dense site's conv reads the site input itself.
+        # only an unpadded first conv reads the network input itself.
         dummy = np.zeros((1,) + site.input_shape, dtype=executable.dtype)
         run.samples.append(
             SiteSample(

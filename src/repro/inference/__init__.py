@@ -2,8 +2,8 @@
 end-to-end latency estimation.
 
 Pipeline: ``plan_model``/``plan_tucker_model`` decide (cold) →
-``compile_plan`` lowers every conv site to host stages over exported
-weights and arena buffers in an ``Executable`` (cold) →
+``compile_plan`` lowers the whole module tree to one stage list over
+copied weights and arena buffers in an ``Executable`` (cold) →
 ``Executable.run`` executes numeric forwards (hot) →
 :mod:`repro.serving` queues requests on top.
 """

@@ -2,50 +2,75 @@
 
 An :class:`~repro.inference.plan.ExecutionPlan` records *decisions*
 (which backend, which tiling, what latency) but cannot run.
-:func:`compile_plan` turns a plan plus a trainable model into an
+:func:`compile_plan` lowers a plan plus a trainable model into an
 :class:`Executable` — the repro-side analogue of the paper's generated
-inference program after ``nvcc``:
+inference program after ``nvcc``: one flat list of batch-wide *stages*
+over preallocated :class:`BufferArena` buffers, for the whole module
+tree.
 
-- every conv site lowers to an ordered list of batch-wide *stages*, the
-  plain ``Sequential(1x1, core, 1x1)`` form of a factored conv:
+- every conv site lowers to its format's stage list, the plain
+  ``Sequential(1x1, core, 1x1)`` form of a factored conv:
 
   ======  ==========================
   dense   ``[conv]`` (a stride-1, unpadded 1x1 is one ``pw``)
   Tucker  ``[pw, conv, pw]``
   CP      ``[pw, dw, pw]``
-  TT      ``[pw, dw, gsum, pw]``
+  TT      ``[pw, dw, pw]``
   ======  ==========================
 
-  with the bias folded into the last stage.  ``pw`` is a stacked
-  ``matmul``; ``conv`` copies the strided windows of its padded input
-  (a view built at compile time) into the executable's one stage
-  scratch and runs one stacked ``matmul``; ``dw`` is the ``R*S`` tap
-  loop over the whole batch.  ``conv`` and ``dw`` compute only the
-  strided output positions.
+  ``pw`` is a stacked ``matmul``.  ``conv`` copies one sample's strided
+  windows into a scratch slot (im2col) and runs one ``matmul`` per
+  sample.  ``dw`` copies the whole batch's strided windows into the
+  stage scratch and runs one stacked ``(Q, 1, k²) @ (b, Q, k², P)``
+  matmul; TT's group-sum folds into it as ``(r1, 1, r2·k²) @ (b, r1,
+  r2·k², P)``.  A padded ``conv``/``dw`` reads a zero-border copy of
+  its input (``<site>.xpad``).  Both compute only the strided outputs.
+- the rest of the network lowers by a closed set of rules keyed on
+  module type (the ``models.blocks`` blocks, the zoo's model classes,
+  and the ``nn.layers`` pools, ``Linear``, ``Flatten`` and
+  ``Dropout``):
+
+  - an eval ``BatchNorm2d`` that consumes a conv site's output folds
+    into the site's last stage: the rows of its weight scale by
+    ``γ/√(var+ε)`` and its bias becomes ``scale·bias + β − scale·mean``;
+  - ``ReLU`` is an in-place epilogue on its producer's output;
+  - a residual add runs in place into the main branch's buffer,
+    followed by the block's ReLU;
+  - a BatchNorm with no site to fold into (DenseNet's pre-activation
+    BN + ReLU) becomes a per-channel ``max(x·scale + shift, 0)``
+    prologue, written straight into its consumer's padded input when
+    there is one;
+  - max, average and global-average pooling are tap-loop stages into
+    arena buffers; ``Flatten`` is a view, eval ``Dropout`` nothing, and
+    ``Linear`` a matmul into an arena buffer;
+  - every ``DenseLayer`` writes its channel slice of one block buffer.
+
+  A module type with no rule raises at compile time, naming its
+  dotted path.
 - the plan's backend — ``fused`` included — drives the simulated
   latency and the generated CUDA source; it does not pick a host
   loop, since every backend lowers to the same stages;
-- the model's core/factor weights are exported into the executable
-  (contiguous, in the execution dtype), so later mutation of the
-  source model cannot leak into a compiled artifact;
+- weights (with the BatchNorm statistics folded in) are copied into
+  the executable in the execution dtype, and the executable keeps no
+  reference to the model: later mutation of it — parameters or
+  running statistics — cannot leak into a compiled artifact;
 - all activation buffers and the one stage scratch (sized to the
-  largest stage, shared by every site) are preallocated in a
-  :class:`BufferArena`, so the hot path performs zero per-request
-  ``np.zeros``/``np.empty``/``np.pad`` allocation.
+  largest stage, shared by every stage) are preallocated, so a warm
+  ``Executable.run`` allocates nothing but the array it returns.
 
 ``Executable.run`` is single-threaded by design (one arena, one
 in-flight request); :mod:`repro.serving` serializes concurrent callers
 through a micro-batching queue on top.  A site the perf model marks
 parallel runs its stage list on batch shards: every shard owns a
-disjoint sample slice of the same buffers (scratch included), and the
-stacked ``matmul`` runs one GEMM per sample, so shards are
-bit-identical to a serial run.
+disjoint sample slice of the same buffers and its own ``conv`` scratch
+slot, and every matmul runs per sample, so shards are bit-identical to
+a serial run.  Stages outside the sites run on the whole batch.
 """
 
 from __future__ import annotations
 
-import copy
 import time
+from dataclasses import dataclass
 from dataclasses import replace as dc_replace
 from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -56,13 +81,34 @@ from numpy.lib.stride_tricks import sliding_window_view
 from repro.gpusim.device import DeviceSpec
 from repro.inference.plan import ExecutionPlan, PlannedKernel, plan_model
 from repro.kernels.base import ConvShape, execution_dtype
-from repro.models.introspection import (
-    LayerSite,
-    find_module,
-    replace_module,
-    trace_layer_sites,
+from repro.models.blocks import (
+    BasicBlock,
+    Bottleneck,
+    ConvBNReLU,
+    DenseBlock,
+    DenseLayer,
+    Transition,
 )
-from repro.nn.module import Module
+from repro.models.densenet import DenseNet
+from repro.models.introspection import LayerSite, trace_layer_sites
+from repro.models.resnet import ResNet
+from repro.models.vgg import VGG
+from repro.nn.conv import Conv2d
+from repro.nn.cp_conv import CPConv2d
+from repro.nn.functional import conv_out_size
+from repro.nn.layers import (
+    AvgPool2d,
+    BatchNorm2d,
+    Dropout,
+    Flatten,
+    GlobalAvgPool2d,
+    Linear,
+    MaxPool2d,
+    ReLU,
+)
+from repro.nn.module import Identity, Module, Sequential
+from repro.nn.tt_conv import TTConv2d
+from repro.nn.tucker_conv import TuckerConv2d
 from repro.perfmodel.parallel import should_parallelize
 from repro.runtime.engine import plan_batch_shards
 from repro.runtime.pool import get_pool, resolve_threads
@@ -70,7 +116,7 @@ from repro.runtime.pool import get_pool, resolve_threads
 #: Plan kernel kinds that bind to a model conv site.
 _CONV_KINDS = ("conv", "pointwise", "core", "dwcore")
 
-#: Arena name of the stage scratch every site shares.
+#: Arena name of the stage scratch every stage shares.
 STAGE_SCRATCH = "stage.scratch"
 
 
@@ -78,8 +124,8 @@ class BufferArena:
     """Named pool of preallocated ndarrays (activations + scratch).
 
     All buffers are zero-initialized once at compile time; hot-path
-    code only ever writes interiors (padding borders stay zero), so a
-    steady-state request allocates nothing.
+    code only ever writes interiors (padding borders keep their fill),
+    so a steady-state request allocates nothing.
 
     The default dtype is float32 — the device execution dtype
     (``kernels.base.FLOAT_BYTES``); a float64 arena is only warranted
@@ -122,11 +168,23 @@ class BufferArena:
 
 
 # ---------------------------------------------------------------------------
-# Stages: one batch-wide host op each.  ``run(x, lo, hi)`` computes
-# samples ``[lo, hi)``; ``x`` is the site input, read only by a site's
-# first stage (``src is None``), every other stage reads the arena
-# buffer its predecessor wrote.
+# Stages: one batch-wide host op each.  ``run(x, lo, hi, slot)`` computes
+# samples ``[lo, hi)``; ``x`` is the network input, read only by a stage
+# whose source is ``None``; every other stage reads the arena buffer its
+# producer wrote.  ``slot`` is the batch shard's index (its ``conv``
+# scratch slot).
 # ---------------------------------------------------------------------------
+
+def _view(a: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
+    """``a`` reshaped without a copy (raises if that needs one: a stage
+    must write into the arena buffer itself, never into a copy)."""
+    return np.reshape(a, shape, copy=False)
+
+
+def _flat(a: np.ndarray) -> np.ndarray:
+    """``(B, C, H, W)`` -> ``(B, C, H*W)`` view."""
+    return _view(a, a.shape[:2] + (-1,))
+
 
 def _windows(a: np.ndarray, k: int, stride: int, oh: int, ow: int):
     """``(B, C, k, k, OH, OW)`` view of the strided conv windows of a
@@ -136,209 +194,222 @@ def _windows(a: np.ndarray, k: int, stride: int, oh: int, ow: int):
     return win.transpose(0, 1, 4, 5, 2, 3)
 
 
-class PointwiseStage:
+class _Epilogue:
+    """In-place bias + ReLU on a stage's output ``self.out``; the
+    lowering sets them after construction (a layer bias, a folded
+    BatchNorm, a ReLU)."""
+
+    bias: Optional[np.ndarray] = None
+    relu = False
+
+    def _finish(self, out: np.ndarray) -> None:
+        if self.bias is not None:
+            out += self.bias
+        if self.relu:
+            np.maximum(out, 0, out=out)
+
+    def set_bias(self, bias: np.ndarray) -> None:
+        """Per-channel ``bias``, stored at one output sample's shape:
+        adding equal shapes skips NumPy's buffered broadcast (about
+        twice as fast as a ``(N, 1)`` column)."""
+        shape = self.out.shape[1:]
+        column = np.reshape(bias, (-1,) + (1,) * (len(shape) - 1))
+        self.bias = np.array(np.broadcast_to(column, shape),
+                             dtype=self.out.dtype, order="C")
+
+    def fold_bn(self, scale: np.ndarray, shift: np.ndarray) -> None:
+        """Fold an eval BatchNorm on this (conv) stage's output into
+        its weight rows and bias."""
+        self.weight *= scale[:, None]
+        bias = 0.0 if self.bias is None else self.bias[:, 0]
+        self.set_bias(bias * scale + shift)
+
+
+class PointwiseStage(_Epilogue):
     """1x1 projection: ``(N, C) @ (b, C, H*W)``, one GEMM per sample."""
 
-    def __init__(self, weight, src, out, bias=None) -> None:
+    def __init__(self, weight, src, out) -> None:
         self.weight = weight                     # (N, C)
-        self.src = None if src is None else src.reshape(
-            src.shape[0], src.shape[1], -1
-        )
-        self.out = out.reshape(out.shape[0], out.shape[1], -1)
-        self.bias = None if bias is None else bias[:, None]
+        self.src = None if src is None else _flat(src)
+        self.out = _flat(out)
 
-    def run(self, x, lo, hi) -> None:
+    def run(self, x, lo, hi, slot=0) -> None:
         if self.src is None:
             src = x[lo:hi].reshape(hi - lo, x.shape[1], -1)
         else:
             src = self.src[lo:hi]
         out = self.out[lo:hi]
         np.matmul(self.weight, src, out=out)
-        if self.bias is not None:
-            out += self.bias
+        self._finish(out)
 
 
-class _WindowedStage:
-    """Shared input handling of the ``conv`` and ``dw`` stages.
+class ConvStage(_Epilogue):
+    """Dense ``RxS`` conv, one sample at a time: copy the sample's
+    strided windows into the shard's scratch slot (im2col), then one
+    ``matmul``.  ``base`` is the (padded) input, ``None`` for the
+    network input (its windows are taken per call)."""
 
-    A padded layer stages its input into the interior of a zero-border
-    arena buffer (``<site>.xpad``, the only per-request copy besides
-    the stage's own); an unpadded one reads its source directly.
-    ``self.base`` is the padded input the windows are taken from, or
-    ``None`` when that is the site input itself (known only per call).
-    """
-
-    def __init__(self, src, in_shape, out, stride, padding, arena, name):
-        m, c, h, w = in_shape
-        self.src = src
-        self.out = out
-        self.stride = stride
-        self.interior = None
-        self.base = src
-        if padding:
-            p = padding
-            self.base = arena.allocate(
-                f"{name}.xpad", (m, c, h + 2 * p, w + 2 * p)
-            )
-            self.interior = self.base[:, :, p:p + h, p:p + w]
-
-    def _stage_input(self, x, lo, hi):
-        """Stage samples ``[lo, hi)``; returns the padded input."""
-        src = x if self.src is None else self.src
-        if self.interior is None:
-            return src
-        self.interior[lo:hi] = src[lo:hi]
-        return self.base
-
-
-class ConvStage(_WindowedStage):
-    """Dense ``RxS`` conv: one copy of the strided windows into the
-    stage scratch (im2col), then one stacked ``matmul``."""
-
-    def __init__(self, weight, src, in_shape, out, stride, padding,
-                 arena, name, bias=None) -> None:
-        super().__init__(src, in_shape, out, stride, padding, arena, name)
+    def __init__(self, weight, base, out, stride, slots) -> None:
         n, c, k, _ = weight.shape
-        self.k = k
-        m, _, oh, ow = out.shape
+        _, _, oh, ow = out.shape
+        self.k, self.stride = k, stride
         self.weight = weight.reshape(n, -1)      # (N, C*k*k)
-        self.out3 = out.reshape(m, n, oh * ow)
-        self.bias = None if bias is None else bias[:, None]
-        self.win = None if self.base is None else _windows(
-            self.base, k, stride, oh, ow
-        )
-        self.scratch_shape = (m, c, k, k, oh, ow)
+        self.out = _flat(out)
+        self.win = None if base is None else _windows(base, k, stride, oh, ow)
+        self.scratch_shape = (slots, c, k, k, oh, ow)
 
     def bind(self, scratch: np.ndarray) -> None:
-        m, c, k, _, oh, ow = self.scratch_shape
-        self.cols = scratch[: m * c * k * k * oh * ow].reshape(
+        slots, c, k, _, oh, ow = self.scratch_shape
+        self.cols = scratch[: int(np.prod(self.scratch_shape))].reshape(
             self.scratch_shape
         )
-        self.cols3 = self.cols.reshape(m, c * k * k, oh * ow)
+        self.cols2 = self.cols.reshape(slots, c * k * k, oh * ow)
 
-    def run(self, x, lo, hi) -> None:
-        base = self._stage_input(x, lo, hi)
+    def run(self, x, lo, hi, slot=0) -> None:
         win = self.win
         if win is None:
-            _, _, oh, ow = self.out.shape
-            win = _windows(base, self.k, self.stride, oh, ow)
-        np.copyto(self.cols[lo:hi], win[lo:hi])
-        out = self.out3[lo:hi]
-        np.matmul(self.weight, self.cols3[lo:hi], out=out)
-        if self.bias is not None:
-            out += self.bias
+            oh, ow = self.scratch_shape[-2:]
+            win = _windows(x, self.k, self.stride, oh, ow)
+        cols, cols2 = self.cols[slot], self.cols2[slot]
+        for i in range(lo, hi):
+            np.copyto(cols, win[i])
+            np.matmul(self.weight, cols2, out=self.out[i])
+        self._finish(self.out[lo:hi])
 
 
-class DepthwiseStage(_WindowedStage):
-    """Depthwise ``RxS`` conv: the tap loop, each tap one multiply
-    over the whole batch's strided windows."""
+class DepthwiseStage:
+    """Depthwise ``RxS`` conv: one copy of the batch's strided windows
+    into the stage scratch, then one stacked ``(R, 1, G·k²) @ (b, R,
+    G·k², P)`` matmul.  ``G = groups`` consecutive channels sum into one
+    output channel: 1 for CP, ``r2`` for TT's group-sum."""
 
-    def __init__(self, weight, src, in_shape, out, stride, padding,
-                 arena, name) -> None:
-        super().__init__(src, in_shape, out, stride, padding, arena, name)
-        _, k, _ = weight.shape
-        m, q, oh, ow = out.shape
-        rows, cols = (oh - 1) * stride + 1, (ow - 1) * stride + 1
-        self.taps = [
-            (
-                self.base[:, :, r:r + rows:stride, s:s + cols:stride],
-                weight[:, r, s, None, None],
-            )
-            for r in range(k) for s in range(k)
-        ]
-        self.scratch_shape = (m, q, oh, ow) if k > 1 else None
+    def __init__(self, weight, base, out, stride, groups=1) -> None:
+        q, k, _ = weight.shape
+        m, r, oh, ow = out.shape                 # r == q // groups
+        self.weight = weight.reshape(r, 1, groups * k * k)
+        self.win = _windows(base, k, stride, oh, ow)
+        self.out = _view(out, (m, r, 1, oh * ow))
+        self.scratch_shape = (m, q, k, k, oh, ow)
 
     def bind(self, scratch: np.ndarray) -> None:
-        self.tmp = scratch[: self.out.size].reshape(self.out.shape)
+        m, _, _, _, oh, ow = self.scratch_shape
+        self.cols = scratch[: int(np.prod(self.scratch_shape))].reshape(
+            self.scratch_shape
+        )
+        self.cols4 = self.cols.reshape(
+            m, self.weight.shape[0], self.weight.shape[2], oh * ow
+        )
 
-    def run(self, x, lo, hi) -> None:
-        self._stage_input(x, lo, hi)
+    def run(self, x, lo, hi, slot=0) -> None:
+        np.copyto(self.cols[lo:hi], self.win[lo:hi])
+        np.matmul(self.weight, self.cols4[lo:hi], out=self.out[lo:hi])
+
+
+class AffineStage:
+    """Per-channel ``out = max(src * scale + shift, 0)``: a BatchNorm
+    with no site to fold into, with or without its ReLU.  With no
+    ``scale`` it copies (or rectifies) — the staging of a padded
+    input."""
+
+    def __init__(self, src, out, scale=None, shift=None, relu=False):
+        self.src = src
+        self.out = out
+        self.scale = self.shift = None
+        if scale is not None:
+            self.scale = scale.astype(out.dtype)[:, None, None]
+            self.shift = shift.astype(out.dtype)[:, None, None]
+        self.relu = relu
+
+    def run(self, x, lo, hi, slot=0) -> None:
+        src = (x if self.src is None else self.src)[lo:hi]
         out = self.out[lo:hi]
-        first, w = self.taps[0]
-        np.multiply(first[lo:hi], w, out=out)
-        if len(self.taps) > 1:
-            tmp = self.tmp[lo:hi]
-            for tap, w in self.taps[1:]:
-                np.multiply(tap[lo:hi], w, out=tmp)
-                out += tmp
+        if self.scale is not None:
+            np.multiply(src, self.scale, out=out)
+            out += self.shift
+            if self.relu:
+                np.maximum(out, 0, out=out)
+        elif self.relu:
+            np.maximum(src, 0, out=out)
+        else:
+            np.copyto(out, src)
 
 
-class GroupSumStage:
-    """TT group-sum: collapse the ``r1*r2`` depthwise channels to ``r1``."""
+class PoolStage:
+    """Max or average pooling: a tap loop over the strided windows of
+    the (padded) input into an arena buffer."""
 
-    def __init__(self, src, out, rank1: int, rank2: int) -> None:
-        m, _, oh, ow = src.shape
-        self.src = src.reshape(m, rank1, rank2, oh, ow)
+    def __init__(self, base, out, k: int, stride: int, is_max: bool):
+        _, _, oh, ow = out.shape
+        rows, cols = (oh - 1) * stride + 1, (ow - 1) * stride + 1
+        self.taps = [
+            base[:, :, r:r + rows:stride, s:s + cols:stride]
+            for r in range(k) for s in range(k)
+        ]
+        self.out = out
+        self.op = np.maximum if is_max else np.add
+        self.inv = None if is_max else 1.0 / (k * k)
+
+    def run(self, x, lo, hi, slot=0) -> None:
+        out = self.out[lo:hi]
+        np.copyto(out, self.taps[0][lo:hi])
+        for tap in self.taps[1:]:
+            self.op(out, tap[lo:hi], out=out)
+        if self.inv is not None:
+            out *= self.inv
+
+
+class GlobalPoolStage:
+    """Global average pool: ``(B, C, H, W)`` -> ``(B, C)``."""
+
+    def __init__(self, src, out) -> None:
+        self.src = _flat(src)
         self.out = out
 
-    def run(self, x, lo, hi) -> None:
-        np.sum(self.src[lo:hi], axis=2, out=self.out[lo:hi])
+    def run(self, x, lo, hi, slot=0) -> None:
+        np.mean(self.src[lo:hi], axis=2, out=self.out[lo:hi])
+
+
+class LinearStage(_Epilogue):
+    """Fully connected head: ``src @ W^T (+ bias)`` into a buffer."""
+
+    def __init__(self, weight, src, out) -> None:
+        self.weight_t = weight.T
+        self.src = src
+        self.out = out
+
+    def run(self, x, lo, hi, slot=0) -> None:
+        out = self.out[lo:hi]
+        np.matmul(self.src[lo:hi], self.weight_t, out=out)
+        self._finish(out)
+
+
+class AddStage(_Epilogue):
+    """Residual add, in place into the main branch's buffer (the
+    block's ReLU is the epilogue)."""
+
+    def __init__(self, main, skip) -> None:
+        self.out = main
+        self.skip = skip
+
+    def run(self, x, lo, hi, slot=0) -> None:
+        out = self.out[lo:hi]
+        skip = x if self.skip is None else self.skip
+        np.add(out, skip[lo:hi], out=out)
+        self._finish(out)
 
 
 # ---------------------------------------------------------------------------
-# Lowering: one stage list per site format.
+# Compiled sites
 # ---------------------------------------------------------------------------
 
-def _lower(site: LayerSite, arena: BufferArena, max_batch: int):
-    """``(stages, core stage, core shape)`` for one conv site, writing
-    into ``<site>.out`` (and the site's intermediate buffers).  The
-    core stage is the ``conv``/``dw`` stage calibration times, the core
-    shape its plan-time ``ConvShape``; both are ``None`` for a plain
-    1x1 GEMM."""
-    mod, name, fmt = site.module, site.name, site.format
-    m, h, w = max_batch, site.height, site.width
-    k, stride, p = mod.kernel_size, mod.stride, mod.padding
-    oh, ow = mod.output_shape(h, w)
-    dt = arena.dtype
-    out = arena.allocate(f"{name}.out", (m, mod.out_channels, oh, ow))
-
-    def buf(label: str, channels: int, hw=(oh, ow)):
-        return arena.allocate(f"{name}.{label}", (m, channels) + hw)
-
-    if fmt == "dense":
-        weight = np.ascontiguousarray(mod.weight.data, dtype=dt)
-        bias = (None if mod.bias is None
-                else np.ascontiguousarray(mod.bias.data, dtype=dt))
-        if k == 1 and stride == 1 and p == 0:
-            return [PointwiseStage(weight[:, :, 0, 0], None, out, bias)], \
-                None, None
-        conv = ConvStage(weight, None, (m, mod.in_channels, h, w), out,
-                         stride, p, arena, name, bias)
-        shape = ConvShape(c=mod.in_channels, n=mod.out_channels,
-                          h=oh, w=ow, r=k, s=k)
-        return [conv], conv, shape
-    weights = mod.export_weights(dtype=dt)
-    mid = weights["w_in"].shape[0]
-    z1 = buf("z1", mid, (h, w))
-    pw1 = PointwiseStage(weights["w_in"], None, z1)
-    if fmt == "tucker":
-        z2 = buf("z2", mod.rank_out)
-        core = ConvStage(weights["core"], z1, z1.shape, z2, stride, p,
-                         arena, name)
-        tail = [PointwiseStage(weights["w_out"], z2, out, weights["bias"])]
-        shape = ConvShape(c=mid, n=mod.rank_out, h=oh, w=ow, r=k, s=k)
-        return [pw1, core] + tail, core, shape
-    z2 = buf("z2", mid)
-    core = DepthwiseStage(weights["dw"], z1, z1.shape, z2, stride, p,
-                          arena, name)
-    if fmt == "tt":
-        z3 = buf("z3", mod.rank1)
-        tail = [GroupSumStage(z2, z3, mod.rank1, mod.rank2),
-                PointwiseStage(weights["w_out"], z3, out, weights["bias"])]
-    else:
-        tail = [PointwiseStage(weights["w_out"], z2, out, weights["bias"])]
-    shape = ConvShape(c=mid, n=mid, h=oh, w=ow, r=k, s=k)
-    return [pw1, core] + tail, core, shape
-
-
-class _CompiledSite(Module):
+class _CompiledSite:
     """One compiled conv site: its stage list over arena buffers.
 
     ``forward`` runs the list on the whole batch, or — when
     :func:`compile_plan` marked the site parallel and the batch
     supports >= 2 shards of >= 2 samples — on batch shards across the
     worker pool.  The subclasses name the site's format (and the fused
-    plan); they differ only in the stage list :func:`_lower` builds.
+    plan); they differ only in the stage list the lowering builds.
     """
 
     #: Set by compile_plan when the perf model picks parallel.
@@ -347,45 +418,33 @@ class _CompiledSite(Module):
     est_speedup = 1.0
     site_latency_s = 0.0
 
-    def __init__(self, site: LayerSite, backend: Optional[str],
-                 arena: BufferArena, max_batch: int) -> None:
-        super().__init__()
+    def __init__(self, site: LayerSite, backend: Optional[str], stages,
+                 core_stage, core_shape, out: np.ndarray) -> None:
         self.site_name = site.name
         self.format = site.format
         self.backend = backend
-        self.max_batch = int(max_batch)
         self.input_shape = (site.module.in_channels, site.height, site.width)
-        self.stages, self.core_stage, self.core_shape = _lower(
-            site, arena, max_batch
-        )
-        self.out = arena.get(f"{site.name}.out")
+        self.stages = stages
+        self.core_stage = core_stage
+        self.core_shape = core_shape
+        self.out = out
 
     def forward(self, x: np.ndarray) -> np.ndarray:
+        """Run the site on the batch of network input ``x``."""
         b = x.shape[0]
-        if b > self.max_batch:
-            raise ValueError(
-                f"batch {b} exceeds the compiled max_batch "
-                f"{self.max_batch} at site {self.site_name!r}; recompile "
-                f"with a larger max_batch or split the request"
-            )
         shards = plan_batch_shards(b, self.threads)
         if len(shards) > 1:
-            self.pool.run_tasks(
-                [partial(self._run, x, lo, hi) for lo, hi in shards]
-            )
+            self.pool.run_tasks([
+                partial(self._run, x, lo, hi, slot)
+                for slot, (lo, hi) in enumerate(shards)
+            ])
         else:
             self._run(x, 0, b)
         return self.out[:b]
 
-    def _run(self, x: np.ndarray, lo: int, hi: int) -> None:
+    def _run(self, x: np.ndarray, lo: int, hi: int, slot: int = 0) -> None:
         for stage in self.stages:
-            stage.run(x, lo, hi)
-
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        raise RuntimeError(
-            f"compiled site {self.site_name!r} is inference-only; "
-            f"train on the source model and recompile"
-        )
+            stage.run(x, lo, hi, slot)
 
 
 class CompiledConv2d(_CompiledSite):
@@ -401,7 +460,7 @@ class CompiledCPConv2d(_CompiledSite):
 
 
 class CompiledTTConv2d(_CompiledSite):
-    """A TT site: ``[pw, dw, gsum, pw]``."""
+    """A TT site: ``[pw, dw, pw]``, the group-sum folded into ``dw``."""
 
 
 class CompiledFusedSite(_CompiledSite):
@@ -418,14 +477,293 @@ _SITE_CLASSES = {
 }
 
 
+# ---------------------------------------------------------------------------
+# Lowering: the module tree -> one stage list
+# ---------------------------------------------------------------------------
+
+@dataclass
+class _Act:
+    """An activation while lowering: the arena buffer holding it
+    (``None`` = the network input), its per-sample shape, the stage
+    that wrote it and may still take a folded BatchNorm or a ReLU
+    (``None`` once another consumer may read it), and a per-channel
+    ``(scale, shift, relu)`` prologue not yet applied."""
+
+    buf: Optional[np.ndarray]
+    shape: Tuple[int, ...]
+    owner: Optional[_Epilogue] = None
+    pre: Optional[Tuple] = None
+
+
+#: Module types whose forward runs named children in order.
+_CHAINS = {
+    ResNet: ("stem", "blocks", "pool", "fc"),
+    VGG: ("features", "pool", "fc"),
+    DenseNet: ("stem", "stages", "final_bn", "final_relu", "pool", "fc"),
+    DenseLayer: ("bn", "relu", "conv"),
+    Transition: ("bn", "relu", "conv", "pool"),
+}
+
+#: Residual blocks: main-branch children, then the ReLU after the add.
+_RESIDUALS = {
+    BasicBlock: (("conv1", "bn1", "relu1", "conv2", "bn2"), "relu2"),
+    Bottleneck: (("conv1", "bn1", "relu1", "conv2", "bn2", "relu2",
+                  "conv3", "bn3"), "relu3"),
+}
+
+
+def _bn_affine(bn: BatchNorm2d) -> Tuple[np.ndarray, np.ndarray]:
+    """Eval BatchNorm as per-channel ``(scale, shift)`` (float64)."""
+    scale = bn.gamma.data / np.sqrt(bn.running_var + bn.eps)
+    return scale, bn.beta.data - bn.running_mean * scale
+
+
+class _Lowering:
+    """Walks the module tree once, appending sites and stages to
+    ``steps`` in execution order."""
+
+    def __init__(self, arena: BufferArena, max_batch: int,
+                 sites: Sequence[LayerSite], backends: Dict[str, str],
+                 slots: Dict[str, int]) -> None:
+        self.arena = arena
+        self.max_batch = max_batch
+        self.traced = {s.name: s for s in sites}
+        self.backends = backends
+        self.slots = slots
+        self.steps: list = []
+        self.sites: List[_CompiledSite] = []
+
+    # -- buffers --------------------------------------------------------
+    def alloc(self, name: str, shape: Tuple[int, ...]) -> np.ndarray:
+        return self.arena.allocate(name, (self.max_batch,) + tuple(shape))
+
+    def weight(self, array: np.ndarray) -> np.ndarray:
+        """An owned, contiguous copy in the execution dtype."""
+        return np.array(array, dtype=self.arena.dtype, order="C")
+
+    def write(self, act: _Act, out: np.ndarray, steps: list) -> None:
+        """Append the stage writing ``act`` (its prologue applied)
+        into ``out``."""
+        steps.append(AffineStage(act.buf, out, *(act.pre or ())))
+
+    def buffered(self, act: _Act, name: str) -> _Act:
+        """``act`` in an arena buffer with its prologue applied."""
+        if act.buf is not None and act.pre is None:
+            return act
+        out = self.alloc(name, act.shape)
+        self.write(act, out, self.steps)
+        return _Act(out, act.shape)
+
+    # -- dispatch -------------------------------------------------------
+    def module(self, mod: Module, path: str, act: _Act,
+               dest: Optional[np.ndarray] = None) -> _Act:
+        """Lower ``mod`` on input ``act``; a conv site that ends it
+        writes into ``dest`` when given."""
+        kind = type(mod)
+        if kind in (Conv2d, TuckerConv2d, CPConv2d, TTConv2d):
+            return self.site(mod, path, act, dest)
+        if kind in _CHAINS or kind in (Sequential, ConvBNReLU):
+            names = _CHAINS.get(kind) or mod._order
+            for i, name in enumerate(names):
+                last = i == len(names) - 1
+                act = self.module(getattr(mod, name), _join(path, name),
+                                  act, dest if last else None)
+            return act
+        if kind in _RESIDUALS:
+            return self.residual(mod, path, act)
+        rule = {
+            BatchNorm2d: self.batchnorm,
+            ReLU: self.relu,
+            MaxPool2d: self.pool,
+            AvgPool2d: self.pool,
+            GlobalAvgPool2d: self.global_pool,
+            Flatten: self.flatten,
+            Linear: self.linear,
+            DenseBlock: self.dense_block,
+        }.get(kind)
+        if rule is not None:
+            return rule(mod, path, act)
+        if kind in (Dropout, Identity):
+            return act
+        raise TypeError(
+            f"compile_plan has no lowering rule for {kind.__name__} at "
+            f"{path or '<root>'!r}"
+        )
+
+    # -- conv sites -----------------------------------------------------
+    def site(self, mod, path: str, act: _Act,
+             dest: Optional[np.ndarray]) -> _Act:
+        site = self.traced.get(path)
+        c, h, w = act.shape
+        if site is None or (site.height, site.width) != (h, w):
+            raise ValueError(
+                f"conv {path!r} is not a traced site of this model at "
+                f"input extent {(h, w)}; pass the sites traced for this "
+                f"model and input size"
+            )
+        k, stride, p = mod.kernel_size, mod.stride, mod.padding
+        oh, ow = mod.output_shape(h, w)
+        out = dest if dest is not None else self.alloc(
+            f"{path}.out", (mod.out_channels, oh, ow)
+        )
+        stages: list = []
+
+        def source(a: _Act) -> Optional[np.ndarray]:
+            """``a``'s buffer for a stage reading it unpadded."""
+            if a.pre is None:
+                return a.buf
+            buf = self.alloc(f"{path}.xin", a.shape)
+            self.write(a, buf, stages)
+            return buf
+
+        def padded(a: _Act) -> Optional[np.ndarray]:
+            """``a`` staged into a zero-border buffer for a windowed
+            stage (or read directly when unpadded)."""
+            if not p:
+                return source(a)
+            ch, hh, ww = a.shape
+            buf = self.alloc(f"{path}.xpad", (ch, hh + 2 * p, ww + 2 * p))
+            self.write(a, buf[:, :, p:p + hh, p:p + ww], stages)
+            return buf
+
+        core, shape = None, None
+        if site.format == "dense":
+            weight = self.weight(mod.weight.data)
+            if k == 1 and stride == 1 and p == 0:
+                stages.append(PointwiseStage(weight[:, :, 0, 0], source(act),
+                                             out))
+            else:
+                stages.append(ConvStage(weight, padded(act), out, stride,
+                                        self.slots.get(path, 1)))
+                if k > 1:  # a strided 1x1 is planned as a pointwise GEMM
+                    core = stages[-1]
+                    shape = ConvShape(c=c, n=mod.out_channels, h=oh, w=ow,
+                                      r=k, s=k)
+        else:
+            weights = mod.export_weights(dtype=self.arena.dtype)
+            mid = weights["w_in"].shape[0]
+            z1 = self.alloc(f"{path}.z1", (mid, h, w))
+            stages.append(PointwiseStage(weights["w_in"], source(act), z1))
+            z1 = _Act(z1, (mid, h, w))
+            if site.format == "tucker":
+                z2 = self.alloc(f"{path}.z2", (mod.rank_out, oh, ow))
+                core = ConvStage(weights["core"], padded(z1), z2, stride,
+                                 self.slots.get(path, 1))
+                shape = ConvShape(c=mid, n=mod.rank_out, h=oh, w=ow, r=k, s=k)
+            else:
+                groups = mod.rank2 if site.format == "tt" else 1
+                z2 = self.alloc(f"{path}.z2", (mid // groups, oh, ow))
+                core = DepthwiseStage(weights["dw"], padded(z1), z2, stride,
+                                      groups)
+                shape = ConvShape(c=mid, n=mid, h=oh, w=ow, r=k, s=k)
+            stages += [core, PointwiseStage(weights["w_out"], z2, out)]
+        if mod.bias is not None:
+            stages[-1].set_bias(mod.bias.data)
+        backend = self.backends[path]
+        cls = CompiledFusedSite if backend == "fused" \
+            else _SITE_CLASSES[site.format]
+        compiled = cls(site, backend, stages, core, shape, out)
+        self.sites.append(compiled)
+        self.steps.append(compiled)
+        return _Act(out, (mod.out_channels, oh, ow), owner=stages[-1])
+
+    # -- auxiliary modules -----------------------------------------------
+    def batchnorm(self, mod: BatchNorm2d, path: str, act: _Act) -> _Act:
+        scale, shift = _bn_affine(mod)
+        owner = act.owner
+        if (act.pre is None and isinstance(owner, (PointwiseStage, ConvStage))
+                and not owner.relu):
+            owner.fold_bn(scale, shift)
+            return act
+        act = self.buffered(act, f"{path}.in") if act.pre else act
+        return _Act(act.buf, act.shape, pre=(scale, shift, False))
+
+    def relu(self, mod: ReLU, path: str, act: _Act) -> _Act:
+        if act.pre is not None:
+            scale, shift, _ = act.pre
+            return _Act(act.buf, act.shape, pre=(scale, shift, True))
+        if act.owner is not None:
+            act.owner.relu = True
+            return act
+        return _Act(act.buf, act.shape, pre=(None, None, True))
+
+    def residual(self, mod, path: str, act: _Act) -> _Act:
+        main_names, relu_name = _RESIDUALS[type(mod)]
+        # Both branches read the block input: nothing may write it.
+        x = self.buffered(act, f"{path}.in") if act.pre else act
+        x = _Act(x.buf, x.shape)
+        main = x
+        for name in main_names:
+            main = self.module(getattr(mod, name), _join(path, name), main)
+        skip = self.module(mod.shortcut, _join(path, "shortcut"), x)
+        # The main branch ends in a conv site with its BatchNorm folded
+        # in: nothing else reads its output, so the add runs in place.
+        add = AddStage(main.buf, skip.buf)
+        self.steps.append(add)
+        return self.relu(getattr(mod, relu_name), _join(path, relu_name),
+                         _Act(main.buf, main.shape, owner=add))
+
+    def pool(self, mod, path: str, act: _Act) -> _Act:
+        k, stride, p = mod.kernel_size, mod.stride, mod.padding
+        c, h, w = act.shape
+        oh = conv_out_size(h, k, stride, p)
+        ow = conv_out_size(w, k, stride, p)
+        is_max = isinstance(mod, MaxPool2d)
+        if p:
+            base = self.alloc(f"{path}.xpad", (c, h + 2 * p, w + 2 * p))
+            if is_max:  # padded cells never win the max
+                base.fill(np.finfo(base.dtype).min)
+            self.write(act, base[:, :, p:p + h, p:p + w], self.steps)
+        else:
+            base = self.buffered(act, f"{path}.in").buf
+        out = self.alloc(f"{path}.out", (c, oh, ow))
+        self.steps.append(PoolStage(base, out, k, stride, is_max))
+        return _Act(out, (c, oh, ow))
+
+    def global_pool(self, mod, path: str, act: _Act) -> _Act:
+        act = self.buffered(act, f"{path}.in")
+        out = self.alloc(f"{path}.out", act.shape[:1])
+        self.steps.append(GlobalPoolStage(act.buf, out))
+        return _Act(out, act.shape[:1])
+
+    def flatten(self, mod, path: str, act: _Act) -> _Act:
+        act = self.buffered(act, f"{path}.in")
+        n = int(np.prod(act.shape))
+        return _Act(_view(act.buf, (self.max_batch, n)), (n,))
+
+    def linear(self, mod: Linear, path: str, act: _Act) -> _Act:
+        act = self.buffered(act, f"{path}.in")
+        out = self.alloc(f"{path}.out", (mod.out_features,))
+        stage = LinearStage(self.weight(mod.weight.data), act.buf, out)
+        if mod.bias is not None:
+            stage.set_bias(mod.bias.data)
+        self.steps.append(stage)
+        return _Act(out, (mod.out_features,), owner=stage)
+
+    def dense_block(self, mod: DenseBlock, path: str, act: _Act) -> _Act:
+        c, h, w = act.shape
+        block = self.alloc(f"{path}.out", (mod.out_channels, h, w))
+        self.write(act, block[:, :c], self.steps)
+        for name in mod._layer_names:
+            # The layer's conv writes its channel slice of the block.
+            self.module(getattr(mod, name), _join(path, name),
+                        _Act(block[:, :c], (c, h, w)),
+                        block[:, c:c + mod.growth])
+            c += mod.growth
+        return _Act(block, (c, h, w))
+
+
+def _join(path: str, name: str) -> str:
+    return f"{path}.{name}" if path else name
+
+
 class Executable:
     """A runnable, self-contained compilation of (plan, model, device).
 
     Produced by :func:`compile_plan`; executes real numeric forward
-    passes through the compiled sites and the model's auxiliary modules
-    (batch-norm in eval mode, activations, pooling, residual/concat
-    topology).  Not thread-safe — one arena means one in-flight
-    request; see :class:`repro.serving.InferenceSession` for
+    passes as one stage list over its arena — the compiled sites and
+    the stages between them.  Not thread-safe — one arena means one
+    in-flight request; see :class:`repro.serving.InferenceSession` for
     concurrency.
     """
 
@@ -433,9 +771,9 @@ class Executable:
         self,
         plan: ExecutionPlan,
         device: DeviceSpec,
-        model: Module,
         arena: BufferArena,
-        sites: Sequence[_CompiledSite],
+        steps: Sequence[object],
+        out: np.ndarray,
         input_shape: Tuple[int, int, int],
         max_batch: int,
         threads: int = 1,
@@ -448,8 +786,9 @@ class Executable:
         self.max_batch = int(max_batch)
         #: Worker lanes this executable was compiled for (1 = serial).
         self.threads = int(threads)
-        self._model = model
-        self._sites = list(sites)
+        self._steps = list(steps)
+        self._sites = [s for s in self._steps if isinstance(s, _CompiledSite)]
+        self._out = out
         # The plan is immutable for this executable's lifetime; the
         # serving worker reads the prediction every batch, so sum once.
         self._predicted_latency = plan.total_latency()
@@ -478,7 +817,8 @@ class Executable:
 
     def arena_report(self) -> Dict[str, int]:
         """Arena footprint: every activation buffer plus the one
-        shared stage scratch (parallel shards add no bytes)."""
+        shared stage scratch (a parallel site adds one ``conv`` scratch
+        slot per extra shard)."""
         return {
             "arena_bytes": self.arena.nbytes,
             "stage_scratch_bytes": self.arena.get(STAGE_SCRATCH).nbytes,
@@ -510,7 +850,8 @@ class Executable:
         """Execute one request: ``(B, C, H, W)`` (or ``(C, H, W)``).
 
         Numerically equivalent to ``model.eval().forward(x)`` on the
-        source model; the batch must not exceed ``max_batch``.
+        source model; the batch must not exceed ``max_batch``.  Returns
+        a new array the caller owns.
         """
         x = np.asarray(x)
         if x.ndim == 3:
@@ -520,18 +861,23 @@ class Executable:
                 f"expected input (B, {', '.join(map(str, self.input_shape))})"
                 f" with B <= {self.max_batch}, got {x.shape}"
             )
-        if x.shape[0] > self.max_batch:
+        b = x.shape[0]
+        if b > self.max_batch:
             raise ValueError(
-                f"batch {x.shape[0]} exceeds compiled max_batch "
+                f"batch {b} exceeds compiled max_batch "
                 f"{self.max_batch}; recompile with a larger max_batch or "
                 f"let an InferenceSession micro-batch the requests"
             )
         if x.dtype != self.dtype:
             x = x.astype(self.dtype)  # repro: ignore[hot-path-alloc] -- cold-path dtype cast, counted via hot_casts; serving pre-converts in the staging buffer
             self.hot_casts += 1
-        y = self._model.forward(x)
+        for step in self._steps:
+            if isinstance(step, _CompiledSite):
+                step.forward(x)
+            else:
+                step.run(x, 0, b)
         self.requests_served += 1
-        return y
+        return self._out[:b].copy()  # repro: ignore[hot-path-alloc] -- the returned array, owned by the caller; the arena is reused next request
 
     def measure(
         self, x: np.ndarray, repeats: int = 3, warmup: int = 1
@@ -549,7 +895,8 @@ class Executable:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"Executable({self.model_name!r} on {self.device.name}, "
-            f"{len(self._sites)} bound sites, max_batch={self.max_batch}, "
+            f"{len(self._sites)} sites, {len(self._steps)} steps, "
+            f"max_batch={self.max_batch}, "
             f"arena {self.arena.nbytes / 1e6:.1f} MB)"
         )
 
@@ -580,7 +927,7 @@ def _index_plan(
     unbound: List[str] = []
     for k in plan.kernels:
         if k.kind not in _CONV_KINDS:
-            continue  # aux kinds execute through the model's own modules
+            continue  # aux kinds are priced, not bound
         site = _kernel_site(k)
         if site not in names:
             unbound.append(k.layer)
@@ -638,12 +985,11 @@ def compile_plan(
     """Bind an execution plan to a trainable model: the compile step.
 
     Traces the model's conv sites, validates that the plan covers each
-    of them, lowers every site to its stage list, exports the weights,
-    and preallocates the buffer arena.  The model itself is deep-copied
-    (and switched to eval mode) with each conv site replaced by its
-    compiled form, so auxiliary topology — residual adds, dense
-    concatenation, pooling, batch-norm — executes through the model's
-    own modules.
+    of them, and lowers the whole module tree — every conv site to its
+    stage list, every other module by its lowering rule (see the module
+    docstring) — into one stage list over a preallocated arena, with
+    weights and eval-mode BatchNorm statistics copied in.  The model
+    is only read.
 
     ``sites`` takes a pre-traced inventory (same ``image_hw`` and
     ``in_channels``) so planning and compilation can share one traced
@@ -679,7 +1025,8 @@ def compile_plan(
         )
     if max_batch < 1:
         raise ValueError(f"max_batch must be >= 1, got {max_batch}")
-    cores = _index_plan(plan, [s.name for s in sites])
+    names = [s.name for s in sites]
+    cores = _index_plan(plan, names)
     missing = [
         f"{s.name}.core" if s.is_factored else s.name
         for s in sites if s.name not in cores
@@ -690,73 +1037,72 @@ def compile_plan(
             f"by plan_model for this model (same decomposition state)?"
         )
 
-    arena = BufferArena(dtype=dtype)
-    compiled_model = copy.deepcopy(model).eval()
-    compiled_sites: List[_CompiledSite] = []
-    for site in sites:
-        # Bind against the *copy*'s module so exported weights come
-        # from the same tree the executable runs.
-        copied = LayerSite(
-            name=site.name,
-            module=find_module(compiled_model, site.name),
-            height=site.height,
-            width=site.width,
-        )
-        backend = cores[site.name].backend
-        cls = CompiledFusedSite if backend == "fused" \
-            else _SITE_CLASSES[site.format]
-        compiled = cls(copied, backend, arena, max_batch)
-        replace_module(compiled_model, site.name, compiled)
-        compiled_sites.append(compiled)
+    parallel: Dict[str, Tuple[float, float]] = {}
+    if threads > 1:
+        for name, lat in _site_latencies(plan, names).items():
+            go, est = should_parallelize(lat, threads)
+            if go:
+                parallel[name] = (est, lat)
+    # A parallel site's conv stages take one scratch slot per shard.
+    n_shards = max(1, len(plan_batch_shards(max_batch, threads)))
 
-    # One scratch for every stage: sites run one after another, and
-    # batch shards of one site write disjoint sample slices of it.
-    stages = [
-        st for s in compiled_sites for st in s.stages
-        if getattr(st, "scratch_shape", None)
+    arena = BufferArena(dtype=dtype)
+    lowering = _Lowering(
+        arena, max_batch, sites,
+        backends={name: k.backend for name, k in cores.items()},
+        slots={name: n_shards for name in parallel},
+    )
+    out = lowering.module(
+        model, "", _Act(None, (in_channels,) + tuple(image_hw))
+    )
+    out = lowering.buffered(out, "output")
+    unreached = sorted(set(names) - {s.site_name for s in lowering.sites})
+    if unreached:
+        raise ValueError(
+            f"traced conv sites {unreached[:8]} are not reached by the "
+            f"lowering of {type(model).__name__}"
+        )
+
+    # One scratch for every stage: stages run one after another, and
+    # batch shards of one site write disjoint slices (or slots) of it.
+    scratched = [
+        st for step in lowering.steps
+        for st in getattr(step, "stages", (step,))
+        if hasattr(st, "scratch_shape")
     ]
     scratch = arena.allocate(STAGE_SCRATCH, (max(
-        [int(np.prod(st.scratch_shape)) for st in stages], default=0
+        [int(np.prod(st.scratch_shape)) for st in scratched], default=0
     ),))
-    for st in stages:
+    for st in scratched:
         st.bind(scratch)
 
-    if threads > 1:
-        site_lat = _site_latencies(plan, [s.name for s in sites])
-        parallel_names = set()
-        for compiled in compiled_sites:
-            lat = site_lat[compiled.site_name]
-            go, est = should_parallelize(lat, threads)
-            if not go:
-                continue
+    for site in lowering.sites:
+        if site.site_name in parallel:
             # threads lanes = the caller + (threads - 1) workers.
-            compiled.pool = get_pool(threads - 1)
-            compiled.threads = threads
-            compiled.est_speedup = est
-            compiled.site_latency_s = lat
-            parallel_names.add(compiled.site_name)
-        if parallel_names:
-            # Record the decision on a *copy*: the planner's plan (and
-            # any cache holding it) stays untouched.
-            plan = ExecutionPlan(
-                model_name=plan.model_name,
-                device_name=plan.device_name,
-                variant=plan.variant,
-                kernels=[
-                    dc_replace(k, parallel=True)
-                    if k.kind in _CONV_KINDS
-                    and _kernel_site(k) in parallel_names
-                    else k
-                    for k in plan.kernels
-                ],
-            )
+            site.pool = get_pool(threads - 1)
+            site.threads = threads
+            site.est_speedup, site.site_latency_s = parallel[site.site_name]
+    if parallel:
+        # Record the decision on a *copy*: the planner's plan (and any
+        # cache holding it) stays untouched.
+        plan = ExecutionPlan(
+            model_name=plan.model_name,
+            device_name=plan.device_name,
+            variant=plan.variant,
+            kernels=[
+                dc_replace(k, parallel=True)
+                if k.kind in _CONV_KINDS and _kernel_site(k) in parallel
+                else k
+                for k in plan.kernels
+            ],
+        )
 
     return Executable(
         plan=plan,
         device=device,
-        model=compiled_model,
         arena=arena,
-        sites=compiled_sites,
+        steps=lowering.steps,
+        out=out.buf,
         input_shape=(in_channels, image_hw[0], image_hw[1]),
         max_batch=max_batch,
         threads=threads,

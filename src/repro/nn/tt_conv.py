@@ -157,11 +157,11 @@ class TTConv2d(Module):
     ) -> Dict[str, Optional[np.ndarray]]:
         """Contiguous snapshots of the factor weights (compile step)."""
         return {
-            "w_in": np.ascontiguousarray(self.w_in.data, dtype=dtype),
-            "dw": np.ascontiguousarray(self.dw.data, dtype=dtype),
-            "w_out": np.ascontiguousarray(self.w_out.data, dtype=dtype),
+            "w_in": np.array(self.w_in.data, dtype=dtype, order="C"),
+            "dw": np.array(self.dw.data, dtype=dtype, order="C"),
+            "w_out": np.array(self.w_out.data, dtype=dtype, order="C"),
             "bias": (
-                np.ascontiguousarray(self.bias.data, dtype=dtype)
+                np.array(self.bias.data, dtype=dtype, order="C")
                 if self.bias is not None else None
             ),
         }

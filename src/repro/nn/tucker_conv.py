@@ -166,11 +166,11 @@ class TuckerConv2d(Module):
         not leak into an already-compiled artifact.
         """
         return {
-            "w_in": np.ascontiguousarray(self.w_in.data, dtype=dtype),
-            "core": np.ascontiguousarray(self.core.data, dtype=dtype),
-            "w_out": np.ascontiguousarray(self.w_out.data, dtype=dtype),
+            "w_in": np.array(self.w_in.data, dtype=dtype, order="C"),
+            "core": np.array(self.core.data, dtype=dtype, order="C"),
+            "w_out": np.array(self.w_out.data, dtype=dtype, order="C"),
             "bias": (
-                np.ascontiguousarray(self.bias.data, dtype=dtype)
+                np.array(self.bias.data, dtype=dtype, order="C")
                 if self.bias is not None else None
             ),
         }

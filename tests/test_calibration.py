@@ -67,3 +67,27 @@ def test_run_measures_every_bound_core(calibrated_setup):
         sum(s.measured_s for s in run.samples)
     )
 
+
+
+def test_every_core_stage_is_measured():
+    """Depthwise middles are measured whichever backend won them — the
+    depthwise baseline included, under its own name and plan latency."""
+    from repro.backends import DEPTHWISE_BASELINE
+
+    model = build_model("vgg_tiny", seed=0)
+    decompose_for_device(model, A100, IMAGE_HW, budget=0.5, rank_step=2,
+                         formats=("cp",))
+    exe = compile_model(model.eval(), A100, image_hw=IMAGE_HW,
+                        core_backend="auto", max_batch=1)
+    cored = [s.site_name for s in exe.sites() if s.core_stage is not None]
+    assert any(s.format == "cp" for s in exe.sites())
+    run = run_calibration(exe, warmup=0, repeats=1)
+    assert sorted(s.site for s in run.samples) == sorted(cored)
+    planned = {k.layer: k for k in exe.plan.kernels}
+    for sample in run.samples:
+        site = next(s for s in exe.sites() if s.site_name == sample.site)
+        kernel = planned[sample.site + (".core" if site.format == "cp"
+                                        else "")]
+        assert sample.predicted_s == kernel.latency
+        assert sample.backend == (kernel.backend or "cudnn")
+    assert DEPTHWISE_BASELINE in {s.backend for s in run.samples}

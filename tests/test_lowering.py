@@ -1,0 +1,234 @@
+"""Differential test of the whole-network lowering.
+
+``compile_plan`` lowers the whole module tree — conv sites, folded
+BatchNorm, ReLU epilogues, residual adds, pools, DenseNet block
+buffers, the head — into one stage list.  These tests compare
+``compile -> run`` with ``Module.forward`` over seeded random networks
+built from every ``models.blocks`` block, every factored format, both
+execution dtypes, every batch size up to ``max_batch`` and rectangular
+inputs, plus the zoo presets hostbench does not deploy.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from repro.gpusim.device import A100
+from repro.inference import compile_model
+from repro.models.blocks import (
+    BasicBlock,
+    Bottleneck,
+    ConvBNReLU,
+    DenseBlock,
+    Transition,
+)
+from repro.models.introspection import replace_module
+from repro.models.registry import build_model
+from repro.nn.conv import Conv2d
+from repro.nn.cp_conv import CPConv2d
+from repro.nn.layers import (
+    AvgPool2d,
+    BatchNorm2d,
+    Dropout,
+    Flatten,
+    GlobalAvgPool2d,
+    Linear,
+    MaxPool2d,
+)
+from repro.nn.module import Module, Sequential
+from repro.nn.tt_conv import TTConv2d
+from repro.nn.tucker_conv import TuckerConv2d
+
+#: Largest ``|run - forward|`` allowed, relative to ``max |forward|``,
+#: per execution dtype.  float64 differs from the forward only by
+#: summation order (folded BatchNorm, per-sample GEMMs, tap order); a
+#: float32 executable runs every stage in single precision against the
+#: float64 forward.
+TOLERANCE = {np.dtype(np.float64): 1e-9, np.dtype(np.float32): 1e-4}
+
+FORMATS = ("dense", "tucker", "cp", "tt")
+#: The block each generated network is built around (plus 1-2 random
+#: extra blocks), cycled by seed so every one is covered.
+FEATURES = ("basic", "basic_down", "bottleneck", "dense", "transition",
+            "pool")
+N_CASES = 24
+
+
+def assert_matches_forward(exe, model, x) -> None:
+    ref = model.forward(x)
+    y = exe.run(x)
+    assert y.shape == ref.shape
+    tol = TOLERANCE[exe.dtype] * max(1.0, float(np.max(np.abs(ref))))
+    np.testing.assert_allclose(y, ref, rtol=0, atol=tol)
+
+
+def randomize_batchnorm(model: Module, rng) -> None:
+    """Non-trivial eval statistics, so folding actually moves weights."""
+    for mod in model.modules():
+        if isinstance(mod, BatchNorm2d):
+            n = mod.num_features
+            mod.gamma.data[...] = rng.uniform(0.5, 1.5, n)
+            mod.beta.data[...] = rng.normal(0.0, 0.3, n)
+            mod.running_mean[...] = rng.normal(0.0, 0.3, n)
+            mod.running_var[...] = rng.uniform(0.5, 2.0, n)
+
+
+def factor(model: Module, fmt: str, rng) -> None:
+    """Replace every spatial dense conv by a random ``fmt`` layer of
+    random ranks (a random bias too, so the fold meets one)."""
+    if fmt == "dense":
+        return
+    for name, mod in list(model.named_modules()):
+        if type(mod) is not Conv2d or mod.kernel_size == 1:
+            continue
+        c, n, k = mod.in_channels, mod.out_channels, mod.kernel_size
+        kw = dict(stride=mod.stride, padding=mod.padding,
+                  bias=bool(rng.integers(2)),
+                  seed=int(rng.integers(1 << 30)))
+        if fmt == "tucker":
+            new: Module = TuckerConv2d(
+                c, n, k, rank_in=int(rng.integers(1, c + 1)),
+                rank_out=int(rng.integers(1, n + 1)), **kw)
+        elif fmt == "cp":
+            new = CPConv2d(c, n, k, rank=int(rng.integers(1, c + n)), **kw)
+        else:
+            new = TTConv2d(c, n, k, rank1=int(rng.integers(1, n + 1)),
+                           rank2=int(rng.integers(1, k * k + 1)), **kw)
+        replace_module(model, name, new)
+
+
+def random_network(seed: int):
+    """``(model, (H, W))``: a stem, the seed's featured block plus 1-2
+    random ones, and a pooled or flattened ``Linear`` head."""
+    rng = np.random.default_rng(seed)
+    h, w = int(rng.integers(7, 14)), int(rng.integers(7, 14))
+    c = int(rng.integers(3, 7))
+    layers = [ConvBNReLU(3, c, 3, 1, 1, seed=seed)]
+    ho, wo = h, w
+    extras = rng.choice(FEATURES, size=int(rng.integers(1, 3)))
+    for kind in [FEATURES[seed % len(FEATURES)], *extras]:
+        down = min(ho, wo) >= 4
+        sub = int(rng.integers(1 << 30))
+        if kind in ("basic", "basic_down"):
+            stride = 2 if kind == "basic_down" and down else 1
+            out = c + 2 if kind == "basic_down" else c
+            layers.append(BasicBlock(c, out, stride=stride, seed=sub))
+            c = out
+        elif kind == "bottleneck":
+            width = int(rng.integers(2, 4))
+            stride = int(rng.integers(1, 3)) if down else 1
+            layers.append(Bottleneck(c, width, stride=stride, seed=sub))
+            c = width * Bottleneck.expansion
+        elif kind in ("dense", "transition"):
+            block = DenseBlock(c, int(rng.integers(1, 4)),
+                               int(rng.integers(2, 5)), seed=sub)
+            layers.append(block)
+            c = block.out_channels
+            if kind == "transition" and down:
+                layers.append(Transition(c, max(2, c // 2), seed=sub + 1))
+                c = layers[-1].out_channels
+        else:
+            pools = [AvgPool2d(3, stride=1, padding=1)]
+            if down:
+                pools += [MaxPool2d(2), AvgPool2d(2),
+                          MaxPool2d(3, stride=2, padding=1)]
+            layers.append(pools[int(rng.integers(len(pools)))])
+        body = Sequential(*layers).eval()
+        ho, wo = body.forward(np.zeros((1, 3, h, w))).shape[2:]
+    classes = int(rng.integers(2, 6))
+    if rng.integers(2):
+        head = [GlobalAvgPool2d(), Linear(c, classes, seed=seed)]
+    else:
+        head = [Flatten(), Dropout(0.3), Linear(c * ho * wo, classes,
+                                                seed=seed)]
+    return Sequential(*layers, *head), (h, w)
+
+
+@pytest.mark.parametrize("seed", range(N_CASES))
+def test_lowering_matches_forward(seed):
+    fmt = FORMATS[seed % len(FORMATS)]
+    dtype = np.dtype(np.float64 if seed < N_CASES // 2 else np.float32)
+    model, hw = random_network(seed)
+    rng = np.random.default_rng(1000 + seed)
+    factor(model, fmt, rng)
+    randomize_batchnorm(model, rng)
+    model.eval()
+    max_batch = int(rng.integers(1, 5))
+    exe = compile_model(model, A100, image_hw=hw, max_batch=max_batch,
+                        dtype=dtype, threads=1)
+    x = rng.standard_normal((max_batch, 3) + hw)
+    for b in range(1, max_batch + 1):
+        assert_matches_forward(exe, model, x[:b])
+
+
+def test_generated_networks_cover_every_block():
+    seen = set()
+    for seed in range(N_CASES):
+        model, _ = random_network(seed)
+        for mod in model.modules():
+            if isinstance(mod, BasicBlock):
+                seen.add("basic_down" if isinstance(mod.shortcut, Sequential)
+                         else "basic")
+            seen.add(type(mod).__name__)
+    assert {"basic", "basic_down", "Bottleneck", "DenseBlock", "Transition",
+            "MaxPool2d", "AvgPool2d", "GlobalAvgPool2d", "Flatten",
+            "Dropout", "Linear"} <= seen
+
+
+@pytest.mark.parametrize("name,fmt", [
+    ("resnet50_slim", "dense"),
+    ("resnet50_slim", "cp"),
+    ("densenet_tiny", "tucker"),
+    ("densenet_tiny", "tt"),
+])
+def test_presets_match_forward(name, fmt):
+    """The zoo presets hostbench does not deploy."""
+    rng = np.random.default_rng(7)
+    model = build_model(name, seed=0)
+    factor(model, fmt, rng)
+    randomize_batchnorm(model, rng)
+    model.eval()
+    hw = (12, 10)
+    exe = compile_model(model, A100, image_hw=hw, max_batch=2, threads=1)
+    x = rng.standard_normal((2, 3) + hw)
+    for b in (1, 2):
+        assert_matches_forward(exe, model, x[:b])
+
+
+def test_padded_max_pool_ignores_the_border():
+    """Padded cells never win a max, even over all-negative windows."""
+    model = Sequential(Conv2d(3, 4, 3, padding=1, seed=1),
+                       MaxPool2d(3, stride=2, padding=1), Flatten(),
+                       Linear(4 * 4 * 5, 3, seed=2)).eval()
+    model[0].bias.data[...] = -10.0
+    exe = compile_model(model, A100, image_hw=(7, 9), max_batch=2)
+    x = np.random.default_rng(4).standard_normal((2, 3, 7, 9))
+    assert_matches_forward(exe, model, x)
+
+
+def test_compile_reads_the_model_only():
+    """No deep copy: compiling must not touch the source model."""
+    rng = np.random.default_rng(3)
+    model = build_model("densenet_tiny", seed=0)
+    factor(model, "tucker", rng)
+    randomize_batchnorm(model, rng)
+    model.eval()
+    before = model.state_dict()
+    compile_model(model, A100, image_hw=(8, 8), max_batch=2)
+    after = model.state_dict()
+    assert before.keys() == after.keys()
+    for key, value in before.items():
+        np.testing.assert_array_equal(after[key], value, err_msg=key)
+
+
+class _Doubler(Module):
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        return 2.0 * x
+
+
+def test_unknown_module_raises_with_its_path():
+    model = Sequential(Conv2d(3, 4, 3, padding=1, seed=0),
+                       Sequential(_Doubler())).eval()
+    with pytest.raises(TypeError, match=r"_Doubler at 'layer1\.layer0'"):
+        compile_model(model, A100, image_hw=(6, 6))

@@ -324,7 +324,7 @@ def test_parallel_compile_annotates_a_plan_copy(monkeypatch):
     assert all(not k.parallel for k in plan.kernels)
 
 
-def test_parallel_compile_adds_no_arena_bytes(monkeypatch):
+def test_parallel_compile_adds_only_scratch_slots(monkeypatch):
     force_parallel(monkeypatch)
     model = make_site("tucker", 12)
     kwargs = dict(image_hw=(12, 12), in_channels=6,
@@ -332,11 +332,14 @@ def test_parallel_compile_adds_no_arena_bytes(monkeypatch):
     serial = compile_model(model, A100, threads=1, **kwargs)
     par = compile_model(model, A100, threads=3, **kwargs)
     ser_rep, par_rep = serial.arena_report(), par.arena_report()
-    # Shards write disjoint sample slices of the same buffers, the
-    # shared stage scratch included: no per-lane carve-outs.
-    assert par_rep["arena_bytes"] == ser_rep["arena_bytes"]
+    # Shards write disjoint sample slices of the same buffers; the
+    # per-sample conv im2col takes one scratch slot per shard (three
+    # shards of batch 8), and nothing else grows.
     assert par.arena.names() == serial.arena.names()
-    assert par_rep["stage_scratch_bytes"] > 0
+    assert ser_rep["stage_scratch_bytes"] > 0
+    assert par_rep["stage_scratch_bytes"] == 3 * ser_rep["stage_scratch_bytes"]
+    assert (par_rep["arena_bytes"] - ser_rep["arena_bytes"]
+            == par_rep["stage_scratch_bytes"] - ser_rep["stage_scratch_bytes"])
     assert par_rep["workers"] == 3
 
 
@@ -357,28 +360,31 @@ def test_parallel_report_contents(monkeypatch):
 # Stage thread-safety contract: concurrent runs on disjoint samples
 # ---------------------------------------------------------------------------
 
-def test_fused_concurrent_run_disjoint_scratch():
+def test_fused_concurrent_run_disjoint_scratch(monkeypatch):
     """Concurrent stage-list runs on disjoint sample slices of one
-    site's buffers (the shared stage scratch included) never corrupt
-    each other — the contract batch shards rely on, here under a fused
-    plan (which runs the format's stage list)."""
+    site's buffers, each shard on its own conv scratch slot, never
+    corrupt each other — the contract batch shards rely on, here under
+    a fused plan (which runs the format's stage list)."""
+    force_parallel(monkeypatch)
     model = make_site("tucker", 12)
     exe = compile_model(model, A100, image_hw=(12, 12), in_channels=6,
-                        core_backend="fused", max_batch=8, threads=1)
+                        core_backend="fused", max_batch=8, threads=4)
     (site,) = exe.sites()
     x = np.random.default_rng(1).standard_normal((8, 6, 12, 12))
     ref = exe.run(x).copy()
-    shards = [(0, 2), (2, 4), (4, 6), (6, 8)]
+    shards = plan_batch_shards(8, 4)
+    assert shards == [(0, 2), (2, 4), (4, 6), (6, 8)]
     for _ in range(5):  # several rounds to give corruption a chance
         site.out.fill(0.0)
         barrier = threading.Barrier(len(shards))
 
-        def worker(lo, hi):
+        def worker(lo, hi, slot):
             barrier.wait()
-            site._run(x, lo, hi)
+            site._run(x, lo, hi, slot)
 
         threads = [
-            threading.Thread(target=worker, args=shard) for shard in shards
+            threading.Thread(target=worker, args=(lo, hi, slot))
+            for slot, (lo, hi) in enumerate(shards)
         ]
         for t in threads:
             t.start()
