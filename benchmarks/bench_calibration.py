@@ -117,7 +117,7 @@ def bench_soak(device, n_requests: int) -> dict:
     )
     rng = np.random.default_rng(2)
     xs = rng.standard_normal((64, 3) + IMAGE_HW)
-    with InferenceSession(exe, batch_window_s=0.0) as session:
+    with InferenceSession(exe) as session:
         warm = min(256, n_requests // 10)
         for i in range(warm):  # reach steady state before measuring
             session.infer(xs[i % 64], timeout=60.0)

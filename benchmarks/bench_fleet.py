@@ -66,8 +66,7 @@ def make_fleet(router: str, *, slow_extra_s: float = 0.0,
     fleet = deploy_fleet(
         MODEL, [get_device("A100")],
         replicas_per_device=replicas_per_device,
-        image_hw=IMAGE_HW, max_batch=4, batch_window_s=0.001,
-        router=router,
+        image_hw=IMAGE_HW, max_batch=4, router=router,
         fallback_budget=0.3 if fallback else None,
         retry=RetryPolicy(max_attempts=3),
         breaker=CircuitBreakerPolicy(failure_threshold=3,

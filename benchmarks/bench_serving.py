@@ -127,7 +127,7 @@ def bench_microbatching(model, device, n_requests: int) -> dict:
             model, device, image_hw=IMAGE_HW, core_backend="auto",
             max_batch=max_batch, model_name=MODEL,
         )
-        with InferenceSession(exe, batch_window_s=0.002) as session:
+        with InferenceSession(exe) as session:
             n_clients = 4
             per_client = n_requests // n_clients
 

@@ -109,8 +109,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="concurrent client threads (default "
                               "%(default)s)")
     serve_p.add_argument("--max-batch", type=int, default=8)
-    serve_p.add_argument("--window-ms", type=float, default=2.0,
-                         help="micro-batching window (default %(default)s)")
     serve_p.add_argument("--budget", type=float, default=0.5)
     serve_p.add_argument("--threads", type=int, default=None,
                          help="parallel-engine worker lanes (default: "
@@ -419,7 +417,7 @@ def _run_serve(args: argparse.Namespace) -> int:
         session = registry.create(
             args.model, device, backend=args.backend, image_hw=hw,
             budget=args.budget, max_batch=args.max_batch,
-            batch_window_s=args.window_ms * 1e-3, threads=args.threads,
+            threads=args.threads,
         )
     except ValueError as exc:
         # Rank selection can legitimately decompose nothing (θ rule /
@@ -428,7 +426,7 @@ def _run_serve(args: argparse.Namespace) -> int:
         session = registry.create(
             args.model, device, backend=args.backend, image_hw=hw,
             decompose=False, max_batch=args.max_batch,
-            batch_window_s=args.window_ms * 1e-3, threads=args.threads,
+            threads=args.threads,
         )
     deploy_wall = time.perf_counter() - t0
 

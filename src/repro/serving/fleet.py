@@ -196,7 +196,8 @@ class Replica:
 
     # -- capacity -----------------------------------------------------
     def predicted_latency_s(self) -> float:
-        """Calibrated per-request latency prediction of the bound plan."""
+        """Per-request latency the bound plan predicts (simulated GPU
+        time on the replica's device, not a host measurement)."""
         return float(self.session.executable.predicted_latency())
 
     def queue_depth(self) -> int:
@@ -204,7 +205,8 @@ class Replica:
 
     def estimated_wait_s(self) -> float:
         """Predicted completion time for one more request: per-request
-        latency x (queue ahead + this request)."""
+        latency x (requests waiting + this request).  The batch in
+        flight does not count (see ``LeastLoadedRouter`` for why)."""
         return self.predicted_latency_s() * (self.queue_depth() + 1)
 
     # -- health -------------------------------------------------------
@@ -719,7 +721,6 @@ def deploy_fleet(
     budget: float = 0.5,
     rank_step: int = 2,
     max_batch: int = 8,
-    batch_window_s: float = 0.002,
     fallback_budget: Optional[float] = 0.3,
     router="least-loaded",
     admission: Optional[AdmissionController] = None,
@@ -735,9 +736,9 @@ def deploy_fleet(
     the first device — all replicas then serve numerically identical
     weights while each device gets its own plan/tilings/backends), and
     compiles ``replicas_per_device`` executables per device, each
-    behind its own micro-batching session.  Replica restart factories
-    re-compile from the cached per-device plan, so a circuit-breaker
-    recovery costs a compile, not a re-plan.
+    behind its own work-conserving micro-batching session.  Replica
+    restart factories re-compile from the cached per-device plan, so a
+    circuit-breaker recovery costs a compile, not a re-plan.
 
     ``fallback_budget`` additionally compiles a cheaper plan (a more
     aggressive FLOPs budget -> lower ranks -> faster) that degradable
@@ -798,9 +799,7 @@ def deploy_fleet(
                 in_channels=in_channels, max_batch=max_batch, sites=sites,
                 threads=threads,
             )
-            return InferenceSession(
-                executable, batch_window_s=batch_window_s, warm=True,
-            )
+            return InferenceSession(executable, warm=True)
 
         for i in range(replicas_per_device):
             replicas.append(Replica(
@@ -831,9 +830,7 @@ def deploy_fleet(
                 in_channels=in_channels, max_batch=max_batch,
                 sites=fb_sites, threads=threads,
             )
-            fallback = InferenceSession(
-                fb_exe, batch_window_s=batch_window_s, warm=True,
-            )
+            fallback = InferenceSession(fb_exe, warm=True)
 
     return ReplicaSet(
         name or model_name,

@@ -2,11 +2,11 @@
 
 An :class:`InferenceSession` owns one compiled
 :class:`~repro.inference.Executable` and a single worker thread.
-Callers submit single samples (``(C, H, W)``); the worker drains the
-request queue into dynamic micro-batches — up to the executable's
-``max_batch``, waiting at most ``batch_window_s`` after the first
-request — stages them into a preallocated batch buffer, and runs one
-forward per batch.  Steady-state serving therefore allocates no new
+Callers submit single samples (``(C, H, W)``); the worker is
+work-conserving: once free, it stages whatever is queued (up to the
+executable's ``max_batch``) into a preallocated batch buffer and runs
+one forward, never waiting for more arrivals — requests that land
+meanwhile form the next batch.  Steady-state serving allocates no new
 activation buffers per request: the staging buffer and the
 executable's arena are reused for every batch, and the staging buffer
 is allocated in the arena dtype so ``Executable.run`` never casts
@@ -243,11 +243,9 @@ class InferenceSession:
     Parameters
     ----------
     executable:
-        The compiled model; its ``max_batch`` caps the micro-batch.
-    batch_window_s:
-        How long the worker waits after the first queued request for
-        more arrivals before running a partial batch.  0 disables
-        batching (every request runs alone).
+        The compiled model.  A micro-batch is whatever is queued when
+        the worker comes free, capped at its ``max_batch``; no request
+        is held back to wait for company.
     warm:
         Run one throwaway batch at construction so first-request
         latency does not pay first-touch/einsum-path costs.
@@ -258,12 +256,10 @@ class InferenceSession:
     def __init__(
         self,
         executable: Executable,
-        batch_window_s: float = 0.002,
         warm: bool = True,
         stats_window: int = 4096,
     ) -> None:
         self.executable = executable
-        self.batch_window_s = float(batch_window_s)
         self.max_batch = executable.max_batch
         shape = executable.input_shape
         # Staging buffer: submitted samples are copied (and dtype-cast)
@@ -379,15 +375,11 @@ class InferenceSession:
         return live
 
     def _collect_batch(self, first) -> List[Tuple[_Pending, np.ndarray]]:
+        """``first`` plus live queued requests, up to ``max_batch``."""
         batch = self._reap_cancelled([first])
-        deadline = time.perf_counter() + self.batch_window_s
         while len(batch) < self.max_batch:
-            remaining = deadline - time.perf_counter()
             try:
-                if remaining <= 0:
-                    item = self._queue.get_nowait()
-                else:
-                    item = self._queue.get(timeout=remaining)
+                item = self._queue.get_nowait()
             except queue.Empty:
                 break
             if item is _SENTINEL:
@@ -416,9 +408,6 @@ class InferenceSession:
                 self._drain_rejecting()
                 break
             batch = self._collect_batch(item)
-            # Re-check right before running: a cancel may have landed
-            # between collection and the batch window closing.
-            batch = self._reap_cancelled(batch)
             if not batch:
                 continue
             b = len(batch)
@@ -595,7 +584,6 @@ class SessionRegistry:
         budget: float = 0.5,
         rank_step: int = 4,
         max_batch: int = 8,
-        batch_window_s: float = 0.002,
         decompose: bool = True,
         formats: object = ("tucker",),
         name: Optional[str] = None,
@@ -607,14 +595,14 @@ class SessionRegistry:
         Builds the preset (:func:`repro.models.build_model`), optionally
         runs hardware-aware decomposition against the target device,
         warms the backend caches, plans, compiles, and wraps the
-        executable in a micro-batching session.  ``formats`` widens the
-        decomposition search beyond Tucker (``"all"`` or an explicit
-        list), deploying a mixed-format plan when CP/TT wins sites.
-        Reuses an existing session under the same key.  ``threads`` is
-        the parallel-engine lane count for the compiled executable
-        (``None`` = ``REPRO_NUM_THREADS`` / ``min(cores, 8)``;
-        micro-batches then shard through the one process-wide worker
-        pool).
+        executable in a work-conserving :class:`InferenceSession`.
+        ``formats`` widens the decomposition search beyond Tucker
+        (``"all"`` or an explicit list), deploying a mixed-format plan
+        when CP/TT wins sites.  Reuses an existing session under the
+        same key.  ``threads`` is the parallel-engine lane count for the
+        compiled executable (``None`` = ``REPRO_NUM_THREADS`` /
+        ``min(cores, 8)``; micro-batches then shard through the one
+        process-wide worker pool).
         """
         from repro.codesign.pipeline import decompose_for_device
         from repro.models.introspection import trace_layer_sites
@@ -653,8 +641,7 @@ class SessionRegistry:
                 threads=threads,
             )
             session = InferenceSession(
-                executable, batch_window_s=batch_window_s, warm=True,
-                stats_window=stats_window,
+                executable, warm=True, stats_window=stats_window,
             )
             session.name = key
             return self.add(key, session)

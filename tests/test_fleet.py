@@ -68,7 +68,7 @@ def make_fleet(
 
     def factory() -> InferenceSession:
         _, exe = make_executable()
-        return InferenceSession(exe, batch_window_s=0.001)
+        return InferenceSession(exe)
 
     replicas = [
         Replica(f"r{i}", factory(), factory=factory, breaker=breaker)
@@ -77,7 +77,7 @@ def make_fleet(
     fb = None
     if fallback:
         _, fb_exe = make_executable(budget=0.3)
-        fb = InferenceSession(fb_exe, batch_window_s=0.001)
+        fb = InferenceSession(fb_exe)
     fleet = ReplicaSet(
         "test", replicas, fallback=fb, retry=retry,
         admission=admission, router=router,
@@ -94,7 +94,7 @@ def sample(seed: int = 0) -> np.ndarray:
 
 
 def test_result_timeout_cancels_request():
-    session = make_session(max_batch=1, batch_window_s=0.0)
+    session = make_session(max_batch=1)
     inj = FaultInjector(seed=0)
     # Every run is slow: queued requests sit long enough to time out.
     inj.infect(session, FaultSpec(extra_latency_s=0.05))
@@ -133,7 +133,7 @@ def test_cancel_is_noop_after_completion():
 
 
 def test_serve_loop_survives_executable_exception():
-    session = make_session(max_batch=2, batch_window_s=0.0)
+    session = make_session(max_batch=2)
     inj = FaultInjector(seed=1)
     wrapped = inj.infect(session, FaultSpec(exception_p=1.0, after_runs=0))
     with session:
@@ -150,7 +150,7 @@ def test_serve_loop_survives_executable_exception():
 
 
 def test_worker_crash_fails_batch_and_rejects_queue():
-    session = make_session(max_batch=1, batch_window_s=0.0)
+    session = make_session(max_batch=1)
     inj = FaultInjector(seed=2)
     inj.infect(session, FaultSpec(crash_p=1.0))
     first = session.submit(sample(0))
@@ -169,7 +169,7 @@ def test_worker_crash_fails_batch_and_rejects_queue():
 
 
 def test_infer_many_shared_deadline_with_slow_worker():
-    session = make_session(max_batch=1, batch_window_s=0.0)
+    session = make_session(max_batch=1)
     inj = FaultInjector(seed=3)
     inj.infect(session, FaultSpec(extra_latency_s=0.05))
     xs = [sample(i) for i in range(10)]

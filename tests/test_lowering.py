@@ -6,7 +6,11 @@ buffers, the head — into one stage list.  These tests compare
 ``compile -> run`` with ``Module.forward`` over seeded random networks
 built from every ``models.blocks`` block, every factored format, both
 execution dtypes, every batch size up to ``max_batch`` and rectangular
-inputs, plus the zoo presets hostbench does not deploy.
+inputs, plus the zoo presets hostbench does not deploy.  A second
+generator draws single conv layers over the geometry the zoo never
+builds (kernels 1-7, strides 1-3, any padding below the kernel,
+channel counts 1 and primes) and also checks dense layers against
+``nn.functional.conv2d_reference``.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from repro.models.introspection import replace_module
 from repro.models.registry import build_model
 from repro.nn.conv import Conv2d
 from repro.nn.cp_conv import CPConv2d
+from repro.nn.functional import conv2d_reference
 from repro.nn.layers import (
     AvgPool2d,
     BatchNorm2d,
@@ -55,12 +60,14 @@ FEATURES = ("basic", "basic_down", "bottleneck", "dense", "transition",
 N_CASES = 24
 
 
-def assert_matches_forward(exe, model, x) -> None:
-    ref = model.forward(x)
-    y = exe.run(x)
+def assert_close(exe, y, ref) -> None:
     assert y.shape == ref.shape
     tol = TOLERANCE[exe.dtype] * max(1.0, float(np.max(np.abs(ref))))
     np.testing.assert_allclose(y, ref, rtol=0, atol=tol)
+
+
+def assert_matches_forward(exe, model, x) -> None:
+    assert_close(exe, exe.run(x), model.forward(x))
 
 
 def randomize_batchnorm(model: Module, rng) -> None:
@@ -174,6 +181,68 @@ def test_generated_networks_cover_every_block():
     assert {"basic", "basic_down", "Bottleneck", "DenseBlock", "Transition",
             "MaxPool2d", "AvgPool2d", "GlobalAvgPool2d", "Flatten",
             "Dropout", "Linear"} <= seen
+
+
+#: Channel counts of the single-conv generator: 1 and primes.
+CONV_CHANNELS = (1, 2, 3, 5, 7, 11)
+N_CONVS = 64
+
+
+def random_conv(seed: int):
+    """``(model, (H, W), dtype)``: one conv layer of seeded geometry —
+    kernel 1-7, stride 1-3, padding 0..k-1, in/out channels from
+    ``CONV_CHANNELS``, a rectangular input no smaller than the kernel —
+    dense, or (k >= 2) factored into the seed's format."""
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(1, 8))
+    c, n = (int(v) for v in rng.choice(CONV_CHANNELS, 2))
+    h, w = (int(v) for v in rng.integers(k, k + 9, 2))
+    model = Sequential(Conv2d(c, n, k, stride=int(rng.integers(1, 4)),
+                              padding=int(rng.integers(k)),
+                              bias=bool(rng.integers(2)), seed=seed))
+    factor(model, FORMATS[seed % len(FORMATS)], rng)
+    dtype = np.dtype(np.float64 if seed // len(FORMATS) % 2 else np.float32)
+    return model.eval(), (h, w), dtype
+
+
+@pytest.mark.parametrize("seed", range(N_CONVS))
+def test_conv_geometry_matches_forward(seed):
+    model, hw, dtype = random_conv(seed)
+    conv = model[0]
+    rng = np.random.default_rng(2000 + seed)
+    max_batch = int(rng.integers(1, 5))
+    exe = compile_model(model, A100, image_hw=hw, in_channels=conv.in_channels,
+                        max_batch=max_batch, dtype=dtype, threads=1)
+    x = rng.standard_normal((max_batch, conv.in_channels) + hw)
+    for b in range(1, max_batch + 1):
+        assert_matches_forward(exe, model, x[:b])
+    if type(conv) is Conv2d:
+        ref = conv2d_reference(x, conv.weight.data, conv.stride, conv.padding)
+        if conv.bias is not None:
+            ref = ref + conv.bias.data[:, None, None]
+        assert_close(exe, exe.run(x), ref)
+
+
+def test_generated_convs_cover_the_geometry():
+    seen = {"k": set(), "stride": set(), "pad": set(), "ch": set(),
+            "fmt": set()}
+    for seed in range(N_CONVS):
+        model, (h, w), dtype = random_conv(seed)
+        conv = model[0]
+        k = conv.kernel_size
+        assert min(h, w) >= k and 0 <= conv.padding < k
+        seen["k"].add(k)
+        seen["stride"].add(conv.stride)
+        seen["pad"].add("k-1" if conv.padding == k - 1 else conv.padding)
+        seen["ch"].update((conv.in_channels, conv.out_channels))
+        seen["fmt"].add((type(conv).__name__, dtype.name))
+    assert seen["k"] == set(range(1, 8))
+    assert seen["stride"] == {1, 2, 3}
+    assert {0, 1, "k-1"} <= seen["pad"]
+    assert seen["ch"] == set(CONV_CHANNELS)
+    assert seen["fmt"] == {(cls, dt) for cls in ("Conv2d", "TuckerConv2d",
+                                                 "CPConv2d", "TTConv2d")
+                           for dt in ("float32", "float64")}
 
 
 @pytest.mark.parametrize("name,fmt", [

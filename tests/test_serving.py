@@ -49,7 +49,7 @@ def test_session_micro_batches_under_load():
     _, exe = make_executable(max_batch=4)
     rng = np.random.default_rng(1)
     xs = rng.standard_normal((16, 3) + IMAGE_HW)
-    with InferenceSession(exe, batch_window_s=0.05) as session:
+    with InferenceSession(exe) as session:
         handles = [session.submit(x) for x in xs]
         results = [h.result(timeout=30.0) for h in handles]
         stats = session.stats()
@@ -62,6 +62,65 @@ def test_session_micro_batches_under_load():
     assert stats.mean_batch_size > 1.0
     assert stats.mean_latency_s > 0.0
     assert stats.p95_latency_s >= stats.mean_latency_s * 0.5
+
+
+class _StubExecutable:
+    """What a session reads of an Executable.  ``run`` records each
+    batch size, blocks until ``gate`` is set, and echoes its input."""
+
+    model_name = "stub"
+    input_shape = (1, 2, 2)
+    dtype = np.dtype(np.float64)
+
+    def __init__(self, max_batch: int) -> None:
+        self.max_batch = max_batch
+        self.batches = []
+        self.running = threading.Event()
+        self.gate = threading.Event()
+        self.gate.set()
+
+    def predicted_latency(self) -> float:
+        return 1e-3
+
+    def run(self, x: np.ndarray) -> np.ndarray:
+        self.batches.append(len(x))
+        self.running.set()
+        assert self.gate.wait(10.0)
+        return x.copy()
+
+
+def test_worker_runs_whatever_is_queued_when_free():
+    """An idle worker runs a lone request at once; requests that arrive
+    while a batch runs form the next batches, each up to max_batch."""
+    exe = _StubExecutable(max_batch=4)
+    exe.gate.clear()
+    xs = [np.full(exe.input_shape, float(i)) for i in range(11)]
+    with InferenceSession(exe, warm=False) as session:
+        first = session.submit(xs[0])
+        assert exe.running.wait(10.0)
+        rest = [session.submit(x) for x in xs[1:]]
+        assert exe.batches == [1]
+        exe.gate.set()
+        ys = [h.result(timeout=10.0) for h in [first, *rest]]
+        stats = session.stats()
+    assert exe.batches == [1, 4, 4, 2]
+    assert stats.batch_histogram == {1: 1, 4: 2, 2: 1}
+    for x, y in zip(xs, ys):
+        np.testing.assert_array_equal(y, x)
+
+
+def test_lone_requests_do_not_wait_for_company():
+    """Sequential lone requests each run as soon as they are queued,
+    never held back to wait for company."""
+    exe = _StubExecutable(max_batch=4)
+    handles = []
+    with InferenceSession(exe, warm=False) as session:
+        for i in range(20):
+            handle = session.submit(np.full(exe.input_shape, float(i)))
+            handle.result(timeout=10.0)
+            handles.append(handle)
+    assert exe.batches == [1] * 20
+    assert np.median([h.latency for h in handles]) < 1e-3
 
 
 def test_session_concurrent_clients():
@@ -241,7 +300,7 @@ def test_infer_many_timeout_is_a_shared_deadline():
         return real_run(x)
 
     exe.run = slow_run
-    session = InferenceSession(exe, batch_window_s=0.0, warm=False)
+    session = InferenceSession(exe, warm=False)
     try:
         xs = np.random.default_rng(6).standard_normal((10, 3) + IMAGE_HW)
         t0 = time.perf_counter()
