@@ -67,7 +67,7 @@ def make_fleet(router: str, *, slow_extra_s: float = 0.0,
         MODEL, [get_device("A100")],
         replicas_per_device=replicas_per_device,
         image_hw=IMAGE_HW, max_batch=4, router=router,
-        fallback_budget=0.3 if fallback else None,
+        fallback_budget=0.7 if fallback else None,
         retry=RetryPolicy(max_attempts=3),
         breaker=CircuitBreakerPolicy(failure_threshold=3,
                                      reset_timeout_s=0.05),

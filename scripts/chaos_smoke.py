@@ -56,7 +56,7 @@ def rss_mb() -> float:
 def main() -> int:
     fleet = deploy_fleet(
         "resnet_tiny", [get_device("A100")], replicas_per_device=3,
-        image_hw=(8, 8), max_batch=4, fallback_budget=0.3,
+        image_hw=(8, 8), max_batch=4, fallback_budget=0.7,
         retry=RetryPolicy(max_attempts=3),
         breaker=CircuitBreakerPolicy(failure_threshold=3,
                                      reset_timeout_s=0.05),

@@ -140,9 +140,11 @@ def build_parser() -> argparse.ArgumentParser:
                               "%(default)s)")
     fleet_p.add_argument("--max-batch", type=int, default=8)
     fleet_p.add_argument("--budget", type=float, default=0.5)
-    fleet_p.add_argument("--fallback-budget", type=float, default=0.3,
-                         help="FLOPs budget of the cheaper degradation "
-                              "plan; 0 disables the fallback")
+    fleet_p.add_argument("--fallback-budget", type=float, default=0.7,
+                         help="FLOPs-reduction fraction of the cheaper "
+                              "degradation plan, above --budget "
+                              "(default %(default)s); 0 disables the "
+                              "fallback")
     fleet_p.add_argument("--priorities", default="high,normal,low",
                          help="comma-separated priority mix for the "
                               "synthetic clients (default %(default)s)")

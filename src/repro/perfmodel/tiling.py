@@ -81,6 +81,11 @@ def candidate_grid(
     then TC), with duplicates introduced by clipping removed at their
     first occurrence — so downstream argmins see candidates in the
     same order as the scalar path.
+
+    Clipping bounds the extents by ``(H, W, C)``, so the mixed-radix
+    key ``(TH·(W+1) + TW)·(C+1) + TC`` names each non-negative triple
+    uniquely, and the dedupe runs on that 1-D key rather than on
+    ``(TH, TW, TC)`` rows.
     """
     sp = np.asarray(spatial, dtype=np.int64)
     ch = np.asarray(channel, dtype=np.int64)
@@ -91,8 +96,8 @@ def candidate_grid(
     th = np.minimum(th, shape.h)
     tw = np.minimum(tw, shape.w)
     tc = np.minimum(tc, shape.c)
-    _, first = np.unique(np.stack([th, tw, tc], axis=1), axis=0,
-                         return_index=True)
+    key = (th * (shape.w + 1) + tw) * (shape.c + 1) + tc
+    _, first = np.unique(key, return_index=True)
     first.sort()
     return th[first], tw[first], tc[first]
 

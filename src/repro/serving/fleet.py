@@ -721,7 +721,7 @@ def deploy_fleet(
     budget: float = 0.5,
     rank_step: int = 2,
     max_batch: int = 8,
-    fallback_budget: Optional[float] = 0.3,
+    fallback_budget: Optional[float] = 0.7,
     router="least-loaded",
     admission: Optional[AdmissionController] = None,
     retry: Optional[RetryPolicy] = None,
@@ -740,9 +740,13 @@ def deploy_fleet(
     restart factories re-compile from the cached per-device plan, so a
     circuit-breaker recovery costs a compile, not a re-plan.
 
-    ``fallback_budget`` additionally compiles a cheaper plan (a more
-    aggressive FLOPs budget -> lower ranks -> faster) that degradable
-    traffic lands on under sustained overload; pass ``None`` to skip.
+    ``budget`` and ``fallback_budget`` are the FLOPs-*reduction*
+    fractions Algorithm 1 aims for.  ``fallback_budget`` additionally
+    compiles a cheaper plan that degradable traffic lands on under
+    sustained overload; pass ``None`` to skip.  It must exceed
+    ``budget`` (more reduction -> lower ranks -> faster), or the
+    fallback would be no cheaper than the primary: ``ValueError``
+    otherwise.
 
     ``threads`` is the parallel-engine lane count each replica's
     executable compiles with (``None`` = ``REPRO_NUM_THREADS`` /
@@ -763,6 +767,12 @@ def deploy_fleet(
         raise ValueError("deploy_fleet needs at least one device")
     if replicas_per_device < 1:
         raise ValueError("replicas_per_device must be >= 1")
+    if fallback_budget is not None and fallback_budget <= budget:
+        raise ValueError(
+            f"fallback_budget ({fallback_budget}) must exceed budget "
+            f"({budget}): both are FLOPs-reduction fractions, and the "
+            f"fallback must reduce more than the primary"
+        )
 
     def build_decomposed(flops_budget: Optional[float]):
         model = build_model(model_name, num_classes=num_classes, seed=seed)

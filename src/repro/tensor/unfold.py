@@ -166,35 +166,28 @@ def relative_error(approx: np.ndarray, reference: np.ndarray) -> float:
 
 
 def leading_left_singular_vectors(matrix: np.ndarray, rank: int) -> np.ndarray:
-    """Top-``rank`` left singular vectors of ``matrix``.
+    """Top-``rank`` left singular vectors of ``matrix``, in float64.
 
-    Uses the guide-recommended economy SVD (``full_matrices=False``),
-    and the Gram-matrix eigendecomposition shortcut when the matrix is
-    very wide (common for mode unfoldings of conv kernels where the
-    trailing dims multiply out).
+    Takes the eigendecomposition of the ``m × m`` Gram ``A Aᵀ`` whatever
+    the matrix's shape: its eigenvectors are the left singular vectors,
+    ordered here by descending eigenvalue (the squared singular values).
+    The unfoldings this serves have at most a few hundred rows, so the
+    Gram is small.  Squaring the singular values loses accuracy in
+    directions with small singular values; the leading subspace, and
+    the reconstruction error built on it, move only by rounding where
+    the spectrum has a gap at ``rank``.
 
-    If ``rank`` exceeds the number of singular vectors the matrix can
-    supply (rank > min(m, n), as happens inside HOOI sweeps after the
-    other modes were projected down), the basis is padded with
-    orthonormal-complement columns — the corresponding core slices are
-    exactly zero, so the decomposition still carries the requested
-    rank without changing the reconstruction.
+    ``rank`` is clipped to ``m``.  A rank above ``min(m, n)`` (as happens
+    inside HOOI sweeps after the other modes were projected down) keeps
+    eigenvectors of the repeated zero eigenvalue: orthonormal complement
+    columns orthogonal to the matrix's range, so the factor carries the
+    requested rank.  Any orthonormal complement would do, and which one
+    ``eigh`` returns is arbitrary; a later HOOI sweep that projects the
+    full tensor onto the padded factor depends on that choice.
     """
     matrix = np.asarray(matrix, dtype=np.float64)
     rank = check_positive_int("rank", rank)
-    m, n = matrix.shape
-    rank = min(rank, m)
-    if n > 8 * m:
-        # Gram trick: eig of (m x m) instead of SVD of (m x n)
-        gram = matrix @ matrix.T
-        eigvals, eigvecs = np.linalg.eigh(gram)
-        order = np.argsort(eigvals)[::-1]
-        return eigvecs[:, order[:rank]]
-    u, _, _ = np.linalg.svd(matrix, full_matrices=False)
-    u = u[:, :rank]
-    if u.shape[1] < rank:
-        # Orthonormal completion: QR of [U | I] yields complement
-        # columns deterministic in the input.
-        full, _ = np.linalg.qr(np.concatenate([u, np.eye(m)], axis=1))
-        u = full[:, :rank]
-    return u
+    rank = min(rank, matrix.shape[0])
+    _, eigvecs = np.linalg.eigh(matrix @ matrix.T)
+    # eigh sorts ascending: the leading vectors are the last columns.
+    return eigvecs[:, ::-1][:, :rank]

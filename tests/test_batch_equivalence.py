@@ -9,6 +9,8 @@ Every assertion here is ``==``, never approx.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,9 @@ from repro.perfmodel.analytical import (
     memory_latency_batch,
 )
 from repro.perfmodel.tiling import (
+    CHANNEL_TILES,
+    SPATIAL_TILES,
+    candidate_grid,
     clear_tiling_cache,
     enumerate_tilings,
     enumerate_tilings_scalar,
@@ -220,6 +225,46 @@ class TestAnalyticalBatchParity:
         # A 56x56x256 tile's shared-memory cube cannot fit on 2080Ti.
         with pytest.raises(ValueError):
             comp_waves_batch(shape, RTX2080TI, [56], [56], [64])
+
+
+def _row_unique_grid(shape, spatial=SPATIAL_TILES, channel=CHANNEL_TILES):
+    """Reference candidate grid: dedupe ``(TH, TW, TC)`` rows with
+    ``np.unique(axis=0)``, keeping first occurrences in loop order."""
+    rows = np.array(
+        [(min(th, shape.h), min(tw, shape.w), min(tc, shape.c))
+         for th in spatial for tw in spatial for tc in channel],
+        dtype=np.int64,
+    )
+    _, first = np.unique(rows, axis=0, return_index=True)
+    first.sort()
+    return tuple(rows[first].T)
+
+
+class TestCandidateGrid:
+    """``candidate_grid`` dedupes on a 1-D mixed-radix key; it must
+    return the row dedupe's arrays in the row dedupe's order."""
+
+    def test_matches_row_unique(self):
+        # Extents of 1, extents between and beyond the tile values, and
+        # extents equal to a tile value.
+        for h, w, c in itertools.product(
+            (1, 3, 7, 13, 56, 100), (1, 5, 8, 29, 57), (1, 3, 17, 64, 300)
+        ):
+            shape = ConvShape(c=c, n=16, h=h, w=w)
+            got = candidate_grid(shape)
+            ref = _row_unique_grid(shape)
+            for a, b in zip(got, ref):
+                assert a.dtype == b.dtype
+                assert np.array_equal(a, b), shape
+
+    def test_custom_tile_sequences(self):
+        # Unsorted, repeated tile values, clipped to several extents.
+        spatial, channel = (9, 3, 1, 3, 40), (5, 128, 1, 5, 2)
+        for shape in (ConvShape(c=4, n=8, h=6, w=2), ConvShape(c=200, n=8, h=45, w=45)):
+            got = candidate_grid(shape, spatial, channel)
+            ref = _row_unique_grid(shape, spatial, channel)
+            for a, b in zip(got, ref):
+                assert np.array_equal(a, b), shape
 
 
 class TestSelectorEquivalence:

@@ -35,7 +35,7 @@ class TestParser:
         args = build_parser().parse_args(["fleet"])
         assert args.router == "least-loaded"
         assert args.chaos is False
-        assert args.fallback_budget == 0.3
+        assert args.fallback_budget == 0.7
         assert args.priorities == "high,normal,low"
 
     def test_fleet_chaos_flags(self):

@@ -32,6 +32,7 @@ from repro.serving import (
     RetryPolicy,
     RoundRobinRouter,
     WorkerCrash,
+    deploy_fleet,
     make_router,
 )
 
@@ -76,7 +77,7 @@ def make_fleet(
     ]
     fb = None
     if fallback:
-        _, fb_exe = make_executable(budget=0.3)
+        _, fb_exe = make_executable(budget=0.7)
         fb = InferenceSession(fb_exe)
     fleet = ReplicaSet(
         "test", replicas, fallback=fb, retry=retry,
@@ -550,6 +551,17 @@ def test_replica_set_validates_construction():
     finally:
         session_a.close()
         session_b.close()
+
+
+@pytest.mark.parametrize("fallback_budget", [0.3, 0.5])
+def test_deploy_fleet_rejects_fallback_no_cheaper_than_primary(
+    fallback_budget,
+):
+    # Budgets are FLOPs-reduction fractions: a fallback at or below the
+    # primary's would reduce no more than the primary does.
+    with pytest.raises(ValueError, match="fallback_budget"):
+        deploy_fleet("resnet_tiny", [A100], image_hw=IMAGE_HW, budget=0.5,
+                     fallback_budget=fallback_budget)
 
 
 def test_policy_validation():

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.tensor.cp import CPTensor, cp_als, cp_conv_kernel, cp_relative_error
 from repro.tensor.tt import TTTensor, tt_conv_kernel, tt_relative_error, tt_svd
+from repro.tensor.unfold import khatri_rao, unfold
 from repro.tensor.vbmf import evbmf, evbmf_rank, suggest_tucker2_ranks
 
 
@@ -20,6 +21,110 @@ def rank_r_tensor(rng, shape, rank):
             outer = np.multiply.outer(outer, f[:, k])
         t += outer
     return t
+
+
+def khatri_rao_cp_als(tensor, rank, n_iter, tol=1e-7, seed=0, l2_reg=1e-10):
+    """Reference CP-ALS: the textbook sweep ``cp_als`` must reproduce.
+
+    Every mode update multiplies the mode's unfolding by the full
+    Khatri-Rao product of the other factors, and every sweep rebuilds
+    the dense tensor to measure the fit.  Same init, regularizer,
+    normalization and stopping rule as ``cp_als``.  Returns the result
+    and the relative error after each sweep run.
+    """
+    dtype = tensor.dtype
+    rng = np.random.default_rng(seed)
+    factors = [
+        (rng.standard_normal((dim, rank)) / np.sqrt(max(dim, 1))).astype(dtype)
+        for dim in tensor.shape
+    ]
+    unfoldings = [unfold(tensor, m) for m in range(tensor.ndim)]
+    norm_t = np.linalg.norm(tensor.ravel())
+    weights = np.ones(rank, dtype=dtype)
+    eye = np.eye(rank, dtype=dtype)
+    prev_err = np.inf
+    errs = []
+    for _ in range(n_iter):
+        for mode in range(tensor.ndim):
+            others = [factors[m] for m in range(tensor.ndim) if m != mode]
+            gram = np.ones((rank, rank), dtype=dtype)
+            for f in others:
+                gram *= f.T @ f
+            rhs = unfoldings[mode] @ khatri_rao(others)
+            sol = np.linalg.solve(gram + l2_reg * eye, rhs.T).T
+            norms = np.linalg.norm(sol, axis=0)
+            norms = np.where(norms > 0, norms, 1.0)
+            factors[mode] = sol / norms[None, :]
+            weights = norms
+        approx = CPTensor(weights=weights, factors=factors).to_full()
+        err = np.linalg.norm((approx - tensor).ravel()) / norm_t
+        errs.append(err)
+        if abs(prev_err - err) < tol:
+            break
+        prev_err = err
+    return CPTensor(weights=weights, factors=factors), errs
+
+
+def max_cp_difference(a, b):
+    return max(
+        [np.max(np.abs(a.weights - b.weights))]
+        + [np.max(np.abs(x - y)) for x, y in zip(a.factors, b.factors)]
+    )
+
+
+class TestCPMatchesKhatriRaoSweep:
+    """``cp_als`` never forms the full Khatri-Rao product nor the dense
+    reconstruction; it must still follow the textbook sweep to
+    rounding, sweep for sweep."""
+
+    @pytest.mark.parametrize(
+        "shape, rank",
+        [
+            ((8, 6), 3),              # order 2
+            ((6, 5, 4), 3),           # order 3
+            ((5, 4, 3, 3), 4),        # order 4, a conv kernel
+            ((4, 3, 3, 2, 3), 3),     # order 5
+            ((12, 10, 1, 1), 6),      # (N, C, 1, 1) kernel
+            ((6, 5, 3), 4),           # rank above a mode's extent
+            ((7, 6, 3, 3), 5),        # ... on a conv kernel
+        ],
+    )
+    def test_matches_reference(self, shape, rank):
+        t = np.random.default_rng(sum(shape) + rank).standard_normal(shape)
+        ref, _ = khatri_rao_cp_als(t, rank, n_iter=30, seed=1)
+        cp = cp_als(t, rank, n_iter=30, seed=1)
+        assert max_cp_difference(cp, ref) < 1e-10
+
+    def test_stops_early_on_the_same_sweep(self, rng):
+        t = rng.standard_normal((6, 5, 4))
+        _, errs = khatri_rao_cp_als(t, 3, n_iter=500, tol=0.0)
+        steps = np.abs(np.diff(errs))
+        # The first fit step below 1e-4, and tolerances a millionth
+        # above and below it: the fit cp_als derives from the Grams
+        # must equal the dense one closely enough that the first stops
+        # on that sweep and the second does not.
+        j = int(np.argmax(steps < 1e-4))
+        stopped = []
+        for tol in (steps[j] * (1 + 1e-6), steps[j] * (1 - 1e-6)):
+            ref, ref_errs = khatri_rao_cp_als(t, 3, n_iter=500, tol=tol)
+            cp = cp_als(t, 3, n_iter=500, tol=tol)
+            assert max_cp_difference(cp, ref) < 1e-10
+            # Results one sweep apart differ by far more than that, so
+            # the agreement pins the sweep count.
+            sweeps = len(ref_errs)
+            for n in (sweeps - 1, sweeps + 1):
+                other, _ = khatri_rao_cp_als(t, 3, n_iter=n, tol=0.0)
+                assert max_cp_difference(other, ref) > 1e-6
+            stopped.append(sweeps)
+        assert stopped[0] == j + 2 < stopped[1] < 500
+
+    def test_float32_stays_float32(self, rng):
+        t = rng.standard_normal((6, 5, 3, 3)).astype(np.float32)
+        cp = cp_als(t, rank=4, n_iter=10)
+        assert cp.weights.dtype == np.float32
+        assert all(f.dtype == np.float32 for f in cp.factors)
+        ref, _ = khatri_rao_cp_als(t, 4, n_iter=10)
+        assert max_cp_difference(cp, ref) < 1e-3
 
 
 class TestCP:

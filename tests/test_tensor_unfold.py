@@ -167,12 +167,41 @@ class TestNormsAndSVD:
         np.testing.assert_allclose(u.T @ u, np.eye(4), atol=1e-10)
 
     def test_gram_trick_matches_svd(self, rng):
-        m = rng.standard_normal((5, 100))  # wide: triggers Gram path
-        u_gram = leading_left_singular_vectors(m, 3)
-        u_svd, _, _ = np.linalg.svd(m, full_matrices=False)
-        # Subspaces must agree (columns up to sign).
-        proj = u_gram.T @ u_svd[:, :3]
+        # Wide, tall, square, and tall with every column kept.  Each
+        # has a planted spectrum with a gap after ``rank``, so the
+        # leading subspace is well defined.
+        for (m, n), rank in (((5, 100), 3), ((40, 6), 4), ((12, 12), 5),
+                             ((10, 3), 3)):
+            k = min(m, n)
+            u, _ = np.linalg.qr(rng.standard_normal((m, k)))
+            v, _ = np.linalg.qr(rng.standard_normal((n, k)))
+            sigma = np.concatenate(
+                [np.linspace(10.0, 5.0, rank), np.linspace(1.0, 0.1, k - rank)]
+            )
+            a = (u * sigma) @ v.T
+            u_gram = leading_left_singular_vectors(a, rank)
+            assert u_gram.shape == (m, rank)
+            np.testing.assert_allclose(
+                u_gram.T @ u_gram, np.eye(rank), atol=1e-10
+            )
+            u_svd, _, _ = np.linalg.svd(a, full_matrices=False)
+            # Subspaces must agree (columns up to sign).
+            proj = u_gram.T @ u_svd[:, :rank]
+            np.testing.assert_allclose(
+                np.abs(np.linalg.det(proj)), 1.0, atol=1e-8, err_msg=str((m, n))
+            )
+
+    def test_rank_above_column_count_pads_orthonormal_complement(self, rng):
+        # HOOI's projected unfoldings: fewer columns than the rank asked.
+        a = rng.standard_normal((10, 3))
+        u = leading_left_singular_vectors(a, 6)
+        assert u.shape == (10, 6)
+        np.testing.assert_allclose(u.T @ u, np.eye(6), atol=1e-10)
+        u_svd, _, _ = np.linalg.svd(a, full_matrices=False)
+        proj = u[:, :3].T @ u_svd
         np.testing.assert_allclose(np.abs(np.linalg.det(proj)), 1.0, atol=1e-8)
+        # The padding columns are orthogonal to the matrix's range.
+        np.testing.assert_allclose(u[:, 3:].T @ a, 0.0, atol=1e-10)
 
     def test_rank_clipped_to_rows(self, rng):
         m = rng.standard_normal((3, 10))
