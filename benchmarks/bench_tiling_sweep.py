@@ -27,7 +27,6 @@ import sys
 import time
 from typing import Callable, Tuple
 
-from repro.codesign.table import rank_candidates
 from repro.gpusim.device import get_device
 from repro.kernels.base import ConvShape
 from repro.perfmodel.tiling import (
@@ -37,6 +36,7 @@ from repro.perfmodel.tiling import (
     select_tiling_oracle_scalar,
     select_tilings_grid,
 )
+from repro.tensor.formats import get_format
 
 # Representative conv layer shapes (ResNet/VGG trunk sizes).
 SWEEP_SHAPES: Tuple[Tuple[int, int, int, int], ...] = (
@@ -92,8 +92,7 @@ def bench_table_grid(device, method: str, repeats: int) -> dict:
     c, n, h, w = TABLE_SHAPE
     core_shapes = [
         ConvShape(c=d1, n=d2, h=h, w=w)
-        for d1 in rank_candidates(c, 32)
-        for d2 in rank_candidates(n, 32)
+        for d1, d2 in get_format("tucker").rank_candidates(c, n, 3, 3, 32)
     ]
     scalar_fn = (
         select_tiling_oracle_scalar if method == "oracle" else select_tiling_model_scalar

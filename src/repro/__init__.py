@@ -10,7 +10,7 @@ Subpackages
 - :mod:`repro.gpusim`      — simulated A100 / RTX 2080Ti devices
 - :mod:`repro.kernels`     — TDC / TVM / cuDNN-style conv kernels
 - :mod:`repro.perfmodel`   — analytical latency model, tiling selection
-- :mod:`repro.planning`    — plan caches (memoized on first use), persistence
+- :mod:`repro.planning`    — in-memory plan caches (memoized on first use)
 - :mod:`repro.codesign`    — rank selection (Alg. 1) and TDC pipeline
 - :mod:`repro.compression` — ADMM training, baselines, comparators
 - :mod:`repro.inference`   — execution plans + end-to-end engine

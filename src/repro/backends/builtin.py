@@ -79,24 +79,9 @@ class TDCOracleBackend(_TDCBackend):
     method = "oracle"
 
 
-# TVM tuning results, memoized in the planning-cache subsystem like
-# every other deterministic planner selection: bounded LRU, visible to
-# `cache stats`, dropped by `cache clear`, persisted by `cache warm`.
-# Payload v2 stores the winning tiling *structurally* so the compile
-# step can rebuild the tuned kernel from a (persisted) cache hit
-# without re-running the exhaustive sweep.
-_TVM_TUNING_CACHE = PlanCache(
-    "tvm_tuning",
-    maxsize=4096,
-    payload_version=2,
-    encode=lambda v: {
-        "latency": v[0], "th": v[1].th, "tw": v[1].tw, "tn": v[1].tn,
-    },
-    decode=lambda doc: (
-        float(doc["latency"]),
-        TVMTiling(int(doc["th"]), int(doc["tw"]), int(doc["tn"])),
-    ),
-)
+# TVM tuning results (latency, winning tiling), memoized on first use
+# like every other deterministic planner selection.
+_TVM_TUNING_CACHE = PlanCache("tvm_tuning", maxsize=4096)
 
 
 @register_backend

@@ -5,7 +5,6 @@ Usage:
     python -m repro.cli fig6 --device 2080Ti
     python -m repro.cli e2e --device A100
     python -m repro.cli e2e --models resnet18 --backend auto tdc-oracle
-    python -m repro.cli e2e --measure
     python -m repro.cli run --model resnet_tiny --backend auto
     python -m repro.cli serve --model resnet_tiny --requests 64
     python -m repro.cli calibrate --model resnet_tiny --device A100
@@ -16,9 +15,6 @@ Usage:
     python -m repro.cli table3 --budget 0.6
     python -m repro.cli budget-sweep
     python -m repro.cli codegen --shape 64 32 56 56
-    python -m repro.cli cache stats
-    python -m repro.cli cache warm --models resnet18 --devices A100 2080Ti
-    python -m repro.cli cache clear --dir ~/.cache/repro-tdc
 """
 
 from __future__ import annotations
@@ -64,12 +60,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--formats", nargs="+", default=None, metavar="FORMAT",
         help="decomposition formats to search per site (names like "
              "tucker/cp/tt, or 'all'); default: tucker only",
-    )
-    e2e.add_argument(
-        "--measure", action="store_true",
-        help="also compile the tiny trainable presets and report "
-             "measured (numeric CPU) vs predicted (simulated) wall time "
-             "per variant",
     )
 
     run_p = sub.add_parser(
@@ -220,35 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_device(cg)
     cg.add_argument("--method", choices=["model", "oracle"], default="model")
 
-    cache = sub.add_parser("cache", help="planning-cache maintenance")
-    cache_sub = cache.add_subparsers(dest="cache_command", required=True)
-
-    cs = cache_sub.add_parser("stats", help="hit/miss/eviction counters")
-    cs.add_argument("--dir", default=None,
-                    help="cache dir to report persisted files for")
-
-    cc = cache_sub.add_parser(
-        "clear", help="drop in-memory entries and persisted files"
-    )
-    cc.add_argument("--dir", default=None,
-                    help="cache dir whose persisted files to delete "
-                         "(default: $REPRO_CACHE_DIR or ~/.cache/repro-tdc)")
-
-    cw = cache_sub.add_parser(
-        "warm", help="plan models x devices and persist the caches it fills"
-    )
-    cw.add_argument("--models", nargs="+", default=["resnet18"],
-                    help="model specs to warm (default %(default)s)")
-    cw.add_argument("--devices", nargs="+", default=["A100"],
-                    help="devices to warm (default %(default)s)")
-    cw.add_argument("--budgets", nargs="+", type=float, default=[0.6],
-                    help="FLOPs-reduction budgets (default %(default)s)")
-    cw.add_argument("--method", choices=["model", "oracle"], default="model")
-    cw.add_argument("--rank-step", type=int, default=32)
-    cw.add_argument("--dir", default=None,
-                    help="cache dir (default: $REPRO_CACHE_DIR or "
-                         "~/.cache/repro-tdc)")
-
     an = sub.add_parser(
         "analyze",
         help="static invariant rules (repro.analysis) + dynamic probes",
@@ -275,73 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="list registered rules and exit")
 
     return parser
-
-
-def _run_cache(args: argparse.Namespace) -> int:
-    # Importing the planner modules registers their caches.
-    import repro.codesign.table  # noqa: F401
-    import repro.perfmodel.tiling  # noqa: F401
-    from repro.planning.cache import (
-        all_caches,
-        clear_plan_caches,
-        default_cache_dir,
-        load_plan_caches,
-        save_plan_caches,
-    )
-    from repro.utils.tables import Table
-
-    if args.cache_command == "stats":
-        table = Table(
-            ["cache", "entries", "maxsize", "hits", "misses", "hit rate",
-             "evictions", "persisted"],
-            title="Planning caches",
-        )
-        cache_dir = args.dir or default_cache_dir()
-        for c in all_caches():
-            st = c.stats()
-            path = c.file_path(cache_dir) if c.persistent else None
-            persisted = (
-                f"{path} ({path.stat().st_size} B)"
-                if path is not None and path.exists() else "-"
-            )
-            table.add_row([
-                st.name, st.size, st.maxsize, st.hits, st.misses,
-                f"{st.hit_rate:.0%}", st.evictions, persisted,
-            ])
-        print(table.render())
-    elif args.cache_command == "clear":
-        clear_plan_caches()
-        print("cleared in-memory plan caches")
-        cache_dir = args.dir or default_cache_dir()
-        removed = 0
-        for c in all_caches():
-            if not c.persistent:
-                continue
-            path = c.file_path(cache_dir)
-            if path.exists():
-                path.unlink()
-                removed += 1
-        print(f"removed {removed} persisted cache file(s) from {cache_dir}")
-    elif args.cache_command == "warm":
-        from repro.models.arch_specs import get_model_spec
-        from repro.planning.warmup import plan_many
-
-        cache_dir = args.dir or default_cache_dir()
-        loaded = load_plan_caches(cache_dir)
-        specs = [get_model_spec(m) for m in args.models]
-        devices = [get_device(d) for d in args.devices]
-        plans = plan_many(
-            specs, devices, args.budgets,
-            rank_step=args.rank_step, method=args.method,
-        )
-        saved = save_plan_caches(cache_dir)
-
-        def fmt(counts):
-            return ", ".join(f"{n} {name}" for name, n in counts.items())
-
-        print(f"loaded {fmt(loaded)} -> planned {len(plans)} "
-              f"combination(s), persisted {fmt(saved)} to {cache_dir}")
-    return 0
 
 
 def _run_compiled(args: argparse.Namespace) -> int:
@@ -773,11 +667,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         if format_table is not None:
             print()
             print(format_table.render())
-        if args.measure:
-            print()
-            print(e2e.measured_vs_predicted(
-                device, backends=args.backend
-            ).render())
     elif args.command == "run":
         return _run_compiled(args)
     elif args.command == "serve":
@@ -827,8 +716,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         shape = ConvShape(c=c, n=n, h=h, w=w)
         choice = select_tiling(shape, get_device(args.device), args.method)
         print(generate_tdc_kernel_source(shape, choice.tiling))
-    elif args.command == "cache":
-        return _run_cache(args)
     elif args.command == "analyze":
         return _run_analyze(args)
     else:  # pragma: no cover - argparse enforces the choices

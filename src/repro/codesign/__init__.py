@@ -38,10 +38,10 @@ from repro.codesign.table import (
     TableEntry,
     build_performance_table,
     clear_table_cache,
-    rank_candidates,
     table_cache,
     table_key,
 )
+from repro.tensor.formats import rank_candidates
 
 __all__ = [
     "ConcurrentDecision",

@@ -60,9 +60,9 @@ class FormatCandidate:
 
 
 # (format, shape tuple, device fingerprint, rank_step, method) -> candidates.
-# Memory-only: the Tucker rows additionally hit the persistent table
-# cache; CP/TT rows are cheap to build but planning sweeps revisit the
-# same shapes a lot.
+# The Tucker rows are built from the (also memoized) performance table;
+# CP/TT rows are cheap to build but planning sweeps revisit the same
+# shapes a lot.
 _CANDIDATE_CACHE = PlanCache("format_candidates", maxsize=1024)
 
 

@@ -1,21 +1,23 @@
 """The benchmark/performance table T of Sec. 6 and Fig. 5.
 
 For one original conv layer ``(C, N, H, W)`` the co-design enumerates
-Tucker rank candidates ``(D1, D2)`` on a step-32 grid (a warp is 32
-threads, so finer steps would leave lanes idle — Sec. 6), and records
-the *full Tucker layer latency*: the 1x1 ``C -> D1`` conv, the TDC core
-conv ``D1 -> D2`` with its selected tiling, and the 1x1 ``D2 -> N``
-conv, each including kernel-launch overhead.  The original layer's
-latency under cuDNN IMPLICIT_GEMM (the kernel an undecomposed layer
-would use at inference) is kept for the θ-threshold rule.
+the Tucker format's rank candidates ``(D1, D2)``
+(:meth:`repro.tensor.formats.TuckerFormat.rank_candidates`: a step-32
+grid per mode, since a warp is 32 threads and finer steps would leave
+lanes idle — Sec. 6 — less the pairs whose core cannot use every
+channel), and records the *full Tucker layer latency*: the 1x1
+``C -> D1`` conv, the TDC core conv ``D1 -> D2`` with its selected
+tiling, and the 1x1 ``D2 -> N`` conv, each including kernel-launch
+overhead.  The original layer's latency under cuDNN IMPLICIT_GEMM (the
+kernel an undecomposed layer would use at inference) is kept for the
+θ-threshold rule.
 
 Tables are built on first use and memoized in the planning-cache
 subsystem (:mod:`repro.planning.cache`) keyed on the full shape, the
 device's content fingerprint, the rank step, and the selection method,
 since the five CNNs repeat many layer shapes.  Construction drives the
 whole rank grid through the batched tiling selector, which memoizes
-every core shape's selection too; warm tables optionally persist to
-disk between runs (``repro cache warm``).
+every core shape's selection too.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from repro.kernels.pointwise import pointwise_latency
 from repro.kernels.tdc_direct import TDCDirectKernel, Tiling
 from repro.perfmodel.tiling import select_tiling, select_tilings
 from repro.planning.cache import PlanCache
-from repro.tensor.formats import get_format, rank_candidates
+from repro.tensor.formats import get_format
 
 
 @dataclass(frozen=True)
@@ -80,9 +82,6 @@ class PerformanceTable:
     entries: List[TableEntry]
     rank_step: int = 32
     method: str = "model"
-    # Content fingerprint of the device this table was built for;
-    # seeding/persistence compare it, never the display name.
-    device_fingerprint: str = ""
     # Lazily built (d1, d2) -> entry index; rebuilt if entries change.
     _index: Optional[Dict[Tuple[int, int], TableEntry]] = field(
         default=None, init=False, repr=False, compare=False
@@ -137,63 +136,7 @@ class PerformanceTable:
         )
 
 
-def _encode_table(table: PerformanceTable) -> dict:
-    return {
-        "shape": [table.c, table.n, table.h, table.w, table.r, table.s],
-        "device_name": table.device_name,
-        "original_latency": table.original_latency,
-        "original_flops": table.original_flops,
-        "rank_step": table.rank_step,
-        "method": table.method,
-        "device_fingerprint": table.device_fingerprint,
-        "entries": [
-            {
-                "d1": e.d1,
-                "d2": e.d2,
-                "pw1_latency": e.pw1_latency,
-                "core_latency": e.core_latency,
-                "pw2_latency": e.pw2_latency,
-                "tiling": [e.tiling.th, e.tiling.tw, e.tiling.tc],
-                "flops": e.flops,
-            }
-            for e in table.entries
-        ],
-    }
-
-
-def _decode_table(doc: dict) -> PerformanceTable:
-    c, n, h, w, r, s = (int(x) for x in doc["shape"])
-    entries = [
-        TableEntry(
-            d1=int(e["d1"]),
-            d2=int(e["d2"]),
-            pw1_latency=float(e["pw1_latency"]),
-            core_latency=float(e["core_latency"]),
-            pw2_latency=float(e["pw2_latency"]),
-            tiling=Tiling(*(int(x) for x in e["tiling"])),
-            flops=int(e["flops"]),
-        )
-        for e in doc["entries"]
-    ]
-    return PerformanceTable(
-        c=c, n=n, h=h, w=w, r=r, s=s,
-        device_name=str(doc["device_name"]),
-        original_latency=float(doc["original_latency"]),
-        original_flops=int(doc["original_flops"]),
-        entries=entries,
-        rank_step=int(doc["rank_step"]),
-        method=str(doc["method"]),
-        device_fingerprint=str(doc.get("device_fingerprint", "")),
-    )
-
-
-_TABLE_CACHE = PlanCache(
-    "table",
-    maxsize=1024,
-    payload_version=1,
-    encode=_encode_table,
-    decode=_decode_table,
-)
+_TABLE_CACHE = PlanCache("table", maxsize=1024)
 
 
 def table_cache() -> PlanCache:
@@ -277,11 +220,9 @@ def build_performance_table(
     # through the backend registry (the paper's cuDNN baseline).
     original_latency = get_backend("cudnn").core_latency(dense_shape, device)
 
-    d1_list = rank_candidates(c, rank_step)
-    d2_list = rank_candidates(n, rank_step)
     entries = _grid_entries(
         c, n, h, w, r, s, device, method,
-        [(d1, d2) for d1 in d1_list for d2 in d2_list],
+        get_format("tucker").rank_candidates(c, n, r, s, rank_step),
     )
 
     table = PerformanceTable(
@@ -292,7 +233,6 @@ def build_performance_table(
         entries=entries,
         rank_step=rank_step,
         method=method,
-        device_fingerprint=device.fingerprint(),
     )
     if use_cache:
         return _TABLE_CACHE.put(key, table)

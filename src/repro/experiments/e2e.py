@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-import numpy as np
-
 from repro.experiments.common import E2E_MODELS, MODEL_BUDGETS
 from repro.gpusim.device import DeviceSpec
 from repro.inference.engine import E2EResult, ORIGINAL_VARIANT, estimate_e2e
@@ -174,73 +172,4 @@ def format_summary(
     )
     for row in rows:
         table.add_row(row)
-    return table
-
-
-# Trainable presets small enough to *execute* on CPU; the measured
-# column times real numeric forwards through the compiled kernels.
-MEASURED_MODELS = ("resnet_tiny", "vgg_tiny")
-
-
-def measured_vs_predicted(
-    device: DeviceSpec,
-    models: Sequence[str] = MEASURED_MODELS,
-    backends: Optional[Sequence[str]] = None,
-    image_hw: tuple = (8, 8),
-    batch: int = 1,
-    repeats: int = 3,
-    budget: float = 0.5,
-    rank_step: int = 2,
-) -> Table:
-    """Compiled-execution wall time vs the plan's simulated latency.
-
-    For each trainable model preset: hardware-aware decomposition for
-    the device, then one compiled :class:`~repro.inference.Executable`
-    per requested core backend.  "Predicted" is the plan's simulated
-    GPU latency; "measured" is CPU NumPy wall time of ``run`` — the
-    two run different hardware, so the interesting signal is how the
-    *ratios between variants* track, plus a regression canary for the
-    hot path.  Backends that cannot compile a model's cores are
-    skipped with a dash.
-    """
-    from repro.backends import PAPER_CORE_BACKENDS
-    from repro.codesign.pipeline import decompose_for_device
-    from repro.inference.executable import compile_model
-    from repro.models.registry import build_model
-
-    backends = tuple(backends) if backends is not None else PAPER_CORE_BACKENDS
-    rng = np.random.default_rng(0)
-    table = Table(
-        ["model", "variant", "core convs", "predicted (ms)",
-         "measured (ms)", "arena (kB)"],
-        title=f"Compiled execution: measured vs predicted ({device.name})",
-    )
-    for name in models:
-        model = build_model(name, seed=0)
-        try:
-            decompose_for_device(
-                model, device, image_hw, budget=budget, rank_step=rank_step,
-            )
-        except ValueError:
-            pass  # θ rule / budget decomposed nothing: measure dense
-        model.eval()
-        x = rng.standard_normal((batch, 3) + tuple(image_hw))
-        for backend in backends:
-            try:
-                exe = compile_model(
-                    model, device, image_hw=image_hw,
-                    core_backend=backend, max_batch=batch, model_name=name,
-                )
-            except (ValueError, NotImplementedError):
-                table.add_row([name, display_name(backend), "-", "-", "-", "-"])
-                continue
-            wall = exe.measure(x, repeats=repeats)
-            table.add_row([
-                name,
-                display_name(backend),
-                sum(exe.backend_counts().values()),
-                exe.predicted_latency() * 1e3,
-                wall * 1e3 / batch,
-                exe.arena.nbytes / 1e3,
-            ])
     return table

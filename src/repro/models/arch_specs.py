@@ -95,22 +95,6 @@ class ModelSpec:
         """One GPU kernel launch per layer (conv/pool/fc/bn_relu)."""
         return len(self.layers)
 
-    def fingerprint(self) -> str:
-        """Content hash over the name and every layer's identity.
-
-        Batched planning keys must distinguish two specs that share a
-        display name but differ in layers (the same architecture at
-        two image sizes, say), mirroring ``DeviceSpec.fingerprint``.
-        """
-        import hashlib
-
-        payload = self.name + "|" + ";".join(
-            f"{l.name},{l.kind},{l.in_channels},{l.out_channels},"
-            f"{l.height},{l.width},{l.kernel},{l.stride}"
-            for l in self.layers
-        )
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
-
 
 # ---------------------------------------------------------------------------
 # Generators

@@ -382,34 +382,7 @@ def select_tilings_grid(
     return choices
 
 
-def _encode_choice(choice: TilingChoice) -> dict:
-    return {
-        "tiling": [choice.tiling.th, choice.tiling.tw, choice.tiling.tc],
-        "simulated_latency": choice.simulated_latency,
-        "comp_latency": choice.comp_latency,
-        "memory_latency": choice.memory_latency,
-        "method": choice.method,
-    }
-
-
-def _decode_choice(doc: dict) -> TilingChoice:
-    th, tw, tc = doc["tiling"]
-    return TilingChoice(
-        tiling=Tiling(int(th), int(tw), int(tc)),
-        simulated_latency=float(doc["simulated_latency"]),
-        comp_latency=float(doc["comp_latency"]),
-        memory_latency=float(doc["memory_latency"]),
-        method=str(doc["method"]),
-    )
-
-
-_SELECT_CACHE = PlanCache(
-    "tiling",
-    maxsize=8192,
-    payload_version=1,
-    encode=_encode_choice,
-    decode=_decode_choice,
-)
+_SELECT_CACHE = PlanCache("tiling", maxsize=8192)
 
 
 def tiling_cache() -> PlanCache:

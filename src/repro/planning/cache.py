@@ -12,37 +12,27 @@ but differ in hardware parameters (a device sweep, a user-tweaked spec)
 silently alias each other's entries.  A :class:`PlanCache` fixes that
 by construction:
 
-- **Content-fingerprint keys.**  Keys are tuples of primitives that
-  include ``DeviceSpec.fingerprint()`` — a hash over *every* hardware
+- **Content-fingerprint keys.**  Keys are hashable tuples that include
+  ``DeviceSpec.fingerprint()`` — a hash over *every* hardware
   parameter — never the display name.
 - **Thread safety.**  All operations are lock-guarded; concurrent
   deployments plan against the same caches.
 - **Bounded LRU.**  Entries are evicted least-recently-used once
   ``maxsize`` is exceeded, with hit/miss/eviction counters exposed via
   :meth:`PlanCache.stats`.
-- **Optional disk persistence.**  Caches constructed with
-  ``encode``/``decode`` codecs round-trip through versioned JSON files
-  (TVM-style tuning logs: one-shot searches survive process restarts).
-  A schema or payload-version mismatch invalidates the file
-  gracefully — the loader simply starts cold.
 
-Caches auto-register in a process-wide registry so the CLI
-(``repro cache stats|clear|warm``) and tests can reach all of them
-without importing each planner module explicitly.
+Caches live in memory only: each process plans on first use.  They
+auto-register in a process-wide registry so :func:`cache_stats`,
+:func:`clear_plan_caches` and tests can reach all of them without
+importing each planner module explicitly.
 """
 
 from __future__ import annotations
 
-import json
-import os
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Tuple
-
-# Bump when the on-disk envelope (not a cache's payload) changes shape.
-SCHEMA_VERSION = 1
+from typing import Any, Callable, Dict, List, Tuple
 
 Key = Tuple[Any, ...]
 
@@ -79,31 +69,23 @@ class CacheStats:
 
 
 class PlanCache:
-    """A thread-safe, bounded-LRU, optionally persistent memo table.
+    """A thread-safe, bounded-LRU, in-memory memo table.
 
-    Keys must be tuples of JSON-representable primitives (ints,
-    floats, strings, nested tuples); values must never be ``None``
-    (``None`` is the miss sentinel).  Persistence requires ``encode``
-    (value -> JSON-serializable) and ``decode`` (its inverse); caches
-    without codecs are memory-only.
+    Keys must be hashable (in practice tuples of primitives that carry
+    the device fingerprint); values must never be ``None`` (``None`` is
+    the miss sentinel).
     """
 
     def __init__(
         self,
         name: str,
         maxsize: int = 1024,
-        payload_version: int = 1,
-        encode: Optional[Callable[[Any], Any]] = None,
-        decode: Optional[Callable[[Any], Any]] = None,
         register: bool = True,
     ) -> None:
         if maxsize <= 0:
             raise ValueError(f"maxsize must be positive, got {maxsize}")
         self.name = name
         self.maxsize = maxsize
-        self.payload_version = payload_version
-        self._encode = encode
-        self._decode = decode
         self._lock = threading.RLock()
         self._data: "OrderedDict[Key, Any]" = OrderedDict()
         self._hits = 0
@@ -195,91 +177,6 @@ class PlanCache:
                 evictions=self._evictions,
             )
 
-    # ------------------------------------------------------------------
-    # Disk persistence
-    # ------------------------------------------------------------------
-
-    @property
-    def persistent(self) -> bool:
-        return self._encode is not None and self._decode is not None
-
-    def file_path(self, cache_dir: "os.PathLike[str] | str") -> Path:
-        return Path(cache_dir) / f"{self.name}.json"
-
-    def save(self, cache_dir: "os.PathLike[str] | str") -> Path:
-        """Write all entries to ``<cache_dir>/<name>.json`` atomically."""
-        if not self.persistent:
-            raise RuntimeError(
-                f"cache {self.name!r} has no encode/decode codec; "
-                "it is memory-only"
-            )
-        with self._lock:
-            items = list(self._data.items())
-        doc = {
-            "schema": SCHEMA_VERSION,
-            "cache": self.name,
-            "payload_version": self.payload_version,
-            "entries": [[list(k), self._encode(v)] for k, v in items],
-        }
-        path = self.file_path(cache_dir)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(".json.tmp")
-        tmp.write_text(json.dumps(doc), encoding="utf-8")
-        os.replace(tmp, path)
-        return path
-
-    def load(self, cache_dir: "os.PathLike[str] | str") -> int:
-        """Merge entries from disk; returns how many were loaded.
-
-        Any mismatch — missing file, corrupt JSON, wrong schema or
-        payload version, codec failure — invalidates the file
-        gracefully: the cache is left as it was and 0 is returned.
-        In-memory entries win over persisted ones on key collisions.
-        """
-        if not self.persistent:
-            raise RuntimeError(
-                f"cache {self.name!r} has no encode/decode codec; "
-                "it is memory-only"
-            )
-        path = self.file_path(cache_dir)
-        try:
-            doc = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, ValueError):
-            return 0
-        if (
-            not isinstance(doc, dict)
-            or doc.get("schema") != SCHEMA_VERSION
-            or doc.get("cache") != self.name
-            or doc.get("payload_version") != self.payload_version
-        ):
-            return 0
-        try:
-            decoded = [
-                (_as_key(raw_key), self._decode(raw_value))
-                for raw_key, raw_value in doc.get("entries", [])
-            ]
-        except Exception:
-            # A stale payload the codec no longer understands.
-            return 0
-        loaded = 0
-        with self._lock:
-            for key, value in decoded:
-                if key in self._data or value is None:
-                    continue
-                self._data[key] = value
-                loaded += 1
-            while len(self._data) > self.maxsize:
-                self._data.popitem(last=False)
-                self._evictions += 1
-        return loaded
-
-
-def _as_key(obj: Any) -> Any:
-    """Recursively rebuild tuple keys from their JSON list form."""
-    if isinstance(obj, list):
-        return tuple(_as_key(item) for item in obj)
-    return obj
-
 
 # ----------------------------------------------------------------------
 # Process-wide registry
@@ -317,33 +214,6 @@ def cache_stats() -> Dict[str, CacheStats]:
 
 
 def clear_plan_caches() -> None:
-    """Clear every registered cache (tests, benchmarks, CLI)."""
+    """Clear every registered cache (tests, benchmarks)."""
     for cache in all_caches():
         cache.clear()
-
-
-def save_plan_caches(cache_dir: "os.PathLike[str] | str") -> Dict[str, int]:
-    """Persist every codec-equipped cache; returns ``{name: n_entries}``."""
-    saved: Dict[str, int] = {}
-    for cache in all_caches():
-        if cache.persistent:
-            cache.save(cache_dir)
-            saved[cache.name] = len(cache)
-    return saved
-
-
-def load_plan_caches(cache_dir: "os.PathLike[str] | str") -> Dict[str, int]:
-    """Load every codec-equipped cache; returns ``{name: n_loaded}``."""
-    loaded: Dict[str, int] = {}
-    for cache in all_caches():
-        if cache.persistent:
-            loaded[cache.name] = cache.load(cache_dir)
-    return loaded
-
-
-def default_cache_dir() -> str:
-    """``$REPRO_CACHE_DIR`` or ``~/.cache/repro-tdc``."""
-    env = os.environ.get("REPRO_CACHE_DIR")
-    if env:
-        return env
-    return os.path.join(os.path.expanduser("~"), ".cache", "repro-tdc")

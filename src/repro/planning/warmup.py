@@ -1,35 +1,20 @@
-"""Backend warm-up and batched planning over the plan caches.
+"""Backend warm-up over the plan caches.
 
 Every planner memoizes on first use in a
 :class:`~repro.planning.cache.PlanCache` (tiling selections,
 performance tables, TVM tuning, fused tilings and latencies), so
 nothing here computes a value that the planner would not compute
-itself.
-
-- :func:`warm_backends` / :func:`warm_model_backends` resolve each
-  kernel backend's core latency once per (shape, device) pair, which
-  fills that backend's caches before the deploy path plans.
-- :func:`plan_many` runs Algorithm 1 over a ``specs x devices x
-  budgets`` grid (``repro cache warm``).  Plans are keyed on the device
-  *fingerprint*, not its display name: a device sweep legitimately
-  batches several same-named specs.
+itself.  :func:`warm_backends` / :func:`warm_model_backends` resolve
+each kernel backend's core latency once per (shape, device) pair,
+which fills that backend's caches before the deploy path plans.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Sequence, Tuple
 
-from repro.codesign.pipeline import layer_shapes_from_spec
-from repro.codesign.rank_selection import RankPlan, select_ranks
 from repro.gpusim.device import DeviceSpec
 from repro.kernels.base import ConvShape
-from repro.models.arch_specs import ModelSpec
-
-# Key of one batched plan: (spec fingerprint, device fingerprint,
-# budget).  Fingerprints — not display names — so that a sweep over
-# same-named device variants, or the same architecture at two image
-# sizes, never collides.  Build keys with :func:`plan_key`.
-PlanKey = Tuple[str, str, float]
 
 
 def warm_backends(
@@ -119,50 +104,3 @@ def warm_model_backends(
     if not pairs:
         return {}
     return warm_backends(pairs, backends)
-
-
-def plan_key(spec: ModelSpec, device: DeviceSpec, budget: float) -> PlanKey:
-    """The :func:`plan_many` result key for one combination."""
-    return (spec.fingerprint(), device.fingerprint(), budget)
-
-
-def plan_many(
-    specs: Sequence[ModelSpec],
-    devices: Sequence[DeviceSpec],
-    budgets: Sequence[float],
-    *,
-    theta: float = 0.15,
-    rank_step: int = 32,
-    method: str = "model",
-    min_channels: int = 32,
-    formats: object = ("tucker",),
-) -> Dict[PlanKey, RankPlan]:
-    """Algorithm 1 over the ``specs x devices x budgets`` grid.
-
-    Tables do not depend on the budget, so every combination after the
-    first on a (spec, device) pair plans from cached tables.
-    ``formats`` widens rank selection beyond Tucker.  Returns
-    ``{plan_key(spec, device, budget): RankPlan}`` — keys carry content
-    *fingerprints*, never display names, so same-named device variants
-    (a parameter sweep) or same-named spec variants (one architecture
-    at two image sizes) each keep their own plan.
-    """
-    specs = list(specs)
-    devices = list(devices)
-    budgets = list(budgets)
-    if not specs or not devices or not budgets:
-        raise ValueError("plan_many needs at least one spec/device/budget")
-
-    plans: Dict[PlanKey, RankPlan] = {}
-    for spec in specs:
-        layers = layer_shapes_from_spec(spec, min_channels=min_channels)
-        if not layers:
-            raise ValueError(f"{spec.name} has no decomposable convs")
-        for device in devices:
-            for budget in budgets:
-                plans[plan_key(spec, device, budget)] = select_ranks(
-                    layers, device,
-                    budget=budget, theta=theta,
-                    rank_step=rank_step, method=method, formats=formats,
-                )
-    return plans

@@ -173,10 +173,15 @@ class TuckerFormat(DecompFormat):
         return Chain(mid=d1, core_out=d2, depthwise=False)
 
     def rank_candidates(self, c, n, r, s, step) -> List[Tuple[int, ...]]:
+        # The core's D1-mode unfolding is D1 x (D2*R*S), so its rank is
+        # at most min(D1, D2*R*S), and symmetrically for D2.  A pair past
+        # that bound has pw1 (or pw2) compute channels the core cannot
+        # use, so such dominated pairs are not candidates.
         return [
             (d1, d2)
             for d1 in rank_candidates(c, step)
             for d2 in rank_candidates(n, step)
+            if d1 <= d2 * r * s and d2 <= d1 * r * s
         ]
 
 

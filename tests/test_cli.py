@@ -91,7 +91,7 @@ class TestCommands:
         from repro.inference import plan_model
         from repro.models.registry import build_model
 
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        monkeypatch.chdir(tmp_path)
         assert main([
             "calibrate", "--device", "A100", "--repeats", "1",
             "--warmup", "0",

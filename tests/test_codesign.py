@@ -13,16 +13,21 @@ from repro.codesign.flops import (
     flops_reduction_ratio,
     param_reduction_ratio,
 )
-from repro.codesign.pipeline import layer_shapes_from_spec
+from repro.codesign.pipeline import layer_shapes_from_sites, layer_shapes_from_spec
 from repro.codesign.rank_selection import LayerShape, select_ranks
-from repro.codesign.table import (
-    build_performance_table,
-    clear_table_cache,
-    rank_candidates,
-)
+from repro.codesign.table import build_performance_table, clear_table_cache
 from repro.gpusim.device import A100
 from repro.models.arch_specs import get_model_spec
-from repro.tensor.formats import get_format
+from repro.models.introspection import trace_conv_sites
+from repro.models.registry import build_model
+from repro.tensor.formats import get_format, rank_candidates
+
+
+def dominated(d1, d2, r, s):
+    """A Tucker pair whose core cannot use every channel of one side:
+    the core's unfoldings have rank at most min(D1, D2*R*S) and
+    min(D2, D1*R*S)."""
+    return d1 > d2 * r * s or d2 > d1 * r * s
 
 
 class TestFlopsFormulas:
@@ -142,6 +147,25 @@ class TestPerformanceTable:
         with pytest.raises(KeyError):
             table.lookup(1, 1)
 
+    @pytest.mark.parametrize("c,n,k", [
+        (64, 64, 1), (96, 24, 1),      # 1x1: only square pairs survive
+        (128, 16, 3), (16, 128, 3),    # 3x3 with lopsided channels
+        (256, 8, 5), (64, 64, 5),      # 5x5
+    ])
+    def test_table_grid_is_the_formats_undominated_grid(self, c, n, k):
+        clear_table_cache()
+        table = build_performance_table(c, n, 8, 8, A100, r=k, s=k,
+                                        rank_step=8)
+        pairs = [(e.d1, e.d2) for e in table.entries]
+        assert pairs == get_format("tucker").rank_candidates(c, n, k, k, 8)
+        assert pairs
+        assert not any(dominated(d1, d2, k, k) for d1, d2 in pairs)
+        # Only dominated pairs leave the per-mode product grid.
+        full = [(d1, d2) for d1 in rank_candidates(c, 8)
+                for d2 in rank_candidates(n, 8)]
+        dropped = [p for p in full if p not in pairs]
+        assert all(dominated(d1, d2, k, k) for d1, d2 in dropped)
+
     def test_lookup_index_matches_linear_scan(self):
         table = build_performance_table(256, 256, 14, 14, A100, rank_step=32)
         for e in table.entries:
@@ -228,6 +252,20 @@ class TestRankSelection:
         layers = toy_layers()
         with_skip = select_ranks(layers, A100, budget=0.5, theta=0.999)
         assert all(not d.decomposed for d in with_skip.decisions)
+
+    def test_no_dominated_tucker_pair_on_vgg16_slim(self):
+        # The fleet fallback's deploy.  At budget 0.7 the 64->64 3x3
+        # layers on 4x4 maps are where a dominated pair such as (52, 4)
+        # wins on latency; its core has rank at most 4*9 = 36 in D1.
+        model = build_model("vgg16_slim", seed=0)
+        layers = layer_shapes_from_sites(trace_conv_sites(model, (32, 32)))
+        plan = select_ranks(layers, A100, budget=0.7, rank_step=4,
+                            formats="all")
+        tucker = [d for d in plan.decisions
+                  if d.decomposed and d.format == "tucker"]
+        assert tucker
+        for d in tucker:
+            assert not dominated(d.d1, d.d2, d.layer.r, d.layer.s), d
 
     def test_deterministic(self):
         p1 = select_ranks(toy_layers(), A100, budget=0.6)

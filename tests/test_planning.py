@@ -1,19 +1,17 @@
 """Tests for the planning-cache subsystem.
 
-Covers the PlanCache primitive (LRU, stats, thread safety, persistence
-with versioned invalidation), the stale-device regression the
-subsystem exists to fix, the deploy path's backend warm-up, and the
-batched plan_many API.
+Covers the PlanCache primitive (LRU, stats, thread safety), the
+stale-device regression the subsystem exists to fix, and the deploy
+path's backend warm-up.
 """
 
-import json
 import threading
 from dataclasses import replace
 
 import pytest
 
 from repro.codesign.format_search import layer_format_candidates
-from repro.codesign.pipeline import decompose_for_device
+from repro.codesign.pipeline import decompose_for_device, layer_shapes_from_spec
 from repro.codesign.rank_selection import LayerShape, select_ranks
 from repro.codesign.table import (
     build_performance_table,
@@ -38,16 +36,13 @@ from repro.perfmodel.tiling import (
     tiling_cache,
 )
 from repro.planning.cache import (
-    SCHEMA_VERSION,
     PlanCache,
     all_caches,
     cache_stats,
     clear_plan_caches,
     get_cache,
-    load_plan_caches,
-    save_plan_caches,
 )
-from repro.planning.warmup import plan_key, plan_many, warm_model_backends
+from repro.planning.warmup import warm_model_backends
 
 # A user-tweaked A100: same display name, half the clock, a tenth of
 # the bandwidth.  Every planner result must reflect these parameters.
@@ -268,63 +263,6 @@ class TestStaleDeviceRegression:
         assert A100.fingerprint() == replace(A100).fingerprint()
 
 
-class TestPersistence:
-    def test_round_trip(self, tmp_path):
-        shape = ConvShape(32, 32, 14, 14)
-        choice = select_tiling(shape, A100, "model")
-        table = build_performance_table(128, 128, 14, 14, A100)
-        saved = save_plan_caches(tmp_path)
-        assert saved["tiling"] >= 1 and saved["table"] >= 1
-
-        clear_plan_caches()
-        loaded = load_plan_caches(tmp_path)
-        assert loaded["tiling"] == saved["tiling"]
-        assert loaded["table"] == saved["table"]
-
-        # Loaded entries serve lookups without recomputation and are
-        # value-equal to the originals.
-        assert tiling_cache().peek(select_key(shape, A100, "model")) == choice
-        reloaded = build_performance_table(128, 128, 14, 14, A100)
-        assert reloaded.original_latency == table.original_latency
-        assert reloaded.entries == table.entries
-        assert reloaded.lookup(32, 32) == table.lookup(32, 32)
-
-    def test_schema_version_mismatch_invalidates(self, tmp_path):
-        select_tiling(ConvShape(32, 32, 14, 14), A100, "model")
-        save_plan_caches(tmp_path)
-        path = tmp_path / "tiling.json"
-        doc = json.loads(path.read_text())
-        doc["schema"] = SCHEMA_VERSION + 1
-        path.write_text(json.dumps(doc))
-        clear_plan_caches()
-        assert load_plan_caches(tmp_path)["tiling"] == 0
-        assert len(tiling_cache()) == 0
-
-    def test_payload_version_mismatch_invalidates(self, tmp_path):
-        select_tiling(ConvShape(32, 32, 14, 14), A100, "model")
-        save_plan_caches(tmp_path)
-        path = tmp_path / "tiling.json"
-        doc = json.loads(path.read_text())
-        doc["payload_version"] = 999
-        path.write_text(json.dumps(doc))
-        clear_plan_caches()
-        assert load_plan_caches(tmp_path)["tiling"] == 0
-
-    def test_corrupt_file_invalidates(self, tmp_path):
-        (tmp_path / "tiling.json").write_text("{not json")
-        assert load_plan_caches(tmp_path)["tiling"] == 0
-
-    def test_missing_file_is_cold_start(self, tmp_path):
-        assert load_plan_caches(tmp_path)["tiling"] == 0
-
-    def test_memory_only_cache_refuses_persistence(self, tmp_path):
-        c = PlanCache("mem-only", maxsize=4, register=False)
-        with pytest.raises(RuntimeError):
-            c.save(tmp_path)
-        with pytest.raises(RuntimeError):
-            c.load(tmp_path)
-
-
 class TestWarmup:
     def test_table_build_fills_tiling_cache(self):
         build_performance_table(128, 128, 14, 14, A100)
@@ -351,68 +289,15 @@ class TestWarmup:
         assert any(k.kind == "core" for k in plan.kernels)
         assert [c.stats().misses for c in caches] == misses
 
-    def test_plan_many_grid(self):
-        spec = get_model_spec("resnet18")
-        plans = plan_many([spec], [A100], [0.5, 0.6])
-        assert set(plans) == {
-            plan_key(spec, A100, 0.5),
-            plan_key(spec, A100, 0.6),
-        }
-        for plan in plans.values():
-            assert len(plan.decisions) == 16
-
-    def test_plan_many_same_named_device_sweep(self):
-        # A sweep over same-named device variants must keep one plan
-        # per variant, not let the last one win.
-        spec = get_model_spec("resnet18")
-        plans = plan_many([spec], [A100, TWEAKED_A100], [0.6])
-        assert len(plans) == 2
-        p_real = plans[plan_key(spec, A100, 0.6)]
-        p_tweak = plans[plan_key(spec, TWEAKED_A100, 0.6)]
-        assert p_real.total_latency != p_tweak.total_latency
-
-    def test_plan_many_same_named_spec_variants(self):
-        # One architecture at two image sizes shares a display name but
-        # must keep one plan per variant.
-        spec224 = get_model_spec("resnet18", image_size=224)
-        spec112 = get_model_spec("resnet18", image_size=112)
-        assert spec224.fingerprint() != spec112.fingerprint()
-        plans = plan_many([spec224, spec112], [A100], [0.6])
-        assert len(plans) == 2
-        p224 = plans[plan_key(spec224, A100, 0.6)]
-        p112 = plans[plan_key(spec112, A100, 0.6)]
-        assert p224.total_latency != p112.total_latency
-        # The batched plan matches the single-spec path for each variant.
-        b224 = estimate_e2e(spec224, A100, budget=0.6, rank_plan=p224)
-        assert b224.as_milliseconds() == estimate_e2e(
-            spec224, A100, budget=0.6
-        ).as_milliseconds()
-
-    def test_plan_many_matches_direct_selection(self):
-        spec = get_model_spec("resnet18")
-        plans = plan_many([spec], [A100], [0.6])
-        from repro.codesign.pipeline import layer_shapes_from_spec
-
-        direct = select_ranks(
-            layer_shapes_from_spec(spec), A100, budget=0.6
-        )
-        assert plans[plan_key(spec, A100, 0.6)].ranks() == direct.ranks()
-
-    def test_plan_many_validates_inputs(self):
-        with pytest.raises(ValueError):
-            plan_many([], [A100], [0.6])
-
     def test_estimate_e2e_many_matches_single(self):
-        # An end-to-end estimate from a batched plan equals the one the
-        # single-spec path plans for itself.
+        # An end-to-end estimate from a plan selected up front equals
+        # the one the single-spec path plans for itself.
         spec = get_model_spec("resnet18")
-        plans = plan_many([spec], [A100], [0.6])
-        assert len(plans) == 1
-        batched = estimate_e2e(
-            spec, A100, budget=0.6, rank_plan=plans[plan_key(spec, A100, 0.6)]
-        )
+        plan = select_ranks(layer_shapes_from_spec(spec), A100, budget=0.6)
+        given = estimate_e2e(spec, A100, budget=0.6, rank_plan=plan)
+        assert given.rank_plan is plan
         single = estimate_e2e(spec, A100, budget=0.6)
-        assert batched.as_milliseconds() == single.as_milliseconds()
+        assert given.as_milliseconds() == single.as_milliseconds()
 
 
 class TestConvShapeKeyCompleteness:
