@@ -6,8 +6,10 @@
 site's forward runs) executes against the executable's own arena
 buffers (warmup + best-of-k, mirroring ``Executable.measure``) — and
 pairs each measurement with the simulated latency its plan recorded
-for that core under the planned backend.  One whole-run measurement
-gives the totals.
+for that core under the planned backend, and with the stage's host
+window layout beside it (``pitched`` or ``windows``: the plan's GPU
+backend never picks the host loop).  One whole-run measurement gives
+the totals.
 
 The result is a report, never a planner input: the plan prices the
 target GPU, the measurement times this host, and nothing feeds one
@@ -39,6 +41,8 @@ class SiteSample:
     site: str            # dotted module name of the compiled site
     backend: str         # backend that planned the kernel (a registered
                          # one, or the depthwise baseline for a middle)
+    layout: str          # the host core stage's windows: "pitched" (the
+                         # flattened plane) or "windows" (the 2-D view)
     shape: ConvShape     # the plan-time core shape (output extent)
     shape_class: str
     predicted_s: float   # the plan's simulated GPU latency
@@ -123,6 +127,7 @@ def run_calibration(
             SiteSample(
                 site=site.site_name,
                 backend=kernel.backend or "cudnn",
+                layout=site.core_stage.layout,
                 shape=site.core_shape,
                 shape_class=shape_class(site.core_shape),
                 predicted_s=kernel.latency,

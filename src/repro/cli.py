@@ -521,14 +521,14 @@ def _run_calibrate(args: argparse.Namespace) -> int:
     run = run_calibration(exe, warmup=args.warmup, repeats=args.repeats)
 
     table = Table(
-        ["site", "backend", "shape class", "simulated (us)", "host (ms)",
-         "host / simulated"],
+        ["site", "backend", "layout", "shape class", "simulated (us)",
+         "host (ms)", "host / simulated"],
         title=f"Measured vs simulated: {args.model} on {device.name} "
               f"({args.backend})",
     )
     for s in run.samples:
         table.add_row([
-            s.site, s.backend, s.shape_class, s.predicted_s * 1e6,
+            s.site, s.backend, s.layout, s.shape_class, s.predicted_s * 1e6,
             s.measured_s * 1e3, f"{s.ratio:.1f}x",
         ])
     for label, simulated, host in (
@@ -536,7 +536,7 @@ def _run_calibrate(args: argparse.Namespace) -> int:
         ("whole run", run.total_predicted_s, run.total_measured_s),
     ):
         table.add_row([
-            f"({label})", "", "", simulated * 1e6, host * 1e3,
+            f"({label})", "", "", "", simulated * 1e6, host * 1e3,
             f"{host / simulated:.1f}x" if simulated > 0 else "-",
         ])
     print(table.render())

@@ -18,13 +18,21 @@ tree.
   TT      ``[pw, dw, pw]``
   ======  ==========================
 
-  ``pw`` is a stacked ``matmul``.  ``conv`` copies one sample's strided
+  ``pw`` is a stacked ``matmul``.  ``conv`` copies one sample's
   windows into a scratch slot (im2col) and runs one ``matmul`` per
-  sample.  ``dw`` copies the whole batch's strided windows into the
-  stage scratch and runs one stacked ``(Q, 1, k²) @ (b, Q, k², P)``
-  matmul; TT's group-sum folds into it as ``(r1, 1, r2·k²) @ (b, r1,
-  r2·k², P)``.  A padded ``conv``/``dw`` reads a zero-border copy of
-  its input (``<site>.xpad``).  Both compute only the strided outputs.
+  sample.  ``dw`` copies the whole batch's windows into the stage
+  scratch and runs one stacked ``(Q, 1, k²) @ (b, Q, k², P)`` matmul;
+  TT's group-sum folds into it as ``(r1, 1, r2·k²) @ (b, r1, r2·k²,
+  P)``.  A padded ``conv``/``dw`` reads a zero-border copy of its input
+  (``<site>.xpad``).  At stride 1 over an arena buffer the windows are
+  *pitched*: each im2col row is one contiguous run of the flattened
+  ``Hp·Wp`` input plane, ``P = (OH-1)·Wp + OW`` columns with ``Wp -
+  OW`` junk ones per output row, and the ``matmul`` writes ``(OH, Wp)``
+  rows into the stage scratch, whose first ``OW`` columns one strided
+  copy compacts into the output.  Otherwise (stride > 1, or the
+  network input read by an unpadded first conv) the windows are a 2-D
+  view and the ``matmul`` writes the ``OH·OW`` strided outputs
+  directly.
 - the rest of the network lowers by a closed set of rules keyed on
   module type (the ``models.blocks`` blocks, the zoo's model classes,
   and the ``nn.layers`` pools, ``Linear``, ``Flatten`` and
@@ -76,7 +84,7 @@ from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from repro.gpusim.device import DeviceSpec
 from repro.inference.plan import ExecutionPlan, PlannedKernel, plan_model
@@ -194,6 +202,34 @@ def _windows(a: np.ndarray, k: int, stride: int, oh: int, ow: int):
     return win.transpose(0, 1, 4, 5, 2, 3)
 
 
+def _plane_windows(a: np.ndarray, k: int, oh: int, ow: int):
+    """``(B, C, k, k, L)`` read-only view of the stride-1 windows of a
+    padded NCHW array over each flattened ``Hp·Wp`` plane, ``L =
+    (OH-1)·Wp + OW``: tap ``(r, s)`` of column ``j = y·Wp + x`` reads
+    plane element ``j + r·Wp + s``, so every row is one contiguous run;
+    columns with ``x >= OW`` are junk.
+
+    The view is unchecked (``as_strided``), so the planes must be
+    contiguous and the last element read must lie inside the plane:
+    anything else would read memory the array does not own."""
+    _, _, hp, wp = a.shape
+    e = a.itemsize
+    length = (oh - 1) * wp + ow
+    if a.strides[2:] != (wp * e, e):
+        raise AssertionError(f"plane windows need contiguous {hp}x{wp} "
+                             f"planes, got strides {a.strides}")
+    if (k - 1) * (wp + 1) + length - 1 >= hp * wp:
+        raise AssertionError(f"plane windows of {k}x{k} taps over "
+                             f"{length} columns overrun the {hp}x{wp} plane")
+    return as_strided(a, a.shape[:2] + (k, k, length),
+                      a.strides[:2] + (wp * e, e, e), writeable=False)
+
+
+def _carve(scratch: np.ndarray, offset: int, shape: Tuple[int, ...]):
+    """The ``shape`` array ``offset`` elements into the stage scratch."""
+    return scratch[offset:offset + int(np.prod(shape))].reshape(shape)
+
+
 class _Epilogue:
     """In-place bias + ReLU on a stage's output ``self.out``; the
     lowering sets them after construction (a layer bias, a folded
@@ -243,66 +279,119 @@ class PointwiseStage(_Epilogue):
         self._finish(out)
 
 
-class ConvStage(_Epilogue):
+class _Im2col:
+    """The stage-scratch layout of ``conv`` and ``dw``: the im2col
+    ``cols``, then, when the windows are pitched, the GEMM's pitched
+    rows.  A subclass sets ``win``, ``cols_shape``, ``dest`` (the
+    output, shaped like the rows' valid columns) and, when pitched,
+    ``rows_shape`` ``(..., OH, Wp)``."""
+
+    rows_shape: Optional[Tuple[int, ...]] = None
+
+    @property
+    def layout(self) -> str:
+        """``pitched`` (plane windows) or ``windows`` (the 2-D view)."""
+        return "windows" if self.rows_shape is None else "pitched"
+
+    @property
+    def scratch_size(self) -> int:
+        """Stage-scratch elements this stage uses."""
+        rows = 0 if self.rows_shape is None else int(np.prod(self.rows_shape))
+        return int(np.prod(self.cols_shape)) + rows
+
+    def bind(self, scratch: np.ndarray) -> None:
+        self.cols = _carve(scratch, 0, self.cols_shape)
+        self.rows = self.valid = None
+        if self.rows_shape is not None:
+            # The GEMM writes the first L columns of the pitched rows;
+            # the compaction copies each row's first OW.
+            rows = _carve(scratch, self.cols.size, self.rows_shape)
+            flat = _view(rows, self.rows_shape[:-2] + (-1,))
+            self.rows = flat[..., :self.cols_shape[-1]]
+            self.valid = rows[..., :self.dest.shape[-1]]
+
+
+class ConvStage(_Epilogue, _Im2col):
     """Dense ``RxS`` conv, one sample at a time: copy the sample's
-    strided windows into the shard's scratch slot (im2col), then one
+    windows into the shard's scratch slot (im2col), then one
     ``matmul``.  ``base`` is the (padded) input, ``None`` for the
-    network input (its windows are taken per call)."""
+    network input (its 2-D windows are taken per call).  At stride 1
+    over an arena buffer the windows are pitched
+    (:func:`_plane_windows`): the ``matmul`` writes ``(N, OH, Wp)``
+    rows after the cols in the slot, and one strided copy moves their
+    first ``OW`` columns into the output."""
 
     def __init__(self, weight, base, out, stride, slots) -> None:
         n, c, k, _ = weight.shape
         _, _, oh, ow = out.shape
         self.k, self.stride = k, stride
         self.weight = weight.reshape(n, -1)      # (N, C*k*k)
+        self.src, self.dest = base, out
         self.out = _flat(out)
-        self.win = None if base is None else _windows(base, k, stride, oh, ow)
-        self.scratch_shape = (slots, c, k, k, oh, ow)
+        if base is not None and stride == 1:
+            self.win = _plane_windows(base, k, oh, ow)
+            self.cols_shape = (slots,) + self.win.shape[1:]
+            self.rows_shape = (slots, n, oh, base.shape[3])
+        else:
+            self.win = None if base is None else _windows(base, k, stride,
+                                                          oh, ow)
+            self.cols_shape = (slots, c, k, k, oh, ow)
 
     def bind(self, scratch: np.ndarray) -> None:
-        slots, c, k, _, oh, ow = self.scratch_shape
-        self.cols = scratch[: int(np.prod(self.scratch_shape))].reshape(
-            self.scratch_shape
-        )
-        self.cols2 = self.cols.reshape(slots, c * k * k, oh * ow)
+        super().bind(scratch)
+        self.cols2 = _view(self.cols, self.cols_shape[:1]
+                           + (self.weight.shape[1], -1))
 
     def run(self, x, lo, hi, slot=0) -> None:
         win = self.win
         if win is None:
-            oh, ow = self.scratch_shape[-2:]
-            win = _windows(x, self.k, self.stride, oh, ow)
+            win = _windows(x, self.k, self.stride, *self.cols_shape[-2:])
         cols, cols2 = self.cols[slot], self.cols2[slot]
         for i in range(lo, hi):
             np.copyto(cols, win[i])
-            np.matmul(self.weight, cols2, out=self.out[i])
+            if self.rows is None:
+                np.matmul(self.weight, cols2, out=self.out[i])
+            else:
+                np.matmul(self.weight, cols2, out=self.rows[slot])
+                np.copyto(self.dest[i], self.valid[slot])
         self._finish(self.out[lo:hi])
 
 
-class DepthwiseStage:
-    """Depthwise ``RxS`` conv: one copy of the batch's strided windows
-    into the stage scratch, then one stacked ``(R, 1, G·k²) @ (b, R,
-    G·k², P)`` matmul.  ``G = groups`` consecutive channels sum into one
-    output channel: 1 for CP, ``r2`` for TT's group-sum."""
+class DepthwiseStage(_Im2col):
+    """Depthwise ``RxS`` conv: one copy of the batch's windows into the
+    stage scratch, then one stacked ``(R, 1, G·k²) @ (b, R, G·k², P)``
+    matmul.  ``G = groups`` consecutive channels sum into one output
+    channel: 1 for CP, ``r2`` for TT's group-sum.  At stride 1 the
+    windows are pitched (:func:`_plane_windows`): the matmul writes
+    ``(OH, Wp)`` rows after the cols, and one strided copy of the
+    batch's first ``OW`` columns moves them into the output."""
 
     def __init__(self, weight, base, out, stride, groups=1) -> None:
         q, k, _ = weight.shape
         m, r, oh, ow = out.shape                 # r == q // groups
         self.weight = weight.reshape(r, 1, groups * k * k)
-        self.win = _windows(base, k, stride, oh, ow)
+        self.src = base
         self.out = _view(out, (m, r, 1, oh * ow))
-        self.scratch_shape = (m, q, k, k, oh, ow)
+        self.dest = _view(out, (m, r, 1, oh, ow))
+        if stride == 1:
+            self.win = _plane_windows(base, k, oh, ow)
+            self.rows_shape = (m, r, 1, oh, base.shape[3])
+        else:
+            self.win = _windows(base, k, stride, oh, ow)
+        self.cols_shape = self.win.shape
 
     def bind(self, scratch: np.ndarray) -> None:
-        m, _, _, _, oh, ow = self.scratch_shape
-        self.cols = scratch[: int(np.prod(self.scratch_shape))].reshape(
-            self.scratch_shape
-        )
-        self.cols4 = self.cols.reshape(
-            m, self.weight.shape[0], self.weight.shape[2], oh * ow
-        )
+        super().bind(scratch)
+        self.cols4 = _view(self.cols, self.out.shape[:2]
+                           + (self.weight.shape[2], -1))
 
     def run(self, x, lo, hi, slot=0) -> None:
         np.copyto(self.cols[lo:hi], self.win[lo:hi])
-        np.matmul(self.weight, self.cols4[lo:hi], out=self.out[lo:hi])
+        if self.rows is None:
+            np.matmul(self.weight, self.cols4[lo:hi], out=self.out[lo:hi])
+        else:
+            np.matmul(self.weight, self.cols4[lo:hi], out=self.rows[lo:hi])
+            np.copyto(self.dest[lo:hi], self.valid[lo:hi])
 
 
 class AffineStage:
@@ -1068,10 +1157,10 @@ def compile_plan(
     scratched = [
         st for step in lowering.steps
         for st in getattr(step, "stages", (step,))
-        if hasattr(st, "scratch_shape")
+        if isinstance(st, _Im2col)
     ]
     scratch = arena.allocate(STAGE_SCRATCH, (max(
-        [int(np.prod(st.scratch_shape)) for st in scratched], default=0
+        [st.scratch_size for st in scratched], default=0
     ),))
     for st in scratched:
         st.bind(scratch)

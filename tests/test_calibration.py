@@ -50,11 +50,15 @@ def test_run_measures_every_bound_core(calibrated_setup):
         if k.kind in CORE_KINDS
     }
     assert sorted(s.site for s in run.samples) == sorted(planned_cores)
+    cores = {s.site_name: s.core_stage for s in exe.sites()}
+    # Stride-1 cores take pitched windows, strided ones the 2-D view.
+    assert {s.layout for s in run.samples} == {"pitched", "windows"}
     for sample in run.samples:
         kernel = planned_cores[sample.site]
         # The plan's own simulated latency, untouched.
         assert sample.predicted_s == kernel.latency
         assert sample.backend == (kernel.backend or "cudnn")
+        assert sample.layout == cores[sample.site].layout
         assert sample.measured_s > 0
         assert sample.shape_class == shape_class(sample.shape)
     assert run.total_predicted_s == exe.predicted_latency()
@@ -90,4 +94,5 @@ def test_every_core_stage_is_measured():
                                         else "")]
         assert sample.predicted_s == kernel.latency
         assert sample.backend == (kernel.backend or "cudnn")
+        assert sample.layout == site.core_stage.layout
     assert DEPTHWISE_BASELINE in {s.backend for s in run.samples}

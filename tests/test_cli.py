@@ -96,8 +96,11 @@ class TestCommands:
             "calibrate", "--device", "A100", "--repeats", "1",
             "--warmup", "0",
         ]) == 0
-        rows = [line.split(" | ")[0].strip()
-                for line in capsys.readouterr().out.splitlines()]
+        lines = capsys.readouterr().out.splitlines()
+        rows = [line.split(" | ")[0].strip() for line in lines]
+        layouts = {line.split(" | ")[2].strip() for line in lines
+                   if line.count(" | ") > 2}
+        assert {"pitched", "windows"} <= layouts
         # The same deploy the command measures (its defaults).
         model = build_model("resnet_tiny", seed=0)
         decompose_for_device(model, A100, (8, 8), budget=0.5, rank_step=2)

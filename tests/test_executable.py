@@ -14,6 +14,7 @@ from repro.inference.executable import (
     BufferArena,
     CompiledTuckerConv2d,
     ConvStage,
+    DepthwiseStage,
 )
 from repro.inference.plan import plan_tucker_model
 from repro.kernels.base import reference_conv
@@ -248,28 +249,51 @@ def test_hot_path_allocates_nothing(backend, count_allocations):
 #: create and free on top of the array it returns.
 RUN_OBJECT_SLACK = 8 * 1024
 
+#: hostbench's two deploys at 32x32: ``(formats, max_batch)`` per model.
+HOSTBENCH_DEPLOYS = {
+    "resnet18_slim": (("tucker",), 1),
+    "vgg16_slim": ("all", 8),
+}
 
-@pytest.mark.parametrize("name,formats,n", [
-    ("resnet18_slim", ("tucker",), 1),
-    ("vgg16_slim", "all", 8),
+
+@pytest.fixture(scope="module")
+def hostbench_deploy():
+    """``name -> (model, executable)`` of hostbench's deploys, built
+    once per module."""
+    built = {}
+
+    def get(name):
+        if name not in built:
+            formats, n = HOSTBENCH_DEPLOYS[name]
+            model = build_model(name, seed=0)
+            decompose_for_device(model, A100, (32, 32), budget=0.5,
+                                 rank_step=4, formats=formats)
+            built[name] = model.eval(), compile_model(
+                model, A100, image_hw=(32, 32), max_batch=n, threads=1)
+        return built[name]
+
+    return get
+
+
+@pytest.mark.parametrize("name,batch", [
+    pytest.param("resnet18_slim", 1, id="resnet18_slim-formats0-1"),
+    pytest.param("vgg16_slim", 8, id="vgg16_slim-all-8"),
+    pytest.param("vgg16_slim", 1, id="vgg16_slim-all-8-batch1"),
 ])
-def test_warm_run_allocates_only_its_result(name, formats, n):
+def test_warm_run_allocates_only_its_result(hostbench_deploy, name, batch):
     """tracemalloc over a warm ``Executable.run`` on hostbench's two
-    deploys: its peak may exceed the returned array only by a few
-    Python objects — no activation-sized temporary (BatchNorm, ReLU
-    mask, pool argmax, residual sum) anywhere.  NumPy's ufunc loop
-    buffer (``np.getbufsize()`` elements per operand, allocated and
-    freed inside one broadcast or strided call, the same size for any
-    activation) is shrunk to its minimum while measuring."""
+    deploys, and on a partial batch of the batch-8 one (the pitched
+    ``dw`` compaction copies ``[lo:hi]``): its peak may exceed the
+    returned array only by a few Python objects — no activation-sized
+    temporary (BatchNorm, ReLU mask, pool argmax, residual sum, pitched
+    rows) anywhere.  NumPy's ufunc loop buffer (``np.getbufsize()``
+    elements per operand, allocated and freed inside one broadcast or
+    strided call, the same size for any activation) is shrunk to its
+    minimum while measuring."""
     import tracemalloc
 
-    hw = (32, 32)
-    model = build_model(name, seed=0)
-    decompose_for_device(model, A100, hw, budget=0.5, rank_step=4,
-                         formats=formats)
-    exe = compile_model(model.eval(), A100, image_hw=hw, max_batch=n,
-                        threads=1)
-    x = np.random.default_rng(13).standard_normal((n, 3) + hw)
+    _, exe = hostbench_deploy(name)
+    x = np.random.default_rng(13).standard_normal((batch, 3, 32, 32))
     exe.run(x)  # warm
     bufsize = np.setbufsize(16)
     tracemalloc.start()
@@ -282,6 +306,35 @@ def test_warm_run_allocates_only_its_result(name, formats, n):
         tracemalloc.stop()
         np.setbufsize(bufsize)
     assert peak - y.nbytes <= RUN_OBJECT_SLACK, (peak, y.nbytes)
+
+
+def test_stride1_windows_are_pitched_inside_their_plane(hostbench_deploy):
+    """On hostbench's deploys every stride-1 ``conv``/``dw`` stage takes
+    its windows from the flattened padded plane and every strided one
+    keeps the 2-D view.  A pitched view is ``as_strided`` and nothing
+    bounds it, so its first sample must lie inside its source's first
+    sample."""
+    from numpy.lib.array_utils import byte_bounds
+
+    seen = set()
+    for name in HOSTBENCH_DEPLOYS:
+        model, exe = hostbench_deploy(name)
+        modules = dict(model.named_modules())
+        for site in exe.sites():
+            stride = modules[site.site_name].stride
+            for stage in site.stages:
+                if not isinstance(stage, (ConvStage, DepthwiseStage)):
+                    continue
+                kind = "conv" if isinstance(stage, ConvStage) else "dw"
+                seen.add((kind, stride, stage.layout))
+                assert stage.layout == ("pitched" if stride == 1
+                                        else "windows"), site.site_name
+                if stage.layout == "pitched":
+                    lo, hi = byte_bounds(stage.win[0])
+                    base_lo, base_hi = byte_bounds(stage.src[0])
+                    assert base_lo <= lo and hi <= base_hi, site.site_name
+    assert seen == {("conv", 1, "pitched"), ("dw", 1, "pitched"),
+                    ("conv", 2, "windows")}
 
 
 def test_arena_buffers_are_reused_across_calls(decomposed):

@@ -7,9 +7,10 @@ buffers, the head — into one stage list.  These tests compare
 built from every ``models.blocks`` block, every factored format, both
 execution dtypes, every batch size up to ``max_batch`` and rectangular
 inputs, plus the zoo presets hostbench does not deploy.  A second
-generator draws single conv layers over the geometry the zoo never
-builds (kernels 1-7, strides 1-3, any padding below the kernel,
-channel counts 1 and primes) and also checks dense layers against
+generator draws single conv layers, behind a 1x1 stem on half the
+seeds, over the geometry the zoo never builds (kernels 1-7, strides
+1-3, any padding below the kernel, channel counts 1 and primes, one
+output column) and also checks dense layers against
 ``nn.functional.conv2d_reference``.
 """
 
@@ -192,14 +193,19 @@ def random_conv(seed: int):
     """``(model, (H, W), dtype)``: one conv layer of seeded geometry —
     kernel 1-7, stride 1-3, padding 0..k-1, in/out channels from
     ``CONV_CHANNELS``, a rectangular input no smaller than the kernel —
-    dense, or (k >= 2) factored into the seed's format."""
+    dense, or (k >= 2) factored into the seed's format.  On half the
+    seeds a 1x1 conv stem comes first, so an unpadded conv reads an
+    arena buffer (pitched windows) rather than the network input (the
+    2-D window view)."""
     rng = np.random.default_rng(seed)
     k = int(rng.integers(1, 8))
     c, n = (int(v) for v in rng.choice(CONV_CHANNELS, 2))
     h, w = (int(v) for v in rng.integers(k, k + 9, 2))
-    model = Sequential(Conv2d(c, n, k, stride=int(rng.integers(1, 4)),
-                              padding=int(rng.integers(k)),
-                              bias=bool(rng.integers(2)), seed=seed))
+    conv = Conv2d(c, n, k, stride=int(rng.integers(1, 4)),
+                  padding=int(rng.integers(k)), bias=bool(rng.integers(2)),
+                  seed=seed)
+    stem = [Conv2d(c, c, 1, seed=seed + 1)] if seed // 8 % 2 else []
+    model = Sequential(*stem, conv)
     factor(model, FORMATS[seed % len(FORMATS)], rng)
     dtype = np.dtype(np.float64 if seed // len(FORMATS) % 2 else np.float32)
     return model.eval(), (h, w), dtype
@@ -208,16 +214,18 @@ def random_conv(seed: int):
 @pytest.mark.parametrize("seed", range(N_CONVS))
 def test_conv_geometry_matches_forward(seed):
     model, hw, dtype = random_conv(seed)
-    conv = model[0]
+    conv = model[-1]
     rng = np.random.default_rng(2000 + seed)
     max_batch = int(rng.integers(1, 5))
-    exe = compile_model(model, A100, image_hw=hw, in_channels=conv.in_channels,
+    c = model[0].in_channels
+    exe = compile_model(model, A100, image_hw=hw, in_channels=c,
                         max_batch=max_batch, dtype=dtype, threads=1)
-    x = rng.standard_normal((max_batch, conv.in_channels) + hw)
+    x = rng.standard_normal((max_batch, c) + hw)
     for b in range(1, max_batch + 1):
         assert_matches_forward(exe, model, x[:b])
     if type(conv) is Conv2d:
-        ref = conv2d_reference(x, conv.weight.data, conv.stride, conv.padding)
+        z = model[0].forward(x) if len(model) > 1 else x
+        ref = conv2d_reference(z, conv.weight.data, conv.stride, conv.padding)
         if conv.bias is not None:
             ref = ref + conv.bias.data[:, None, None]
         assert_close(exe, exe.run(x), ref)
@@ -225,17 +233,28 @@ def test_conv_geometry_matches_forward(seed):
 
 def test_generated_convs_cover_the_geometry():
     seen = {"k": set(), "stride": set(), "pad": set(), "ch": set(),
-            "fmt": set()}
+            "fmt": set(), "case": set()}
     for seed in range(N_CONVS):
         model, (h, w), dtype = random_conv(seed)
-        conv = model[0]
-        k = conv.kernel_size
-        assert min(h, w) >= k and 0 <= conv.padding < k
+        conv = model[-1]
+        k, p = conv.kernel_size, conv.padding
+        assert min(h, w) >= k and 0 <= p < k
         seen["k"].add(k)
         seen["stride"].add(conv.stride)
-        seen["pad"].add("k-1" if conv.padding == k - 1 else conv.padding)
+        seen["pad"].add("k-1" if p == k - 1 else p)
         seen["ch"].update((conv.in_channels, conv.out_channels))
         seen["fmt"].add((type(conv).__name__, dtype.name))
+        # A stride-1 k >= 2 conv over an arena buffer takes pitched
+        # windows: anything but a dense, unpadded conv on the input.
+        stem = len(model) > 1
+        pitched = conv.stride == 1 and k >= 2 and (
+            stem or p > 0 or type(conv) is not Conv2d)
+        if pitched and stem and p == 0 and type(conv) is Conv2d:
+            seen["case"].add("unpadded dense over an arena buffer")
+        if pitched and w + 2 * p == k:
+            seen["case"].add("one output column")
+        if h != w:
+            seen["case"].add("H != W")
     assert seen["k"] == set(range(1, 8))
     assert seen["stride"] == {1, 2, 3}
     assert {0, 1, "k-1"} <= seen["pad"]
@@ -243,6 +262,8 @@ def test_generated_convs_cover_the_geometry():
     assert seen["fmt"] == {(cls, dt) for cls in ("Conv2d", "TuckerConv2d",
                                                  "CPConv2d", "TTConv2d")
                            for dt in ("float32", "float64")}
+    assert seen["case"] == {"unpadded dense over an arena buffer",
+                            "one output column", "H != W"}
 
 
 @pytest.mark.parametrize("name,fmt", [
