@@ -6,7 +6,8 @@ path, no silent float64 promotion in kernel code, lock-guarded
 cross-thread writes in the serving stack, and a conformant
 ``KernelBackend`` protocol.  ``analysis.lint`` + ``analysis.rules``
 are the AST half (run via ``repro analyze``); ``analysis.dynamic``
-executes compiled probes (allocation tracer, arena-aliasing check) and
+executes compiled probes (allocation tracer, live-aliasing check,
+poisoned-slab stale-read check) and
 backs the shared test fixtures and the CI ``analysis-smoke`` job.
 """
 

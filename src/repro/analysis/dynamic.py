@@ -1,16 +1,24 @@
-"""Dynamic invariant probes: allocation tracing and arena aliasing.
+"""Dynamic invariant probes: allocation tracing, arena aliasing and
+stale reads.
 
 The runtime half of ``repro.analysis``.  Where ``analysis.lint`` walks
 ASTs, this module *executes* a compiled :class:`Executable` and checks
-two contracts the static rules cannot fully prove:
+three contracts the static rules cannot fully prove:
 
 - **zero steady-state allocation** — :func:`trace_allocations` patches
   the numpy module-level allocators (the same technique the serving
   benchmark gates on) and counts calls over a warm ``Executable.run``;
-- **arena non-aliasing** — :func:`arena_overlaps` proves via
+- **no live aliasing** — :func:`arena_overlaps` proves via
   ``np.shares_memory`` that no two named arena buffers (site
-  activations, padded stage inputs, the shared stage scratch) overlap,
-  i.e. no site can corrupt another's activations through a view.
+  activations, padded stage inputs, the shared stage scratch) overlap
+  while both are live.  Buffers share the arena's slab by design when
+  their step lifetimes are disjoint, so a pair counts only if its
+  lifetimes overlap too;
+- **written before read** — :func:`stale_reads` fills the slab with
+  NaN between two runs of one input and requires bit-identical
+  outputs, at full and partial batch: a stage that reads a byte this
+  request has not written yet (a lifetime drawn too short, a buffer
+  placed on a live one) changes the output.
 
 The tracer is process-global (it swaps ``np.zeros`` et al.), so probe
 single-threaded executables or quiesce other allocating threads first;
@@ -137,24 +145,36 @@ def assert_zero_alloc_hot_path(
         )
 
 
+def _live_together(a: Optional[Tuple[int, int]],
+                   b: Optional[Tuple[int, int]]) -> bool:
+    """Whether two ``(first, last)`` step intervals overlap; ``None``
+    is live throughout."""
+    return a is None or b is None or (a[0] <= b[1] and b[0] <= a[1])
+
+
 def arena_overlaps(executable) -> List[Tuple[str, str]]:
-    """Pairs of distinct arena buffers that share memory.
+    """Pairs of distinct arena buffers that share memory while both
+    are live.
 
     Covers every named buffer in the executable's
-    :class:`BufferArena` — site activations, padded stage inputs
-    (``<site>.xpad``), and the one ``stage.scratch`` every site's
-    stages share.  Any overlap means two writers can race (or a site
-    can corrupt its neighbor's activations), so the expected result is
-    always the empty list.
+    :class:`BufferArena` — site activations (views of the slab),
+    padded stage inputs (``<site>.xpad``), and the one
+    ``stage.scratch`` every site's stages share.  Two buffers may share
+    memory only if their lifetimes — the ``(first, last)`` step
+    intervals ``BufferArena.interval`` records, ``None`` for live
+    throughout — do not overlap: one is dead before the other is first
+    written.  Any reported pair means two live buffers can corrupt each
+    other, so the expected result is always the empty list.
     """
     arena = executable.arena
-    named = [(name, arena.get(name)) for name in arena.names()]
+    named = [(name, arena.get(name), arena.interval(name))
+             for name in arena.names()]
     overlaps: List[Tuple[str, str]] = []
-    for i, (name_a, buf_a) in enumerate(named):
+    for i, (name_a, buf_a, life_a) in enumerate(named):
         if buf_a.size == 0:
             continue
-        for name_b, buf_b in named[i + 1:]:
-            if buf_b.size == 0:
+        for name_b, buf_b, life_b in named[i + 1:]:
+            if buf_b.size == 0 or not _live_together(life_a, life_b):
                 continue
             if np.shares_memory(buf_a, buf_b):
                 overlaps.append((name_a, name_b))
@@ -165,8 +185,33 @@ def assert_arena_disjoint(executable) -> None:
     overlaps = arena_overlaps(executable)
     if overlaps:
         raise AssertionError(
-            f"arena buffers alias each other: {overlaps}"
+            f"live arena buffers alias each other: {overlaps}"
         )
+
+
+def stale_reads(executable, x: Optional[np.ndarray] = None) -> List[int]:
+    """Batch sizes at which a run over a NaN-filled slab differs, bit
+    for bit, from a run of the same input over a zeroed one.
+
+    Tries the full batch of ``x`` and, when it has more than one
+    sample, a partial one.  A stage that reads a slab byte before this
+    request wrote it reads NaN and shows up here; the expected result
+    is always the empty list.  A read of bytes another buffer wrote
+    earlier in the same request gives the same value on both runs:
+    :func:`arena_overlaps` is the check for that.
+    """
+    if x is None:
+        x = probe_input(executable)
+    slab = executable.arena.slab
+    stale = []
+    for b in sorted({len(x), max(1, len(x) // 2)}, reverse=True):
+        slab.fill(0.0)
+        clean = executable.run(x[:b])
+        slab.fill(np.nan)
+        poisoned = executable.run(x[:b])
+        if clean.tobytes() != poisoned.tobytes():
+            stale.append(b)
+    return stale
 
 
 def probe_executables(
@@ -216,7 +261,8 @@ def run_dynamic_probes(
     quick: bool = True,
     formats: Sequence[str] = ("tucker", "cp", "tt"),
 ) -> List[Dict[str, object]]:
-    """Zero-alloc + aliasing probe over backends x formats.
+    """Zero-alloc, aliasing and poisoned-slab probes over backends x
+    formats.
 
     Returns one report row per compiled executable; raises
     ``AssertionError`` on the first violated invariant.  ``quick``
@@ -228,10 +274,12 @@ def run_dynamic_probes(
     for label, exe in probe_executables(backends=backends, formats=formats):
         counts = hot_path_allocations(exe)
         overlaps = arena_overlaps(exe)
+        stale = stale_reads(exe)
         report.append({
             "probe": label,
             "allocations": counts,
             "overlaps": [list(pair) for pair in overlaps],
+            "stale_reads": stale,
             "arena_buffers": exe.arena.n_buffers,
         })
         if counts:
@@ -240,7 +288,12 @@ def run_dynamic_probes(
             )
         if overlaps:
             raise AssertionError(
-                f"[{label}] arena buffers alias: {overlaps}"
+                f"[{label}] live arena buffers alias: {overlaps}"
+            )
+        if stale:
+            raise AssertionError(
+                f"[{label}] a run over a NaN-filled slab differs from a "
+                f"clean run at batch {stale}"
             )
     if not report:
         raise AssertionError("dynamic probe compiled zero executables")

@@ -230,8 +230,9 @@ def build_parser() -> argparse.ArgumentParser:
     an.add_argument("--json", action="store_true", dest="as_json",
                     help="machine-readable JSON output")
     an.add_argument("--dynamic", action="store_true",
-                    help="also run the zero-allocation + arena-aliasing "
-                         "probes on the quick preset sweep")
+                    help="also run the zero-allocation, live-aliasing "
+                         "and poisoned-slab probes on the quick preset "
+                         "sweep")
     an.add_argument("--list-rules", action="store_true",
                     help="list registered rules and exit")
 
@@ -626,7 +627,8 @@ def _run_analyze(args: argparse.Namespace) -> int:
                 print(f"  {key}")
         if dynamic_report is not None:
             print(f"dynamic probes: {len(dynamic_report)} executables, "
-                  f"zero steady-state allocations, arena disjoint")
+                  f"zero steady-state allocations, no live aliasing, "
+                  f"no stale reads")
         if dynamic_error is not None:
             print(f"dynamic probe FAILED: {dynamic_error}")
         print(f"{len(new)} new finding(s)")

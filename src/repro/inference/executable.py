@@ -62,9 +62,20 @@ tree.
   the executable in the execution dtype, and the executable keeps no
   reference to the model: later mutation of it — parameters or
   running statistics — cannot leak into a compiled artifact;
-- all activation buffers and the one stage scratch (sized to the
-  largest stage, shared by every stage) are preallocated, so a warm
-  ``Executable.run`` allocates nothing but the array it returns.
+- every buffer is preallocated, so a warm ``Executable.run`` allocates
+  nothing but the array it returns.  Plain activations share one
+  block, the *slab*, by liveness: a buffer lives from the first step
+  (an entry of ``Executable._steps``; a compiled site and all of its
+  stages are one step) that touches it to the last, the output until
+  ``run`` returns, and two buffers overlap in the slab only if their
+  lifetimes do not.  :func:`compile_plan` lowers twice to get there:
+  once over private buffers, to read each buffer's lifetime from the
+  arrays its stages hold, then over the slab those lifetimes lay out.
+  A padded input (``.xpad``) keeps the border written once at compile
+  time, so it stays out of the slab and is shared whole only with a
+  padded input of the same shape and fill whose lifetime does not
+  overlap.  The one stage scratch, sized to the largest stage, is
+  shared by every stage.
 
 ``Executable.run`` is single-threaded by design (one arena, one
 in-flight request); :mod:`repro.serving` serializes concurrent callers
@@ -72,15 +83,19 @@ through a micro-batching queue on top.  A site the perf model marks
 parallel runs its stage list on batch shards: every shard owns a
 disjoint sample slice of the same buffers and its own ``conv`` scratch
 slot, and every matmul runs per sample, so shards are bit-identical to
-a serial run.  Stages outside the sites run on the whole batch.
+a serial run.  A site is one step, so every buffer of a parallel site
+is live for the whole site and no shard writes bytes another of its
+buffers uses.  Stages outside the sites run on the whole batch.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from bisect import bisect_right
+from dataclasses import dataclass, field
 from dataclasses import replace as dc_replace
 from functools import partial
+from math import prod
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -128,6 +143,19 @@ _CONV_KINDS = ("conv", "pointwise", "core", "dwcore")
 STAGE_SCRATCH = "stage.scratch"
 
 
+@dataclass
+class ArenaLayout:
+    """Where each buffer of a lowering lives: its ``(first, last)``
+    step, its element offset into the slab (plain activations), or the
+    bordered buffer it reuses whole (``shared``; absent when it owns
+    one)."""
+
+    intervals: Dict[str, Tuple[int, int]] = field(default_factory=dict)
+    offsets: Dict[str, int] = field(default_factory=dict)
+    shared: Dict[str, str] = field(default_factory=dict)
+    slab_size: int = 0
+
+
 class BufferArena:
     """Named pool of preallocated ndarrays (activations + scratch).
 
@@ -135,21 +163,51 @@ class BufferArena:
     code only ever writes interiors (padding borders keep their fill),
     so a steady-state request allocates nothing.
 
+    Without a layout every buffer is private.  With the
+    :class:`ArenaLayout` :func:`compile_plan` derives from a first
+    lowering, plain activations are views of one block, the *slab*, at
+    offsets where two buffers share memory only if their lifetimes do
+    not overlap; a *bordered* buffer (a padded input, its border filled
+    once here) stays private, shared whole only with bordered buffers of
+    the same shape and fill whose lifetimes do not overlap.  A buffer's
+    lifetime is the ``(first, last)`` step interval :meth:`interval`
+    returns; one without (the stage scratch, an adopted buffer) counts
+    as live throughout.
+
     The default dtype is float32 — the device execution dtype
     (``kernels.base.FLOAT_BYTES``); a float64 arena is only warranted
     when the model's weights are float64, which :func:`compile_plan`
     decides per model.
     """
 
-    def __init__(self, dtype: np.dtype = np.dtype(np.float32)) -> None:
+    def __init__(self, dtype: np.dtype = np.dtype(np.float32),
+                 layout: Optional[ArenaLayout] = None) -> None:
         self.dtype = np.dtype(dtype)
+        self.layout = layout or ArenaLayout()
+        self.slab = np.zeros(self.layout.slab_size, dtype=self.dtype)
         self._buffers: Dict[str, np.ndarray] = {}
+        self._private: Dict[str, np.ndarray] = {}   # by owner name
+        self._borders: Dict[str, float] = {}
 
-    def allocate(self, name: str, shape: Tuple[int, ...]) -> np.ndarray:
-        """Allocate (zeroed) and register one buffer; names are unique."""
+    def allocate(self, name: str, shape: Tuple[int, ...],
+                 border: Optional[float] = None) -> np.ndarray:
+        """Allocate (zeroed) and register one buffer; names are unique.
+        A ``border`` buffer starts filled with it: the padded input of a
+        windowed stage, whose border is never written again."""
         if name in self._buffers:
             raise ValueError(f"arena buffer {name!r} already allocated")
-        buf = np.zeros(shape, dtype=self.dtype)
+        offset = self.layout.offsets.get(name)
+        owner = self.layout.shared.get(name, name)
+        if offset is not None:
+            buf = self.slab[offset:offset + prod(shape)].reshape(shape)
+        elif owner in self._private:
+            buf = self._private[owner]
+        else:
+            buf = self._private[owner] = np.zeros(shape, dtype=self.dtype)
+            if border:
+                buf.fill(border)
+        if border is not None:
+            self._borders[name] = border
         self._buffers[name] = buf
         return buf
 
@@ -166,13 +224,101 @@ class BufferArena:
     def names(self) -> Tuple[str, ...]:
         return tuple(self._buffers)
 
+    def border(self, name: str) -> Optional[float]:
+        """The border fill of a padded input; ``None`` for the rest."""
+        return self._borders.get(name)
+
+    def interval(self, name: str) -> Optional[Tuple[int, int]]:
+        """``name``'s first and last step, or ``None``: live throughout."""
+        return self.layout.intervals.get(name)
+
     @property
     def n_buffers(self) -> int:
         return len(self._buffers)
 
     @property
     def nbytes(self) -> int:
-        return sum(b.nbytes for b in self._buffers.values())
+        """Bytes held, each once: the slab plus the private buffers."""
+        private = {id(b): b.nbytes for name, b in self._buffers.items()
+                   if name not in self.layout.offsets}
+        return self.slab.nbytes + sum(private.values())
+
+
+def _address(a: np.ndarray) -> int:
+    return a.__array_interface__["data"][0]
+
+
+def _lifetimes(arena: BufferArena, steps: Sequence[object],
+               out: np.ndarray) -> Dict[str, Tuple[int, int]]:
+    """Each private buffer's first and last step: the steps whose
+    stages hold an array starting inside it (a compiled site is one
+    step, so all of its buffers live for the whole site).  The output
+    lives one step past the last, until ``run`` returns."""
+    spans = sorted((_address(b), _address(b) + b.nbytes, name)
+                   for name in arena.names() if (b := arena.get(name)).size)
+    starts = [lo for lo, _, _ in spans]
+    first: Dict[str, int] = {}
+    last: Dict[str, int] = {}
+
+    def touch(a: object, step: int) -> None:
+        if not isinstance(a, np.ndarray) or not a.size:
+            return
+        address = _address(a)
+        i = bisect_right(starts, address) - 1
+        if i >= 0 and address < spans[i][1]:
+            name = spans[i][2]
+            first.setdefault(name, step)
+            last[name] = step
+
+    for step, item in enumerate(steps):
+        for stage in getattr(item, "stages", (item,)):
+            for value in vars(stage).values():
+                many = isinstance(value, (list, tuple))
+                for a in value if many else (value,):
+                    touch(a, step)
+    touch(out, len(steps))
+    return {name: (first.get(name, 0), last.get(name, len(steps)))
+            for name in arena.names()}
+
+
+def _layout(arena: BufferArena,
+            intervals: Dict[str, Tuple[int, int]]) -> ArenaLayout:
+    """Place a private arena's buffers by lifetime.  Plain buffers go
+    into the slab largest first, each at the lowest offset (a multiple
+    of 64 bytes) clear of every placed buffer whose lifetime overlaps
+    its own.  A bordered buffer reuses the first earlier one of its
+    shape and fill that is dead before it starts."""
+    align = max(1, 64 // arena.dtype.itemsize)
+    layout = ArenaLayout(intervals=intervals)
+    placed: List[Tuple[int, int, int, int]] = []   # (lo, hi, first, last)
+    plain = [n for n in arena.names() if arena.border(n) is None]
+    for name in sorted(plain, key=lambda n: (-arena.get(n).size,
+                                             intervals[n])):
+        first, last = intervals[name]
+        size = -(-arena.get(name).size // align) * align
+        offset = 0
+        for lo, hi, _, _ in sorted(p for p in placed
+                                   if p[2] <= last and first <= p[3]):
+            if offset + size <= lo:
+                break
+            offset = max(offset, hi)
+        layout.offsets[name] = offset
+        placed.append((offset, offset + size, first, last))
+    layout.slab_size = max((hi for _, hi, _, _ in placed), default=0)
+
+    owners: Dict[tuple, List[List]] = {}     # (shape, fill) -> [[name, last]]
+    bordered = [n for n in arena.names() if arena.border(n) is not None]
+    for name in sorted(bordered, key=lambda n: intervals[n]):
+        first, last = intervals[name]
+        group = owners.setdefault((arena.get(name).shape, arena.border(name)),
+                                  [])
+        owner = next((o for o in group if o[1] < first), None)
+        if owner is None:
+            group.append([name, last])
+        else:
+            layout.shared[name] = owner[0]
+            owner[1] = last
+    return layout
 
 
 # ---------------------------------------------------------------------------
@@ -623,8 +769,10 @@ class _Lowering:
         self.sites: List[_CompiledSite] = []
 
     # -- buffers --------------------------------------------------------
-    def alloc(self, name: str, shape: Tuple[int, ...]) -> np.ndarray:
-        return self.arena.allocate(name, (self.max_batch,) + tuple(shape))
+    def alloc(self, name: str, shape: Tuple[int, ...],
+              border: Optional[float] = None) -> np.ndarray:
+        return self.arena.allocate(name, (self.max_batch,) + tuple(shape),
+                                   border)
 
     def weight(self, array: np.ndarray) -> np.ndarray:
         """An owned, contiguous copy in the execution dtype."""
@@ -711,7 +859,8 @@ class _Lowering:
             if not p:
                 return source(a)
             ch, hh, ww = a.shape
-            buf = self.alloc(f"{path}.xpad", (ch, hh + 2 * p, ww + 2 * p))
+            buf = self.alloc(f"{path}.xpad", (ch, hh + 2 * p, ww + 2 * p),
+                             border=0.0)
             self.write(a, buf[:, :, p:p + hh, p:p + ww], stages)
             return buf
 
@@ -799,9 +948,10 @@ class _Lowering:
         ow = conv_out_size(w, k, stride, p)
         is_max = isinstance(mod, MaxPool2d)
         if p:
-            base = self.alloc(f"{path}.xpad", (c, h + 2 * p, w + 2 * p))
-            if is_max:  # padded cells never win the max
-                base.fill(np.finfo(base.dtype).min)
+            # Padded cells never win the max.
+            border = np.finfo(self.arena.dtype).min if is_max else 0.0
+            base = self.alloc(f"{path}.xpad", (c, h + 2 * p, w + 2 * p),
+                              border=float(border))
             self.write(act, base[:, :, p:p + h, p:p + w], self.steps)
         else:
             base = self.buffered(act, f"{path}.in").buf
@@ -905,9 +1055,9 @@ class Executable:
         return self._predicted_latency
 
     def arena_report(self) -> Dict[str, int]:
-        """Arena footprint: every activation buffer plus the one
-        shared stage scratch (a parallel site adds one ``conv`` scratch
-        slot per extra shard)."""
+        """Arena footprint, each byte once: the slab of activations,
+        the padded inputs and the one shared stage scratch (a parallel
+        site adds one ``conv`` scratch slot per extra shard)."""
         return {
             "arena_bytes": self.arena.nbytes,
             "stage_scratch_bytes": self.arena.get(STAGE_SCRATCH).nbytes,
@@ -1077,8 +1227,10 @@ def compile_plan(
     of them, and lowers the whole module tree — every conv site to its
     stage list, every other module by its lowering rule (see the module
     docstring) — into one stage list over a preallocated arena, with
-    weights and eval-mode BatchNorm statistics copied in.  The model
-    is only read.
+    weights and eval-mode BatchNorm statistics copied in.  It lowers
+    twice: the first lowering gives each buffer's lifetime, the second
+    places the activations in the slab by it.  The model is only
+    read.
 
     ``sites`` takes a pre-traced inventory (same ``image_hw`` and
     ``in_channels``) so planning and compilation can share one traced
@@ -1135,22 +1287,31 @@ def compile_plan(
     # A parallel site's conv stages take one scratch slot per shard.
     n_shards = max(1, len(plan_batch_shards(max_batch, threads)))
 
-    arena = BufferArena(dtype=dtype)
-    lowering = _Lowering(
-        arena, max_batch, sites,
-        backends={name: k.backend for name, k in cores.items()},
-        slots={name: n_shards for name in parallel},
-    )
-    out = lowering.module(
-        model, "", _Act(None, (in_channels,) + tuple(image_hw))
-    )
-    out = lowering.buffered(out, "output")
+    def lower(arena: BufferArena) -> Tuple[_Lowering, np.ndarray]:
+        lowering = _Lowering(
+            arena, max_batch, sites,
+            backends={name: k.backend for name, k in cores.items()},
+            slots={name: n_shards for name in parallel},
+        )
+        act = lowering.module(
+            model, "", _Act(None, (in_channels,) + tuple(image_hw))
+        )
+        return lowering, lowering.buffered(act, "output").buf
+
+    # Lower once over private buffers to read each buffer's lifetime,
+    # then again over the arena those lifetimes lay out.
+    draft = BufferArena(dtype=dtype)
+    lowering, out = lower(draft)
     unreached = sorted(set(names) - {s.site_name for s in lowering.sites})
     if unreached:
         raise ValueError(
             f"traced conv sites {unreached[:8]} are not reached by the "
             f"lowering of {type(model).__name__}"
         )
+    arena = BufferArena(dtype=dtype,
+                        layout=_layout(draft, _lifetimes(draft,
+                                                         lowering.steps, out)))
+    lowering, out = lower(arena)
 
     # One scratch for every stage: stages run one after another, and
     # batch shards of one site write disjoint slices (or slots) of it.
@@ -1191,7 +1352,7 @@ def compile_plan(
         device=device,
         arena=arena,
         steps=lowering.steps,
-        out=out.buf,
+        out=out,
         input_shape=(in_channels, image_hw[0], image_hw[1]),
         max_batch=max_batch,
         threads=threads,

@@ -17,12 +17,26 @@ import numpy as np
 
 
 class Parameter:
-    """A trainable tensor with an accumulated gradient buffer."""
+    """A trainable tensor with an accumulated gradient buffer.
+
+    The buffer is allocated on first use, so a model that is only
+    decomposed, compiled and served never holds one.
+    """
 
     def __init__(self, data: np.ndarray, requires_grad: bool = True) -> None:
         self.data = np.asarray(data, dtype=np.float64)
-        self.grad = np.zeros_like(self.data)
+        self._grad: Optional[np.ndarray] = None
         self.requires_grad = bool(requires_grad)
+
+    @property
+    def grad(self) -> np.ndarray:
+        if self._grad is None:
+            self._grad = np.zeros_like(self.data)
+        return self._grad
+
+    @grad.setter
+    def grad(self, value: np.ndarray) -> None:
+        self._grad = value
 
     @property
     def shape(self) -> Tuple[int, ...]:
@@ -33,7 +47,8 @@ class Parameter:
         return int(self.data.size)
 
     def zero_grad(self) -> None:
-        self.grad[...] = 0.0
+        if self._grad is not None:
+            self._grad[...] = 0.0
 
     def accumulate(self, grad: np.ndarray) -> None:
         """Add ``grad`` into the buffer (no-op if grads are disabled)."""

@@ -134,11 +134,14 @@ def cp_als(
         grams[mode] = factors[mode].T @ factors[mode]
         return norms
 
+    # X contracted with the trailing factors is as large as the tensor:
+    # one buffer serves every sweep, where a fresh array per sweep kept
+    # the allocator mapping and faulting in new pages.
+    lead_partial = np.empty((rank, mat.shape[0]), dtype)
     for _ in range(n_iter):
         # (rank, *lead_shape): X contracted with the trailing factors.
-        partial = (khatri_rao(factors[split:]).T @ mat.T).reshape(
-            rank, *lead_shape
-        )
+        partial = np.matmul(khatri_rao(factors[split:]).T, mat.T,
+                            out=lead_partial).reshape(rank, *lead_shape)
         for i in range(split):
             weights = update(i, _finish_mttkrp(partial, factors[:split], i))
         # (rank, *trail_shape): X contracted with the leading factors.

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 
 @dataclass
@@ -134,6 +133,10 @@ def evbmf(
         if upper <= lower:
             sigma2 = float(upper)
         else:
+            # SciPy is needed only here: importing it at module level
+            # would load it into every process that imports the library.
+            from scipy.optimize import minimize_scalar
+
             res = minimize_scalar(
                 _evb_sigma2_objective,
                 args=(n_rows, n_cols, s_full, residual, xubar),

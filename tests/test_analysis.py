@@ -23,11 +23,12 @@ from repro.analysis.dynamic import (
     count_allocations,
     hot_path_allocations,
     probe_input,
+    stale_reads,
     trace_allocations,
 )
 from repro.analysis.lint import BARE_SUPPRESSION_RULE
 from repro.analysis.rules import build_rules, rule_names
-from repro.inference.executable import BufferArena
+from repro.inference.executable import ArenaLayout, BufferArena
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -494,6 +495,7 @@ def test_hot_path_probe_on_compiled_executable():
     exe = compile_model(model.eval(), A100, image_hw=(8, 8), max_batch=2)
     assert hot_path_allocations(exe) == {}
     assert arena_overlaps(exe) == []
+    assert stale_reads(exe) == []
     # probe_input honors the compiled shape and dtype.
     x = probe_input(exe)
     assert x.shape == (2,) + exe.input_shape and x.dtype == exe.dtype
@@ -506,6 +508,41 @@ def test_arena_overlap_detects_seeded_aliasing():
     arena.allocate("c", (4,))         # disjoint
     fake_exe = SimpleNamespace(arena=arena)
     assert arena_overlaps(fake_exe) == [("a", "b")]
+
+
+def test_arena_overlap_needs_overlapping_lifetimes():
+    """Buffers on the same slab bytes alias only while both are live;
+    a buffer with no lifetime is live throughout."""
+    layout = ArenaLayout(intervals={"a": (0, 1), "b": (2, 3), "c": (1, 2)},
+                         offsets={"a": 0, "b": 0, "c": 0}, slab_size=4)
+    arena = BufferArena(np.float32, layout)
+    for name in "abc":
+        arena.allocate(name, (4,))
+    assert arena.nbytes == 4 * 4          # the slab, counted once
+    fake_exe = SimpleNamespace(arena=arena)
+    assert arena_overlaps(fake_exe) == [("a", "c"), ("b", "c")]
+    arena.adopt("d", arena.slab[2:])
+    assert arena_overlaps(fake_exe) == [("a", "c"), ("a", "d"), ("b", "c"),
+                                        ("b", "d"), ("c", "d")]
+
+
+def test_stale_reads_catch_a_skipped_write():
+    """A stage that reads a slab buffer nothing wrote this request
+    reads NaN on the poisoned run, at full and partial batch."""
+    from repro.gpusim.device import A100
+    from repro.inference import compile_model
+    from repro.nn.conv import Conv2d
+    from repro.nn.layers import GlobalAvgPool2d, Linear, ReLU
+    from repro.nn.module import Sequential
+
+    model = Sequential(Conv2d(3, 4, 3, padding=1, seed=1), ReLU(),
+                       Conv2d(4, 4, 3, padding=1, seed=2), GlobalAvgPool2d(),
+                       Linear(4, 3, seed=3)).eval()
+    exe = compile_model(model, A100, image_hw=(6, 6), max_batch=2)
+    assert stale_reads(exe) == []
+    first = exe._steps[0]
+    first.forward = lambda x: None      # the first conv never writes
+    assert stale_reads(exe) == [2, 1]
 
 
 def test_arena_overlap_sees_the_stage_scratch():

@@ -351,6 +351,25 @@ def test_arena_buffers_are_reused_across_calls(decomposed):
     assert exe.requests_served == 3
 
 
+def test_arena_shares_the_slab_and_counts_each_byte_once(decomposed):
+    """Activations whose lifetimes do not overlap share the slab, so
+    the arena holds fewer bytes than its buffers span, and
+    ``arena_bytes`` counts the slab once plus the private buffers (the
+    padded inputs, some shared whole, and the stage scratch)."""
+    _, model = decomposed
+    exe = compile_model(model, A100, image_hw=IMAGE_HW, max_batch=2)
+    arena = exe.arena
+    placed = set(arena.layout.offsets)
+    private = {id(arena.get(n)): arena.get(n).nbytes
+               for n in arena.names() if n not in placed}
+    spanned = sum(arena.get(n).nbytes for n in arena.names())
+    assert placed and all(arena.border(n) is None for n in placed)
+    assert exe.arena_report()["arena_bytes"] == (arena.slab.nbytes
+                                                 + sum(private.values()))
+    assert exe.arena_report()["arena_bytes"] < spanned
+    assert arena.slab.nbytes < sum(arena.get(n).nbytes for n in placed)
+
+
 def test_arena_rejects_duplicate_names():
     arena = BufferArena()
     arena.allocate("a", (2, 2))

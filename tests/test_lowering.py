@@ -12,6 +12,10 @@ seeds, over the geometry the zoo never builds (kernels 1-7, strides
 1-3, any padding below the kernel, channel counts 1 and primes, one
 output column) and also checks dense layers against
 ``nn.functional.conv2d_reference``.
+
+Activations share one slab by lifetime, so every case also checks that
+no two live buffers share memory and that a run over a NaN-filled slab,
+at full and at partial batch, returns the same bits as a clean run.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.analysis.dynamic import arena_overlaps, stale_reads
 from repro.gpusim.device import A100
 from repro.inference import compile_model
 from repro.models.blocks import (
@@ -69,6 +74,14 @@ def assert_close(exe, y, ref) -> None:
 
 def assert_matches_forward(exe, model, x) -> None:
     assert_close(exe, exe.run(x), model.forward(x))
+
+
+def assert_arena_safe(exe, x) -> None:
+    """No two live buffers share memory, and over a NaN-filled slab, at
+    ``x``'s full batch and at a partial one, the output is bit for bit
+    that of a run over a zeroed slab."""
+    assert arena_overlaps(exe) == []
+    assert stale_reads(exe, x) == []
 
 
 def randomize_batchnorm(model: Module, rng) -> None:
@@ -168,6 +181,7 @@ def test_lowering_matches_forward(seed):
     x = rng.standard_normal((max_batch, 3) + hw)
     for b in range(1, max_batch + 1):
         assert_matches_forward(exe, model, x[:b])
+    assert_arena_safe(exe, x)
 
 
 def test_generated_networks_cover_every_block():
@@ -186,7 +200,7 @@ def test_generated_networks_cover_every_block():
 
 #: Channel counts of the single-conv generator: 1 and primes.
 CONV_CHANNELS = (1, 2, 3, 5, 7, 11)
-N_CONVS = 64
+N_CONVS = 256
 
 
 def random_conv(seed: int):
@@ -223,6 +237,7 @@ def test_conv_geometry_matches_forward(seed):
     x = rng.standard_normal((max_batch, c) + hw)
     for b in range(1, max_batch + 1):
         assert_matches_forward(exe, model, x[:b])
+    assert_arena_safe(exe, x)
     if type(conv) is Conv2d:
         z = model[0].forward(x) if len(model) > 1 else x
         ref = conv2d_reference(z, conv.weight.data, conv.stride, conv.padding)
@@ -284,6 +299,31 @@ def test_presets_match_forward(name, fmt):
     x = rng.standard_normal((2, 3) + hw)
     for b in (1, 2):
         assert_matches_forward(exe, model, x[:b])
+    assert_arena_safe(exe, x)
+
+
+def test_long_lived_buffers_keep_their_bytes():
+    """A residual block's input lives until its add and a DenseNet
+    block buffer across all of its layers; the slab lends their bytes
+    only to buffers live at other steps."""
+    model = Sequential(ConvBNReLU(3, 4, 3, 1, 1, seed=0),
+                       BasicBlock(4, 4, seed=1), DenseBlock(4, 2, 2, seed=2),
+                       GlobalAvgPool2d(), Linear(8, 3, seed=3)).eval()
+    exe = compile_model(model, A100, image_hw=(6, 6), max_batch=2,
+                        threads=1)
+    arena, steps = exe.arena, exe._steps
+    add = [type(s).__name__ for s in steps].index("AddStage")
+    layers = [i for i, s in enumerate(steps)
+              if getattr(s, "site_name", "").startswith("layer2.")]
+    assert arena.interval("layer0.layer0.out") == (0, add)
+    first, last = arena.interval("layer2.out")
+    assert first < layers[0] and last > layers[-1]
+    for name in ("layer0.layer0.out", "layer2.out"):
+        assert any(np.shares_memory(arena.get(name), arena.get(other))
+                   for other in arena.layout.offsets if other != name)
+    x = np.random.default_rng(0).standard_normal((2, 3, 6, 6))
+    assert_matches_forward(exe, model, x)
+    assert_arena_safe(exe, x)
 
 
 def test_padded_max_pool_ignores_the_border():
@@ -295,6 +335,26 @@ def test_padded_max_pool_ignores_the_border():
     exe = compile_model(model, A100, image_hw=(7, 9), max_batch=2)
     x = np.random.default_rng(4).standard_normal((2, 3, 7, 9))
     assert_matches_forward(exe, model, x)
+
+
+def test_padded_inputs_share_only_by_shape_and_fill():
+    """Two padded conv inputs of one shape share one buffer, border and
+    all; a padded max-pool input of that shape keeps its own, whose
+    border is the dtype's minimum."""
+    model = Sequential(Conv2d(4, 4, 3, padding=1, seed=1),
+                       Conv2d(4, 4, 3, padding=1, seed=2),
+                       MaxPool2d(3, stride=2, padding=1), Flatten(),
+                       Linear(4 * 4 * 5, 3, seed=3)).eval()
+    model[1].bias.data[...] = -10.0
+    exe = compile_model(model, A100, image_hw=(7, 9), in_channels=4,
+                        max_batch=2)
+    arena = exe.arena
+    assert arena.get("layer1.xpad") is arena.get("layer0.xpad")
+    assert not np.shares_memory(arena.get("layer2.xpad"),
+                                arena.get("layer0.xpad"))
+    x = np.random.default_rng(5).standard_normal((2, 4, 7, 9))
+    assert_matches_forward(exe, model, x)
+    assert_arena_safe(exe, x)
 
 
 def test_compile_reads_the_model_only():

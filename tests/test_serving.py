@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -496,3 +500,26 @@ def test_handle_concurrent_waiters_with_timeouts():
     with pytest.raises(TimeoutError):
         abandoned.result(0.01)
     assert abandoned.cancelled and not abandoned.done()
+
+
+def test_serving_import_path_loads_no_scipy():
+    """Importing the deploy and serving entry points loads no SciPy:
+    only EVBMF, the MUSCO comparator's rank estimator, needs it, and it
+    imports SciPy inside the call.  A fresh interpreter, since this one
+    may have imported SciPy for other tests."""
+    import repro
+
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    code = (
+        "import sys\n"
+        "import repro.serving, repro.inference, repro.codesign.pipeline\n"
+        "import repro.models.registry, repro.cli\n"
+        "loaded = sorted(m for m in sys.modules\n"
+        "                if m == 'scipy' or m.startswith('scipy.'))\n"
+        "sys.exit(f'SciPy loaded: {loaded}' if loaded else 0)\n"
+    )
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH"))
+                           if p)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
