@@ -68,14 +68,12 @@ tree.
   (an entry of ``Executable._steps``; a compiled site and all of its
   stages are one step) that touches it to the last, the output until
   ``run`` returns, and two buffers overlap in the slab only if their
-  lifetimes do not.  :func:`compile_plan` lowers twice to get there:
-  once over private buffers, to read each buffer's lifetime from the
-  arrays its stages hold, then over the slab those lifetimes lay out.
-  A padded input (``.xpad``) keeps the border written once at compile
-  time, so it stays out of the slab and is shared whole only with a
-  padded input of the same shape and fill whose lifetime does not
-  overlap.  The one stage scratch, sized to the largest stage, is
-  shared by every stage.
+  lifetimes do not.  :func:`compile_plan` lowers once over private
+  buffers, reads each buffer's lifetime from the arrays its stages
+  hold, moves the plain buffers into the slab by those lifetimes and
+  re-points every view there.  A padded input (``.xpad``) keeps the
+  border written once at compile time, so it stays private.  The one
+  stage scratch, sized to the largest stage, is shared by every stage.
 
 ``Executable.run`` is single-threaded by design (one arena, one
 in-flight request); :mod:`repro.serving` serializes concurrent callers
@@ -92,11 +90,11 @@ from __future__ import annotations
 
 import time
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from dataclasses import replace as dc_replace
 from functools import partial
 from math import prod
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
@@ -143,19 +141,6 @@ _CONV_KINDS = ("conv", "pointwise", "core", "dwcore")
 STAGE_SCRATCH = "stage.scratch"
 
 
-@dataclass
-class ArenaLayout:
-    """Where each buffer of a lowering lives: its ``(first, last)``
-    step, its element offset into the slab (plain activations), or the
-    bordered buffer it reuses whole (``shared``; absent when it owns
-    one)."""
-
-    intervals: Dict[str, Tuple[int, int]] = field(default_factory=dict)
-    offsets: Dict[str, int] = field(default_factory=dict)
-    shared: Dict[str, str] = field(default_factory=dict)
-    slab_size: int = 0
-
-
 class BufferArena:
     """Named pool of preallocated ndarrays (activations + scratch).
 
@@ -163,16 +148,14 @@ class BufferArena:
     code only ever writes interiors (padding borders keep their fill),
     so a steady-state request allocates nothing.
 
-    Without a layout every buffer is private.  With the
-    :class:`ArenaLayout` :func:`compile_plan` derives from a first
-    lowering, plain activations are views of one block, the *slab*, at
-    offsets where two buffers share memory only if their lifetimes do
-    not overlap; a *bordered* buffer (a padded input, its border filled
-    once here) stays private, shared whole only with bordered buffers of
-    the same shape and fill whose lifetimes do not overlap.  A buffer's
-    lifetime is the ``(first, last)`` step interval :meth:`interval`
-    returns; one without (the stage scratch, an adopted buffer) counts
-    as live throughout.
+    Every buffer starts private.  :meth:`pack` then moves the plain
+    activations into one block, the *slab*, at offsets where two
+    buffers share memory only if their lifetimes do not overlap.  A
+    *bordered* buffer (a padded input, its border filled once here)
+    and the stage scratch stay private.  A buffer's lifetime is the
+    ``(first, last)`` step interval :meth:`interval` returns; one
+    without (the stage scratch, an adopted buffer) counts as live
+    throughout.
 
     The default dtype is float32 — the device execution dtype
     (``kernels.base.FLOAT_BYTES``); a float64 arena is only warranted
@@ -180,33 +163,26 @@ class BufferArena:
     decides per model.
     """
 
-    def __init__(self, dtype: np.dtype = np.dtype(np.float32),
-                 layout: Optional[ArenaLayout] = None) -> None:
+    def __init__(self, dtype: np.dtype = np.dtype(np.float32)) -> None:
         self.dtype = np.dtype(dtype)
-        self.layout = layout or ArenaLayout()
-        self.slab = np.zeros(self.layout.slab_size, dtype=self.dtype)
+        self.slab = np.zeros(0, dtype=self.dtype)
         self._buffers: Dict[str, np.ndarray] = {}
-        self._private: Dict[str, np.ndarray] = {}   # by owner name
         self._borders: Dict[str, float] = {}
+        self._intervals: Dict[str, Tuple[int, int]] = {}
+        self._packed: Set[str] = set()
 
     def allocate(self, name: str, shape: Tuple[int, ...],
                  border: Optional[float] = None) -> np.ndarray:
-        """Allocate (zeroed) and register one buffer; names are unique.
-        A ``border`` buffer starts filled with it: the padded input of a
-        windowed stage, whose border is never written again."""
+        """Allocate (zeroed) and register one private buffer; names are
+        unique.  A ``border`` buffer starts filled with it: the padded
+        input of a windowed stage, whose border is never written
+        again."""
         if name in self._buffers:
             raise ValueError(f"arena buffer {name!r} already allocated")
-        offset = self.layout.offsets.get(name)
-        owner = self.layout.shared.get(name, name)
-        if offset is not None:
-            buf = self.slab[offset:offset + prod(shape)].reshape(shape)
-        elif owner in self._private:
-            buf = self._private[owner]
-        else:
-            buf = self._private[owner] = np.zeros(shape, dtype=self.dtype)
+        buf = np.zeros(shape, dtype=self.dtype)
+        if border is not None:
             if border:
                 buf.fill(border)
-        if border is not None:
             self._borders[name] = border
         self._buffers[name] = buf
         return buf
@@ -230,7 +206,51 @@ class BufferArena:
 
     def interval(self, name: str) -> Optional[Tuple[int, int]]:
         """``name``'s first and last step, or ``None``: live throughout."""
-        return self.layout.intervals.get(name)
+        return self._intervals.get(name)
+
+    def pack(self, intervals: Dict[str, Tuple[int, int]]) -> Set[str]:
+        """Record each buffer's lifetime and move the plain buffers
+        into the slab: largest first, each at the lowest offset (a
+        multiple of 64 bytes) clear of every placed buffer whose
+        lifetime overlaps its own.  Returns the names moved.
+
+        Packing copies no values, so call it before anything is
+        written but the borders, and re-point every view of a moved
+        buffer with :meth:`view`."""
+        align = max(1, 64 // self.dtype.itemsize)
+        plain = [n for n in self._buffers if n not in self._borders]
+        placed: List[Tuple[int, int, int, int]] = []  # (lo, hi, first, last)
+        offsets: Dict[str, int] = {}
+        for name in sorted(plain, key=lambda n: (-self._buffers[n].size,
+                                                 intervals[n])):
+            first, last = intervals[name]
+            size = -(-self._buffers[name].size // align) * align
+            offset = 0
+            for lo, hi, _, _ in sorted(p for p in placed
+                                       if p[2] <= last and first <= p[3]):
+                if offset + size <= lo:
+                    break
+                offset = max(offset, hi)
+            offsets[name] = offset
+            placed.append((offset, offset + size, first, last))
+        self.slab = np.zeros(max((hi for _, hi, _, _ in placed), default=0),
+                             dtype=self.dtype)
+        for name, offset in offsets.items():
+            shape = self._buffers[name].shape
+            self._buffers[name] = \
+                self.slab[offset:offset + prod(shape)].reshape(shape)
+        self._intervals = dict(intervals)
+        self._packed = set(offsets)
+        return self._packed
+
+    def view(self, name: str, offset: int, like: np.ndarray) -> np.ndarray:
+        """The view of buffer ``name`` that starts ``offset`` bytes in
+        with ``like``'s shape, strides and writeability: a view taken
+        before :meth:`pack`, made again over where the buffer is now."""
+        view = np.ndarray(like.shape, like.dtype, buffer=self._buffers[name],
+                          offset=offset, strides=like.strides)
+        view.flags.writeable = like.flags.writeable
+        return view
 
     @property
     def n_buffers(self) -> int:
@@ -239,86 +259,128 @@ class BufferArena:
     @property
     def nbytes(self) -> int:
         """Bytes held, each once: the slab plus the private buffers."""
-        private = {id(b): b.nbytes for name, b in self._buffers.items()
-                   if name not in self.layout.offsets}
-        return self.slab.nbytes + sum(private.values())
+        return self.slab.nbytes + sum(b.nbytes for n, b in
+                                      self._buffers.items()
+                                      if n not in self._packed)
 
 
 def _address(a: np.ndarray) -> int:
-    return a.__array_interface__["data"][0]
+    return a.ctypes.data
 
 
-def _lifetimes(arena: BufferArena, steps: Sequence[object],
-               out: np.ndarray) -> Dict[str, Tuple[int, int]]:
-    """Each private buffer's first and last step: the steps whose
-    stages hold an array starting inside it (a compiled site is one
-    step, so all of its buffers live for the whole site).  The output
-    lives one step past the last, until ``run`` returns."""
+#: What a stage attribute may hold besides arrays: values that cannot
+#: hide one.
+_PLAIN = (type(None), bool, int, float, str, np.generic, np.dtype,
+          np.ufunc, ConvShape)
+
+
+def _arrays(step: object) -> List[np.ndarray]:
+    """Every array ``step`` holds: the attributes of the step and, for
+    a compiled site, of each of its stages, and the items of their
+    list attributes.
+
+    Lifetimes and the move into the slab both read buffers through
+    this walk, so it raises on any value that could hide an array from
+    it (a dict, a tuple of arrays, a nested container, an object of
+    another kind): a stage keeps an array only as an attribute or as
+    an item of a flat list."""
+    stages = getattr(step, "stages", None)
+    holders = (step,) if stages is None else (step, *stages)
+    skip = {id(stages)} | {id(h) for h in holders}
+    arrays = []
+    for holder in holders:
+        for key, value in vars(holder).items():
+            if isinstance(value, np.ndarray):
+                arrays.append(value)
+                continue
+            if isinstance(value, _PLAIN) or id(value) in skip:
+                continue
+            items = value if isinstance(value, (list, tuple)) else (value,)
+            for item in items:
+                if isinstance(item, np.ndarray) and isinstance(value, list):
+                    arrays.append(item)
+                elif not isinstance(item, _PLAIN):
+                    raise TypeError(
+                        f"{type(holder).__name__}.{key} holds a "
+                        f"{type(item).__name__} in a {type(value).__name__}"
+                        f": a stage keeps arrays only as attributes or "
+                        f"items of a flat list, where the arena's lifetime "
+                        f"scan finds them"
+                    )
+    return arrays
+
+
+class _Held(NamedTuple):
+    """An array a step holds that lies in an arena buffer."""
+
+    step: int
+    array: np.ndarray
+    buffer: str
+    offset: int        # bytes from the buffer's start to the array's
+
+
+def _held(arena: BufferArena, steps: Sequence[object],
+          out: np.ndarray) -> List[_Held]:
+    """Every array of the steps' :func:`_arrays` that lies in an arena
+    buffer, found by the address of its first element, and the output,
+    held one step past the last (it lives until ``run`` returns)."""
     spans = sorted((_address(b), _address(b) + b.nbytes, name)
                    for name in arena.names() if (b := arena.get(name)).size)
     starts = [lo for lo, _, _ in spans]
-    first: Dict[str, int] = {}
-    last: Dict[str, int] = {}
-
-    def touch(a: object, step: int) -> None:
-        if not isinstance(a, np.ndarray) or not a.size:
-            return
+    arrays = [(step, a) for step, item in enumerate(steps)
+              for a in _arrays(item)]
+    arrays.append((len(steps), out))
+    held = []
+    for step, a in arrays:
         address = _address(a)
         i = bisect_right(starts, address) - 1
         if i >= 0 and address < spans[i][1]:
-            name = spans[i][2]
-            first.setdefault(name, step)
-            last[name] = step
-
-    for step, item in enumerate(steps):
-        for stage in getattr(item, "stages", (item,)):
-            for value in vars(stage).values():
-                many = isinstance(value, (list, tuple))
-                for a in value if many else (value,):
-                    touch(a, step)
-    touch(out, len(steps))
-    return {name: (first.get(name, 0), last.get(name, len(steps)))
-            for name in arena.names()}
+            held.append(_Held(step, a, spans[i][2], address - spans[i][0]))
+    return held
 
 
-def _layout(arena: BufferArena,
-            intervals: Dict[str, Tuple[int, int]]) -> ArenaLayout:
-    """Place a private arena's buffers by lifetime.  Plain buffers go
-    into the slab largest first, each at the lowest offset (a multiple
-    of 64 bytes) clear of every placed buffer whose lifetime overlaps
-    its own.  A bordered buffer reuses the first earlier one of its
-    shape and fill that is dead before it starts."""
-    align = max(1, 64 // arena.dtype.itemsize)
-    layout = ArenaLayout(intervals=intervals)
-    placed: List[Tuple[int, int, int, int]] = []   # (lo, hi, first, last)
-    plain = [n for n in arena.names() if arena.border(n) is None]
-    for name in sorted(plain, key=lambda n: (-arena.get(n).size,
-                                             intervals[n])):
-        first, last = intervals[name]
-        size = -(-arena.get(name).size // align) * align
-        offset = 0
-        for lo, hi, _, _ in sorted(p for p in placed
-                                   if p[2] <= last and first <= p[3]):
-            if offset + size <= lo:
-                break
-            offset = max(offset, hi)
-        layout.offsets[name] = offset
-        placed.append((offset, offset + size, first, last))
-    layout.slab_size = max((hi for _, hi, _, _ in placed), default=0)
+def _lifetimes(held: Sequence[_Held], names: Sequence[str],
+               n_steps: int) -> Dict[str, Tuple[int, int]]:
+    """Each buffer's first and last step: the steps holding an array
+    in it (a compiled site is one step, so all of its buffers live for
+    the whole site).  A buffer no step holds is live throughout."""
+    first: Dict[str, int] = {}
+    last: Dict[str, int] = {}
+    for h in held:
+        first.setdefault(h.buffer, h.step)
+        last[h.buffer] = h.step
+    return {name: (first.get(name, 0), last.get(name, n_steps))
+            for name in names}
 
-    owners: Dict[tuple, List[List]] = {}     # (shape, fill) -> [[name, last]]
-    bordered = [n for n in arena.names() if arena.border(n) is not None]
-    for name in sorted(bordered, key=lambda n: intervals[n]):
-        first, last = intervals[name]
-        group = owners.setdefault((arena.get(name).shape, arena.border(name)),
-                                  [])
-        owner = next((o for o in group if o[1] < first), None)
-        if owner is None:
-            group.append([name, last])
-        else:
-            layout.shared[name] = owner[0]
-            owner[1] = last
-    return layout
+
+def _rebuilt(steps: Sequence[object],
+             views: Dict[int, np.ndarray]) -> list:
+    """The steps, each stage and compiled site copied with every array
+    in ``views`` (keyed by ``id``) swapped for its view there.
+
+    Copying rather than setting attributes in place keeps them inline:
+    reading ``vars()``, as the scan does, moves an object's attributes
+    into a dict, which CPython 3.11 reads about half as fast, and every
+    stage reads several attributes per call."""
+    fresh: Dict[int, object] = {}
+
+    def swap(value):
+        return views.get(id(value), fresh.get(id(value), value))
+
+    def copy(obj):
+        new = object.__new__(type(obj))
+        for key, value in vars(obj).items():
+            setattr(new, key, [swap(v) for v in value]
+                    if isinstance(value, list) else swap(value))
+        fresh[id(obj)] = new
+        return new
+
+    rebuilt = []
+    for step in steps:
+        for stage in getattr(step, "stages", ()):
+            copy(stage)
+        rebuilt.append(copy(step))
+    return rebuilt
 
 
 # ---------------------------------------------------------------------------
@@ -1227,10 +1289,11 @@ def compile_plan(
     of them, and lowers the whole module tree — every conv site to its
     stage list, every other module by its lowering rule (see the module
     docstring) — into one stage list over a preallocated arena, with
-    weights and eval-mode BatchNorm statistics copied in.  It lowers
-    twice: the first lowering gives each buffer's lifetime, the second
-    places the activations in the slab by it.  The model is only
-    read.
+    weights and eval-mode BatchNorm statistics copied in.  The
+    lowering allocates private buffers; the steps' arrays then give
+    each buffer's lifetime, the plain activations move into the slab
+    by it (:meth:`BufferArena.pack`), and every view is re-pointed
+    there.  The model is only read.
 
     ``sites`` takes a pre-traced inventory (same ``image_hw`` and
     ``in_channels``) so planning and compilation can share one traced
@@ -1287,36 +1350,35 @@ def compile_plan(
     # A parallel site's conv stages take one scratch slot per shard.
     n_shards = max(1, len(plan_batch_shards(max_batch, threads)))
 
-    def lower(arena: BufferArena) -> Tuple[_Lowering, np.ndarray]:
-        lowering = _Lowering(
-            arena, max_batch, sites,
-            backends={name: k.backend for name, k in cores.items()},
-            slots={name: n_shards for name in parallel},
-        )
-        act = lowering.module(
-            model, "", _Act(None, (in_channels,) + tuple(image_hw))
-        )
-        return lowering, lowering.buffered(act, "output").buf
-
-    # Lower once over private buffers to read each buffer's lifetime,
-    # then again over the arena those lifetimes lay out.
-    draft = BufferArena(dtype=dtype)
-    lowering, out = lower(draft)
+    arena = BufferArena(dtype=dtype)
+    lowering = _Lowering(
+        arena, max_batch, sites,
+        backends={name: k.backend for name, k in cores.items()},
+        slots={name: n_shards for name in parallel},
+    )
+    act = lowering.module(
+        model, "", _Act(None, (in_channels,) + tuple(image_hw))
+    )
+    out = lowering.buffered(act, "output").buf
     unreached = sorted(set(names) - {s.site_name for s in lowering.sites})
     if unreached:
         raise ValueError(
             f"traced conv sites {unreached[:8]} are not reached by the "
             f"lowering of {type(model).__name__}"
         )
-    arena = BufferArena(dtype=dtype,
-                        layout=_layout(draft, _lifetimes(draft,
-                                                         lowering.steps, out)))
-    lowering, out = lower(arena)
+    # Read each buffer's lifetime from the arrays the stages hold, move
+    # the plain activations into the slab by it, and re-point the views.
+    held = _held(arena, lowering.steps, out)
+    moved = arena.pack(_lifetimes(held, arena.names(), len(lowering.steps)))
+    views = {id(h.array): arena.view(h.buffer, h.offset, h.array)
+             for h in held if h.buffer in moved}
+    steps = _rebuilt(lowering.steps, views)
+    out = views.get(id(out), out)
 
     # One scratch for every stage: stages run one after another, and
     # batch shards of one site write disjoint slices (or slots) of it.
     scratched = [
-        st for step in lowering.steps
+        st for step in steps
         for st in getattr(step, "stages", (step,))
         if isinstance(st, _Im2col)
     ]
@@ -1326,8 +1388,8 @@ def compile_plan(
     for st in scratched:
         st.bind(scratch)
 
-    for site in lowering.sites:
-        if site.site_name in parallel:
+    for site in steps:
+        if isinstance(site, _CompiledSite) and site.site_name in parallel:
             # threads lanes = the caller + (threads - 1) workers.
             site.pool = get_pool(threads - 1)
             site.threads = threads
@@ -1351,7 +1413,7 @@ def compile_plan(
         plan=plan,
         device=device,
         arena=arena,
-        steps=lowering.steps,
+        steps=steps,
         out=out,
         input_shape=(in_channels, image_hw[0], image_hw[1]),
         max_batch=max_batch,

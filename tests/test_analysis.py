@@ -28,7 +28,7 @@ from repro.analysis.dynamic import (
 )
 from repro.analysis.lint import BARE_SUPPRESSION_RULE
 from repro.analysis.rules import build_rules, rule_names
-from repro.inference.executable import ArenaLayout, BufferArena
+from repro.inference.executable import BufferArena
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -511,19 +511,19 @@ def test_arena_overlap_detects_seeded_aliasing():
 
 
 def test_arena_overlap_needs_overlapping_lifetimes():
-    """Buffers on the same slab bytes alias only while both are live;
-    a buffer with no lifetime is live throughout."""
-    layout = ArenaLayout(intervals={"a": (0, 1), "b": (2, 3), "c": (1, 2)},
-                         offsets={"a": 0, "b": 0, "c": 0}, slab_size=4)
-    arena = BufferArena(np.float32, layout)
+    """Packed buffers share slab bytes only while one of them is dead;
+    a buffer on those bytes with no lifetime is live throughout, so it
+    aliases every one of them."""
+    arena = BufferArena(np.float32)
     for name in "abc":
         arena.allocate(name, (4,))
-    assert arena.nbytes == 4 * 4          # the slab, counted once
+    arena.pack({"a": (0, 1), "b": (2, 3), "c": (1, 2)})
+    assert np.shares_memory(arena.get("a"), arena.get("b"))
+    assert arena.nbytes == arena.slab.nbytes      # the slab, counted once
     fake_exe = SimpleNamespace(arena=arena)
-    assert arena_overlaps(fake_exe) == [("a", "c"), ("b", "c")]
-    arena.adopt("d", arena.slab[2:])
-    assert arena_overlaps(fake_exe) == [("a", "c"), ("a", "d"), ("b", "c"),
-                                        ("b", "d"), ("c", "d")]
+    assert arena_overlaps(fake_exe) == []
+    arena.adopt("d", arena.get("a")[2:])
+    assert arena_overlaps(fake_exe) == [("a", "d"), ("b", "d")]
 
 
 def test_stale_reads_catch_a_skipped_write():

@@ -3,6 +3,8 @@ hot-path contract."""
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -11,10 +13,12 @@ from repro.codesign.pipeline import decompose_for_device
 from repro.gpusim.device import A100
 from repro.inference import compile_model, compile_plan, plan_model
 from repro.inference.executable import (
+    STAGE_SCRATCH,
     BufferArena,
     CompiledTuckerConv2d,
     ConvStage,
     DepthwiseStage,
+    _arrays,
 )
 from repro.inference.plan import plan_tucker_model
 from repro.kernels.base import reference_conv
@@ -355,19 +359,37 @@ def test_arena_shares_the_slab_and_counts_each_byte_once(decomposed):
     """Activations whose lifetimes do not overlap share the slab, so
     the arena holds fewer bytes than its buffers span, and
     ``arena_bytes`` counts the slab once plus the private buffers (the
-    padded inputs, some shared whole, and the stage scratch)."""
+    padded inputs and the stage scratch), which share no byte."""
     _, model = decomposed
     exe = compile_model(model, A100, image_hw=IMAGE_HW, max_batch=2)
     arena = exe.arena
-    placed = set(arena.layout.offsets)
-    private = {id(arena.get(n)): arena.get(n).nbytes
-               for n in arena.names() if n not in placed}
-    spanned = sum(arena.get(n).nbytes for n in arena.names())
-    assert placed and all(arena.border(n) is None for n in placed)
-    assert exe.arena_report()["arena_bytes"] == (arena.slab.nbytes
-                                                 + sum(private.values()))
-    assert exe.arena_report()["arena_bytes"] < spanned
-    assert arena.slab.nbytes < sum(arena.get(n).nbytes for n in placed)
+    slabbed = [n for n in arena.names()
+               if np.shares_memory(arena.get(n), arena.slab)]
+    private = [arena.get(n) for n in arena.names() if n not in slabbed]
+    assert slabbed and all(arena.border(n) is None for n in slabbed)
+    assert all(arena.border(n) is not None for n in arena.names()
+               if n not in slabbed and n != STAGE_SCRATCH)
+    assert not any(np.shares_memory(a, b)
+                   for i, a in enumerate(private) for b in private[i + 1:])
+    assert exe.arena_report()["arena_bytes"] == (
+        arena.slab.nbytes + sum(b.nbytes for b in private))
+    assert arena.slab.nbytes < sum(arena.get(n).nbytes for n in slabbed)
+
+
+def test_stages_hold_arrays_only_where_the_lifetime_scan_looks():
+    """A stage keeps arrays only as attributes or items of a flat list.
+    Anything that could hide one from the scan that sets lifetimes and
+    moves buffers into the slab raises at compile time, rather than
+    leave a buffer with a lifetime too short."""
+    a = np.zeros(4)
+    taps = [a[1:], a[2:]]
+    stage = SimpleNamespace(out=a, taps=taps, shape=(1, 2), op=np.add,
+                            inv=None)
+    assert [id(x) for x in _arrays(stage)] == [id(a), *map(id, taps)]
+    for hidden in ({"out": a}, (a,), [(a,)], [[1]],
+                   SimpleNamespace(out=a)):
+        with pytest.raises(TypeError, match="flat list"):
+            _arrays(SimpleNamespace(out=a, extra=hidden))
 
 
 def test_arena_rejects_duplicate_names():

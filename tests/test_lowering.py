@@ -11,7 +11,9 @@ generator draws single conv layers, behind a 1x1 stem on half the
 seeds, over the geometry the zoo never builds (kernels 1-7, strides
 1-3, any padding below the kernel, channel counts 1 and primes, one
 output column) and also checks dense layers against
-``nn.functional.conv2d_reference``.
+``nn.functional.conv2d_reference``.  A third draws chains of three
+stride-1 convs and padded pools, whose padded inputs meet at one
+padded extent with different paddings and border fills.
 
 Activations share one slab by lifetime, so every case also checks that
 no two live buffers share memory and that a run over a NaN-filled slab,
@@ -281,6 +283,80 @@ def test_generated_convs_cover_the_geometry():
                             "one output column", "H != W"}
 
 
+N_CHAINS = 32
+
+
+def random_conv_chain(seed: int):
+    """``(model, (H, W))``: three stride-1 convs over one channel count,
+    each of seeded kernel 1-5 and padding below the kernel (``k // 2``
+    where the input is narrower than the kernel), with a padded 3x3
+    stride-1 max or average pool after some of them, factored into the
+    seed's format.  Padded inputs of one padded extent then meet with
+    different paddings (a 3x3 at pad 1 and a 5x5 at pad 2 over one
+    extent) and different border fills."""
+    rng = np.random.default_rng(seed)
+    c = int(rng.choice(CONV_CHANNELS[1:]))
+    h, w = (int(v) for v in rng.integers(4, 10, 2))
+    layers: list = []
+    ho, wo = h, w
+    for i in range(3):
+        k = int(rng.integers(1, 6))
+        p = int(rng.integers(k)) if min(ho, wo) >= k else k // 2
+        layers.append(Conv2d(c, c, k, padding=p, bias=bool(rng.integers(2)),
+                             seed=seed * 8 + i))
+        ho, wo = ho + 2 * p - k + 1, wo + 2 * p - k + 1
+        if rng.integers(4) == 0:
+            pool = MaxPool2d if rng.integers(2) else AvgPool2d
+            layers.append(pool(3, stride=1, padding=1))
+    model = Sequential(*layers)
+    factor(model, FORMATS[seed % len(FORMATS)], rng)
+    return model.eval(), (h, w)
+
+
+def padded_extents(model: Module, hw) -> list:
+    """``(Hp, Wp, padding, kind)`` of each padded input of a chain."""
+    extents = []
+    h, w = hw
+    for mod in model:
+        k, p = mod.kernel_size, mod.padding
+        if p:
+            extents.append((h + 2 * p, w + 2 * p, p, type(mod).__name__))
+        h, w = h + 2 * p - k + 1, w + 2 * p - k + 1
+    return extents
+
+
+@pytest.mark.parametrize("seed", range(N_CHAINS))
+def test_conv_chain_matches_forward(seed):
+    model, hw = random_conv_chain(seed)
+    rng = np.random.default_rng(3000 + seed)
+    c = model[0].in_channels
+    max_batch = int(rng.integers(1, 4))
+    dtype = np.dtype(np.float64 if seed // len(FORMATS) % 2 else np.float32)
+    exe = compile_model(model, A100, image_hw=hw, in_channels=c,
+                        max_batch=max_batch, dtype=dtype, threads=1)
+    x = rng.standard_normal((max_batch, c) + hw)
+    for b in range(1, max_batch + 1):
+        assert_matches_forward(exe, model, x[:b])
+    assert_arena_safe(exe, x)
+
+
+def test_generated_chains_pad_one_extent_two_ways():
+    """Some chain pads two inputs to one extent with different paddings,
+    and some with the same padding but different fills."""
+    seen = set()
+    for seed in range(N_CHAINS):
+        model, hw = random_conv_chain(seed)
+        extents = padded_extents(model, hw)
+        for i, (hp, wp, p, kind) in enumerate(extents):
+            for hq, wq, q, other in extents[i + 1:]:
+                if (hp, wp) == (hq, wq) and p != q:
+                    seen.add("padding")
+                if (hp, wp, p) == (hq, wq, q) and (kind == "MaxPool2d") != (
+                        other == "MaxPool2d"):
+                    seen.add("fill")
+    assert seen == {"padding", "fill"}
+
+
 @pytest.mark.parametrize("name,fmt", [
     ("resnet50_slim", "dense"),
     ("resnet50_slim", "cp"),
@@ -320,7 +396,7 @@ def test_long_lived_buffers_keep_their_bytes():
     assert first < layers[0] and last > layers[-1]
     for name in ("layer0.layer0.out", "layer2.out"):
         assert any(np.shares_memory(arena.get(name), arena.get(other))
-                   for other in arena.layout.offsets if other != name)
+                   for other in arena.names() if other != name)
     x = np.random.default_rng(0).standard_normal((2, 3, 6, 6))
     assert_matches_forward(exe, model, x)
     assert_arena_safe(exe, x)
@@ -337,23 +413,25 @@ def test_padded_max_pool_ignores_the_border():
     assert_matches_forward(exe, model, x)
 
 
-def test_padded_inputs_share_only_by_shape_and_fill():
-    """Two padded conv inputs of one shape share one buffer, border and
-    all; a padded max-pool input of that shape keeps its own, whose
-    border is the dtype's minimum."""
+def test_padded_inputs_stay_private():
+    """A padded input keeps the border written at compile time, so it
+    shares no byte with any other buffer, even with a padded input of
+    the same shape whose lifetime is disjoint: here layer0 (3x3, pad 1)
+    and layer2 (5x5, pad 2) both pad to 10x10, and layer0's staging
+    writes rows and columns 1-8, inside layer2's zero border."""
     model = Sequential(Conv2d(4, 4, 3, padding=1, seed=1),
-                       Conv2d(4, 4, 3, padding=1, seed=2),
-                       MaxPool2d(3, stride=2, padding=1), Flatten(),
-                       Linear(4 * 4 * 5, 3, seed=3)).eval()
-    model[1].bias.data[...] = -10.0
-    exe = compile_model(model, A100, image_hw=(7, 9), in_channels=4,
+                       Conv2d(4, 4, 3, padding=0, seed=2),
+                       Conv2d(4, 4, 5, padding=2, seed=3)).eval()
+    exe = compile_model(model, A100, image_hw=(8, 8), in_channels=4,
                         max_batch=2)
     arena = exe.arena
-    assert arena.get("layer1.xpad") is arena.get("layer0.xpad")
-    assert not np.shares_memory(arena.get("layer2.xpad"),
-                                arena.get("layer0.xpad"))
-    x = np.random.default_rng(5).standard_normal((2, 4, 7, 9))
-    assert_matches_forward(exe, model, x)
+    assert arena.get("layer0.xpad").shape == arena.get("layer2.xpad").shape
+    for pad in ("layer0.xpad", "layer2.xpad"):
+        assert not any(np.shares_memory(arena.get(pad), arena.get(other))
+                       for other in arena.names() if other != pad)
+    x = np.random.default_rng(5).standard_normal((2, 4, 8, 8))
+    for _ in range(2):
+        assert_matches_forward(exe, model, x)
     assert_arena_safe(exe, x)
 
 
