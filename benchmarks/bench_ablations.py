@@ -1,5 +1,5 @@
-"""Ablation benches for the design choices DESIGN.md calls out:
-CRSN layout, θ-threshold rule, model top-fraction, and the C-split.
+"""Ablation benches for the reproduction's design choices: CRSN
+layout, θ-threshold rule, model top-fraction, and the C-split.
 """
 
 from repro.experiments import ablations

@@ -30,7 +30,7 @@ def main() -> None:
     )
     print(f"=== Compression method comparison at budget {budget:.0%} ===")
     print("(slim ResNet-18, synthetic data — orderings, not ImageNet "
-          "absolute accuracies; see DESIGN.md §2)\n")
+          "absolute accuracies)\n")
     print(table3.run(config).render())
 
 

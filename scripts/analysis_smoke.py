@@ -12,11 +12,12 @@ Three gates, exercising both halves of the analyzer:
    violation (a deliberately broken fixture module linted in-process)
    — a rule that silently stopped firing is itself a regression.
 3. **Dynamic**: the allocation tracer, the live-aliasing probe and
-   the poisoned-slab probe run over the quick backend x format sweep
+   the poisoned-buffer probe run over the quick backend x format sweep
    (``--dynamic``): a steady state ``Executable.run`` that allocates,
    two arena buffers that share memory while both are live, or an
-   output that changes when the slab is filled with NaN before a run,
-   fails the build.
+   output that changes when the slab, the stage scratch and the
+   padded inputs' interiors are filled with NaN before a run, fails
+   the build.
 
 Run:  PYTHONPATH=src python scripts/analysis_smoke.py
 """

@@ -16,8 +16,8 @@ Subpackages
 - :mod:`repro.inference`   — execution plans + end-to-end engine
 - :mod:`repro.experiments` — per-table/figure reproduction harnesses
 
-See DESIGN.md for the system inventory and EXPERIMENTS.md for
-paper-vs-measured results.
+README.md's Quickstart lists the commands that regenerate each paper
+artifact, and its Layout section maps the packages.
 """
 
 __version__ = "1.0.0"

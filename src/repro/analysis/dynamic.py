@@ -14,11 +14,12 @@ three contracts the static rules cannot fully prove:
   while both are live.  Buffers share the arena's slab by design when
   their step lifetimes are disjoint, so a pair counts only if its
   lifetimes overlap too;
-- **written before read** — :func:`stale_reads` fills the slab with
-  NaN between two runs of one input and requires bit-identical
-  outputs, at full and partial batch: a stage that reads a byte this
-  request has not written yet (a lifetime drawn too short, a buffer
-  placed on a live one) changes the output.
+- **written before read** — :func:`stale_reads` fills the slab, the
+  stage scratch and each padded input's interior with NaN between two
+  runs of one input and requires bit-identical outputs, at full and
+  partial batch: a stage that reads a byte this request has not
+  written yet (a lifetime drawn too short, a buffer placed on a live
+  one, a skipped staging copy) changes the output.
 
 The tracer is process-global (it swaps ``np.zeros`` et al.), so probe
 single-threaded executables or quiesce other allocating threads first;
@@ -190,24 +191,30 @@ def assert_arena_disjoint(executable) -> None:
 
 
 def stale_reads(executable, x: Optional[np.ndarray] = None) -> List[int]:
-    """Batch sizes at which a run over a NaN-filled slab differs, bit
-    for bit, from a run of the same input over a zeroed one.
+    """Batch sizes at which a run over NaN-filled buffers differs, bit
+    for bit, from a run of the same input over zeroed ones.
 
-    Tries the full batch of ``x`` and, when it has more than one
-    sample, a partial one.  A stage that reads a slab byte before this
-    request wrote it reads NaN and shows up here; the expected result
-    is always the empty list.  A read of bytes another buffer wrote
-    earlier in the same request gives the same value on both runs:
-    :func:`arena_overlaps` is the check for that.
+    Poisons every byte a request must write before it reads it: the
+    slab, the stage scratch and the interior of each padded input
+    (``BufferArena.interior``; the borders keep their compile-time
+    fill).  Tries the full batch of ``x`` and, when it has more than
+    one sample, a partial one.  A stage that reads such a byte before
+    this request wrote it reads NaN and shows up here; the expected
+    result is always the empty list.  A read of bytes another buffer
+    wrote earlier in the same request gives the same value on both
+    runs: :func:`arena_overlaps` is the check for that.
     """
     if x is None:
         x = probe_input(executable)
-    slab = executable.arena.slab
+    arena = executable.arena
+    written = [arena.slab] + [arena.interior(name) for name in arena.names()]
     stale = []
     for b in sorted({len(x), max(1, len(x) // 2)}, reverse=True):
-        slab.fill(0.0)
+        for buf in written:
+            buf.fill(0.0)
         clean = executable.run(x[:b])
-        slab.fill(np.nan)
+        for buf in written:
+            buf.fill(np.nan)
         poisoned = executable.run(x[:b])
         if clean.tobytes() != poisoned.tobytes():
             stale.append(b)
@@ -226,9 +233,7 @@ def probe_executables(
 
     The canonical dynamic-probe sweep: one tiny preset decomposed per
     format, compiled per backend.  Backends default to every
-    registered name plus ``auto``; backends that cannot compile the
-    model (e.g. shape-restricted schemes) are skipped, mirroring how
-    planning itself treats unsupported sites.
+    registered name plus ``auto``.
     """
     from repro.backends import backend_names
     from repro.codesign.pipeline import decompose_for_device
@@ -247,13 +252,10 @@ def probe_executables(
         )
         model.eval()
         for backend in backends:
-            try:
-                exe = compile_model(
-                    model, A100, image_hw=image_hw, core_backend=backend,
-                    max_batch=max_batch, model_name=model_name,
-                )
-            except NotImplementedError:
-                continue
+            exe = compile_model(
+                model, A100, image_hw=image_hw, core_backend=backend,
+                max_batch=max_batch, model_name=model_name,
+            )
             yield f"{fmt}/{backend}", exe
 
 
@@ -261,7 +263,7 @@ def run_dynamic_probes(
     quick: bool = True,
     formats: Sequence[str] = ("tucker", "cp", "tt"),
 ) -> List[Dict[str, object]]:
-    """Zero-alloc, aliasing and poisoned-slab probes over backends x
+    """Zero-alloc, aliasing and poisoned-buffer probes over backends x
     formats.
 
     Returns one report row per compiled executable; raises
@@ -292,7 +294,7 @@ def run_dynamic_probes(
             )
         if stale:
             raise AssertionError(
-                f"[{label}] a run over a NaN-filled slab differs from a "
+                f"[{label}] a run over NaN-filled buffers differs from a "
                 f"clean run at batch {stale}"
             )
     if not report:

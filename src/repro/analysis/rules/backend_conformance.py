@@ -1,7 +1,8 @@
 """backend-conformance: KernelBackend subclasses honor the protocol.
 
-The registry (``repro.backends.registry``) defines the six-hook
-``KernelBackend`` protocol that planning and warm-up dispatch
+The registry (``repro.backends.registry``) defines the four-hook
+``KernelBackend`` protocol (``supports``, ``core_latency``,
+``tiling``, ``dwcore_latency``) that planning and warm-up dispatch
 through.  A subclass with a drifted signature fails at dispatch time,
 on whichever preset happens to exercise it.  This rule checks
 statically, for every module defining a ``KernelBackend`` subclass:
@@ -35,8 +36,6 @@ FALLBACK_PROTOCOL: Dict[str, Tuple[str, ...]] = {
     "supports": ("self", "shape", "device"),
     "core_latency": ("self", "shape", "device"),
     "tiling": ("self", "shape", "device"),
-    "kernel": ("self", "shape", "device", "tiling"),
-    "dispatch": ("self", "shape", "device"),
     "dwcore_latency": ("self", "shape", "device", "collapse_to"),
 }
 

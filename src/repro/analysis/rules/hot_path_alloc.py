@@ -13,8 +13,7 @@ stages (``*Stage``).  Their hot entry points are ``run`` (an
 executable's request, a stage's body) and ``forward`` (a site); the
 rule then takes the transitive closure of ``self.method()`` calls, so
 the site's stage runner and any helper reached from a hot entry are
-checked too.  Kernel classes are not hot: their ``run`` is the
-functional mirror of the GPU scheme and allocates by design.
+checked too.
 """
 
 from __future__ import annotations

@@ -20,13 +20,12 @@ from typing import Optional, Tuple
 
 from repro.backends.registry import KernelBackend, register_backend
 from repro.gpusim.device import DeviceSpec
-from repro.kernels.base import ConvKernel, ConvShape
+from repro.kernels.base import ConvShape
 from repro.kernels.cudnn import (
     CuDNNFFTKernel,
     CuDNNGemmKernel,
     CuDNNWinogradKernel,
 )
-from repro.kernels.tdc_direct import TDCDirectKernel
 from repro.kernels.tvm_direct import TVMDirectKernel, TVMTiling
 from repro.perfmodel.tiling import select_tiling
 from repro.planning.cache import PlanCache
@@ -50,15 +49,6 @@ class _TDCBackend(KernelBackend):
     def tiling(self, shape: ConvShape, device: DeviceSpec) -> Optional[str]:
         # Memoized: core_latency already cached this selection.
         return str(select_tiling(shape, device, method=self.method).tiling)
-
-    def kernel(
-        self,
-        shape: ConvShape,
-        device: DeviceSpec,
-        tiling: Optional[str] = None,
-    ) -> ConvKernel:
-        choice = select_tiling(shape, device, method=self.method)
-        return TDCDirectKernel(choice.tiling)
 
 
 @register_backend
@@ -110,14 +100,6 @@ class TVMBackend(KernelBackend):
     def tiling(self, shape: ConvShape, device: DeviceSpec) -> Optional[str]:
         return str(self._tune(shape, device)[1])
 
-    def kernel(
-        self,
-        shape: ConvShape,
-        device: DeviceSpec,
-        tiling: Optional[str] = None,
-    ) -> ConvKernel:
-        return TVMDirectKernel(self._tune(shape, device)[1])
-
 
 @register_backend
 class CuDNNGemmBackend(KernelBackend):
@@ -128,14 +110,6 @@ class CuDNNGemmBackend(KernelBackend):
 
     def core_latency(self, shape: ConvShape, device: DeviceSpec) -> float:
         return CuDNNGemmKernel().latency(shape, device)
-
-    def kernel(
-        self,
-        shape: ConvShape,
-        device: DeviceSpec,
-        tiling: Optional[str] = None,
-    ) -> ConvKernel:
-        return CuDNNGemmKernel()
 
 
 @register_backend
@@ -151,14 +125,6 @@ class CuDNNWinogradBackend(KernelBackend):
     def core_latency(self, shape: ConvShape, device: DeviceSpec) -> float:
         return CuDNNWinogradKernel().latency(shape, device)
 
-    def kernel(
-        self,
-        shape: ConvShape,
-        device: DeviceSpec,
-        tiling: Optional[str] = None,
-    ) -> ConvKernel:
-        return CuDNNWinogradKernel()
-
 
 @register_backend
 class CuDNNFFTBackend(KernelBackend):
@@ -169,11 +135,3 @@ class CuDNNFFTBackend(KernelBackend):
 
     def core_latency(self, shape: ConvShape, device: DeviceSpec) -> float:
         return CuDNNFFTKernel().latency(shape, device)
-
-    def kernel(
-        self,
-        shape: ConvShape,
-        device: DeviceSpec,
-        tiling: Optional[str] = None,
-    ) -> ConvKernel:
-        return CuDNNFFTKernel()

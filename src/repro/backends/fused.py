@@ -2,13 +2,13 @@
 
 Registers ``"fused"`` as a seventh :class:`KernelBackend`: the same
 protocol every per-stage core backend speaks (``supports`` /
-``core_latency`` / ``tiling`` / ``kernel``), so ``auto`` dispatch,
-planning and warm-up adopt the fused kernel with zero
-special-casing.  The latency it reports is the fused chain's *core
-stage* — intermediate activation traffic dropped (see
-:mod:`repro.perfmodel.fused`); the pw1/pw2 plan entries
-keep their full per-stage latencies, a deliberate overcharge that
-keeps the comparison against per-stage backends conservative.
+``core_latency`` / ``tiling``), so ``auto`` dispatch, planning and
+warm-up adopt the fused kernel with zero special-casing.  The latency
+it reports is the fused chain's *core stage* — intermediate
+activation traffic dropped (see :mod:`repro.perfmodel.fused`); the
+pw1/pw2 plan entries keep their full per-stage latencies, a
+deliberate overcharge that keeps the comparison against per-stage
+backends conservative.
 
 The backend additionally implements the optional ``dwcore_latency``
 hook, so CP/TT depthwise middle stages participate in dispatch through
@@ -28,8 +28,8 @@ from typing import Optional
 
 from repro.backends.registry import KernelBackend, register_backend
 from repro.gpusim.device import DeviceSpec
-from repro.kernels.base import ConvKernel, ConvShape
-from repro.kernels.fused import FusedCoreKernel, select_fused_tiling
+from repro.kernels.base import ConvShape
+from repro.kernels.fused import select_fused_tiling
 from repro.perfmodel.fused import fused_core_latency, fused_dwcore_latency
 
 
@@ -52,14 +52,6 @@ class FusedBackend(KernelBackend):
     def tiling(self, shape: ConvShape, device: DeviceSpec) -> Optional[str]:
         tiling = select_fused_tiling(shape, device)
         return None if tiling is None else str(tiling)
-
-    def kernel(
-        self,
-        shape: ConvShape,
-        device: DeviceSpec,
-        tiling: Optional[str] = None,
-    ) -> ConvKernel:
-        return FusedCoreKernel(select_fused_tiling(shape, device))
 
     def dwcore_latency(
         self,

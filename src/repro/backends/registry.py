@@ -22,17 +22,13 @@ A backend provides:
 - ``tiling(shape, device)`` — optional human-readable description of
   the tiling/config that produced the latency (recorded per kernel on
   the execution plan);
-- ``kernel(shape, device, tiling=)`` — materialize the concrete
-  :class:`~repro.kernels.base.ConvKernel` behind ``core_latency``: the
-  functional mirror of the scheme that the kernel tests validate (the
-  compiled executable runs the same host stages for every backend);
-- ``dispatch(shape, device)`` — the latency and tiling as one
-  :class:`CoreDispatch`;
 - ``dwcore_latency(shape, device, collapse_to=)`` — optional offer for
   a CP/TT depthwise middle stage (see :func:`dispatch_dwcore`).
 
-Host wall time never enters these numbers: a plan prices the target
-GPU only (:mod:`repro.calibration` reports host seconds next to it).
+A backend only prices: the compiled executable runs the same host
+stages whichever backend a site's plan names.  Host wall time never
+enters these numbers: a plan prices the target GPU only
+(:mod:`repro.calibration` reports host seconds next to it).
 
 A backend with an expensive selection (a tiling sweep, a tuning run)
 memoizes it inside ``core_latency`` on first use, through a
@@ -51,7 +47,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, Optional, Tuple, Type, Union
 
 from repro.gpusim.device import DeviceSpec
-from repro.kernels.base import ConvKernel, ConvShape
+from repro.kernels.base import ConvShape
 
 #: Name of the per-layer fastest-registered-backend dispatcher.  Valid
 #: anywhere a backend name is accepted, but never stored in the
@@ -89,38 +85,6 @@ class KernelBackend:
     def tiling(self, shape: ConvShape, device: DeviceSpec) -> Optional[str]:
         """Description of the tiling/config behind ``core_latency``."""
         return None
-
-    def kernel(
-        self,
-        shape: ConvShape,
-        device: DeviceSpec,
-        tiling: Optional[str] = None,
-    ) -> ConvKernel:
-        """Materialize the :class:`ConvKernel` behind ``core_latency``.
-
-        The returned kernel's ``run`` must execute the same scheme (and
-        the same tiling/config) whose latency this backend reported for
-        ``shape`` on ``device`` — the functional mirror the kernel
-        tests validate against the reference conv.  ``tiling`` is the
-        description a prior dispatch recorded on the plan —
-        informational, since backends re-derive their configuration
-        deterministically (memoized).  Compiled executables do not call
-        this: every backend lowers to the same host stages.  Backends
-        that model a scheme without a numeric mirror raise
-        ``NotImplementedError``.
-        """
-        raise NotImplementedError(
-            f"backend {self.name!r} does not materialize numeric kernels; "
-            f"override KernelBackend.kernel() to make it compilable"
-        )
-
-    def dispatch(self, shape: ConvShape, device: DeviceSpec) -> CoreDispatch:
-        """Resolve one core shape through this backend."""
-        return CoreDispatch(
-            backend=self.name,
-            latency=self.core_latency(shape, device),
-            tiling=self.tiling(shape, device),
-        )
 
     def dwcore_latency(
         self,
@@ -276,7 +240,11 @@ def dispatch_core(
             f"backend {backend!r} does not support core shape {shape} "
             f"on {device.name}"
         )
-    return resolved.dispatch(shape, device)
+    return CoreDispatch(
+        backend=resolved.name,
+        latency=resolved.core_latency(shape, device),
+        tiling=resolved.tiling(shape, device),
+    )
 
 
 #: Pseudo-backend name of the baseline depthwise middle-stage kernel —

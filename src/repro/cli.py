@@ -231,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="machine-readable JSON output")
     an.add_argument("--dynamic", action="store_true",
                     help="also run the zero-allocation, live-aliasing "
-                         "and poisoned-slab probes on the quick preset "
+                         "and poisoned-buffer probes on the quick preset "
                          "sweep")
     an.add_argument("--list-rules", action="store_true",
                     help="list registered rules and exit")

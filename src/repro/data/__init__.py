@@ -2,7 +2,7 @@
 
 No network access and no dataset files are available offline, so the
 accuracy experiments run on deterministic synthetic image-classification
-tasks whose difficulty is controllable (see DESIGN.md §2).  The tasks
+tasks whose difficulty is controllable.  The tasks
 are built so that a small CNN must actually learn spatial structure:
 each class is a mixture of oriented texture patterns plus per-sample
 noise and random global transforms.

@@ -1,4 +1,4 @@
-"""Per-table/figure reproduction harnesses (see DESIGN.md §4).
+"""Per-table/figure reproduction harnesses.
 
 Each module regenerates one artifact of the paper's evaluation:
 

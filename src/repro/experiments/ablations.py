@@ -1,4 +1,4 @@
-"""Ablations of the design choices DESIGN.md calls out.
+"""Ablations of the reproduction's design choices.
 
 1. **CRSN kernel layout** (Sec. 5.2): latency of the TDC kernel with
    coalesced CRSN vs naive NCRS kernel loads.

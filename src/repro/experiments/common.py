@@ -26,9 +26,9 @@ E2E_MODELS: Tuple[str, ...] = (
 
 DEVICES: Dict[str, DeviceSpec] = {"A100": A100, "2080Ti": RTX2080TI}
 
-# Paper-reported end-to-end speedups (oracle / model) for EXPERIMENTS.md
-# side-by-side comparison: {(device, model): (vs_original, vs_tk_cudnn,
-# vs_tk_tvm)} — oracle numbers.
+# Paper-reported end-to-end speedups (oracle / model) that the Fig. 8/9
+# benches compare the reproduced ones against: {(device, model):
+# (vs_original, vs_tk_cudnn, vs_tk_tvm)} — oracle numbers.
 PAPER_E2E_SPEEDUPS: Dict[Tuple[str, str], Tuple[float, float, float]] = {
     ("A100", "densenet121"): (2.14, 1.41, 1.03),
     ("A100", "densenet201"): (1.70, 1.42, 1.04),

@@ -3,7 +3,7 @@
 The paper trains ResNet-20 on CIFAR-10 at 60% FLOPs reduction three
 ways: uncompressed baseline, "direct compression", and ADMM.  Here the
 same protocol runs on a slim ResNet-20 over the synthetic CIFAR stand-
-in (DESIGN.md §2), so the *absolute* accuracies differ from the
+in (:mod:`repro.data`), so the *absolute* accuracies differ from the
 paper's but the ordering — ADMM recovers near-baseline accuracy while
 the direct approaches lose several points — is the reproduced claim.
 

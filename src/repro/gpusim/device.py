@@ -14,8 +14,7 @@ the paper's evaluation platforms:
 
 Microarchitectural constants that matter to the paper's experiments
 (kernel launch overhead, __syncthreads cost, atomic throughput) are
-modeled with typical published magnitudes; DESIGN.md documents this
-substitution.
+modeled with typical published magnitudes, not measured.
 """
 
 from __future__ import annotations

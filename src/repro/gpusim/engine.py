@@ -1,7 +1,7 @@
 """Deterministic GPU kernel latency simulator.
 
 This is the stand-in for "run the kernel and time it" on a physical
-A100/2080Ti (see DESIGN.md §2).  A kernel execution is described by a
+A100/2080Ti.  A kernel execution is described by a
 :class:`KernelLaunch` — grid size, block resource footprint, per-block
 work, and global-memory traffic — and :func:`simulate_kernel` produces
 a latency with a full breakdown.

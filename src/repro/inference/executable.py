@@ -168,15 +168,16 @@ class BufferArena:
         self.slab = np.zeros(0, dtype=self.dtype)
         self._buffers: Dict[str, np.ndarray] = {}
         self._borders: Dict[str, float] = {}
+        self._pads: Dict[str, int] = {}
         self._intervals: Dict[str, Tuple[int, int]] = {}
         self._packed: Set[str] = set()
 
     def allocate(self, name: str, shape: Tuple[int, ...],
-                 border: Optional[float] = None) -> np.ndarray:
+                 border: Optional[float] = None, pad: int = 0) -> np.ndarray:
         """Allocate (zeroed) and register one private buffer; names are
         unique.  A ``border`` buffer starts filled with it: the padded
-        input of a windowed stage, whose border is never written
-        again."""
+        input of a windowed stage, whose outer ``pad`` rows and columns
+        are never written again."""
         if name in self._buffers:
             raise ValueError(f"arena buffer {name!r} already allocated")
         buf = np.zeros(shape, dtype=self.dtype)
@@ -184,6 +185,7 @@ class BufferArena:
             if border:
                 buf.fill(border)
             self._borders[name] = border
+            self._pads[name] = pad
         self._buffers[name] = buf
         return buf
 
@@ -203,6 +205,15 @@ class BufferArena:
     def border(self, name: str) -> Optional[float]:
         """The border fill of a padded input; ``None`` for the rest."""
         return self._borders.get(name)
+
+    def interior(self, name: str) -> np.ndarray:
+        """The part of ``name`` a request writes: a padded input inside
+        its border, any other buffer whole."""
+        buf = self._buffers[name]
+        p = self._pads.get(name, 0)
+        if not p:
+            return buf
+        return buf[..., p:buf.shape[-2] - p, p:buf.shape[-1] - p]
 
     def interval(self, name: str) -> Optional[Tuple[int, int]]:
         """``name``'s first and last step, or ``None``: live throughout."""
@@ -832,9 +843,9 @@ class _Lowering:
 
     # -- buffers --------------------------------------------------------
     def alloc(self, name: str, shape: Tuple[int, ...],
-              border: Optional[float] = None) -> np.ndarray:
+              border: Optional[float] = None, pad: int = 0) -> np.ndarray:
         return self.arena.allocate(name, (self.max_batch,) + tuple(shape),
-                                   border)
+                                   border, pad)
 
     def weight(self, array: np.ndarray) -> np.ndarray:
         """An owned, contiguous copy in the execution dtype."""
@@ -922,7 +933,7 @@ class _Lowering:
                 return source(a)
             ch, hh, ww = a.shape
             buf = self.alloc(f"{path}.xpad", (ch, hh + 2 * p, ww + 2 * p),
-                             border=0.0)
+                             border=0.0, pad=p)
             self.write(a, buf[:, :, p:p + hh, p:p + ww], stages)
             return buf
 
@@ -1013,7 +1024,7 @@ class _Lowering:
             # Padded cells never win the max.
             border = np.finfo(self.arena.dtype).min if is_max else 0.0
             base = self.alloc(f"{path}.xpad", (c, h + 2 * p, w + 2 * p),
-                              border=float(border))
+                              border=float(border), pad=p)
             self.write(act, base[:, :, p:p + h, p:p + w], self.steps)
         else:
             base = self.buffered(act, f"{path}.in").buf

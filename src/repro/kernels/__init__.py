@@ -1,8 +1,9 @@
 """Convolution kernel schemes (TDC, TVM, cuDNN-style baselines).
 
-Every scheme has a functional NumPy execution path (validated against
-:func:`repro.kernels.base.reference_conv`) and a launch description
-whose latency comes from the GPU simulator.
+Every scheme is a launch description whose latency comes from the GPU
+simulator; :mod:`repro.kernels.codegen` emits the TDC kernel's CUDA
+source.  The host computes convolutions only through the compiled
+executable's stages (:mod:`repro.inference.executable`).
 """
 
 from repro.kernels.base import FLOAT_BYTES, ConvKernel, ConvShape, pad_input, reference_conv

@@ -6,18 +6,18 @@ is the *output* feature-map extent and the input is implicitly padded
 ("same" convolution, matching Listing 2's ``(TH+R-1) x (TW+S-1)``
 input tile per ``TH x TW`` output tile).
 
-A :class:`ConvKernel` provides two views of one scheme:
-
-- ``launches(shape, device)``: the kernel-launch description(s) fed to
-  the GPU simulator (the "measured" latency path), and
-- ``run(x, weight)``: a functional NumPy execution of the same
-  algorithm, validated against the reference convolution in tests.
+A :class:`ConvKernel` describes one scheme by its kernel launches
+(``launches(shape, device)``), which the GPU simulator prices
+(``latency``).  The host computes every convolution through the
+compiled executable's stages (:mod:`repro.inference.executable`);
+:func:`reference_conv` is the direct definition the ``nn`` layer tests
+compare against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -29,9 +29,11 @@ FLOAT_BYTES = 4  # kernels operate in float32 on the device
 
 
 def execution_dtype(*arrays: np.ndarray) -> np.dtype:
-    """The dtype a kernel executes in for the given operands.
+    """The dtype to compute in for the given operands.
 
-    Float inputs keep their common float dtype — float32 stays float32
+    :func:`repro.inference.executable.model_dtype` picks the arena
+    dtype with it, and :func:`reference_conv` computes in it.  Float
+    inputs keep their common float dtype — float32 stays float32
     end to end (the device executes float32; silent float64 promotion
     doubles memory and hides precision issues).  Non-float inputs
     (ints, bools) promote to float64, and sub-float32 floats (float16)
@@ -135,42 +137,14 @@ class ConvKernel:
             ).total
         return total
 
-    def run(self, x: np.ndarray, weight: np.ndarray) -> np.ndarray:
-        """Functional execution: ``(C,H,W) x (N,C,R,S) -> (N,H,W)``."""
-        raise NotImplementedError
-
-    def _check_run_args(
-        self, x: np.ndarray, weight: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, ConvShape]:
-        x = np.asarray(x)
-        weight = np.asarray(weight)
-        # Execute in the inputs' common float dtype; see
-        # :func:`execution_dtype` for the promotion rules.
-        dtype = execution_dtype(x, weight)
-        x = np.asarray(x, dtype=dtype)
-        weight = np.asarray(weight, dtype=dtype)
-        if x.ndim != 3:
-            raise ValueError(f"input must be (C,H,W), got {x.shape}")
-        if weight.ndim != 4:
-            raise ValueError(f"weight must be (N,C,R,S), got {weight.shape}")
-        if weight.shape[1] != x.shape[0]:
-            raise ValueError(
-                f"channel mismatch: input C={x.shape[0]}, weight C={weight.shape[1]}"
-            )
-        shape = ConvShape(
-            c=x.shape[0], n=weight.shape[0], h=x.shape[1], w=x.shape[2],
-            r=weight.shape[2], s=weight.shape[3],
-        )
-        return x, weight, shape
-
 
 def reference_conv(x: np.ndarray, weight: np.ndarray) -> np.ndarray:
-    """Reference "same" convolution for kernel validation.
+    """Reference "same" convolution, the direct definition.
 
     ``x`` is ``(C, H, W)``, ``weight`` is ``(N, C, R, S)``; output is
     ``(N, H, W)``.  Cross-correlation (DL convention).  Dtype-
-    preserving like the kernel ``run()`` paths: float32 inputs produce
-    a float32 reference instead of silently promoting to float64.
+    preserving under :func:`execution_dtype`: float32 inputs produce a
+    float32 reference instead of silently promoting to float64.
     """
     dtype = execution_dtype(np.asarray(x), np.asarray(weight))
     x = np.asarray(x, dtype=dtype)

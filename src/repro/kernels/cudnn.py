@@ -2,9 +2,8 @@
 
 Models of the three cuDNN algorithms the paper benchmarks against
 (Sec. 7.1): ``IMPLICIT_GEMM``, ``WINOGRAD`` and ``FFT``.  Each class
-provides a *functional* NumPy execution of the real algorithm (checked
-against the reference conv) and a launch description whose simulated
-latency reflects the algorithm's known cost structure:
+provides a launch description whose simulated latency reflects the
+algorithm's known cost structure:
 
 - **Implicit GEMM** pads the problem to fixed MxN tiles, so small-
   channel Tucker cores waste most of the tile (the under-utilization
@@ -23,13 +22,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import ceil, log2
-from typing import List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import List, Optional, Tuple
 
 from repro.gpusim.device import DeviceSpec
 from repro.gpusim.engine import KernelLaunch
-from repro.kernels.base import FLOAT_BYTES, ConvKernel, ConvShape, pad_input
+from repro.kernels.base import FLOAT_BYTES, ConvKernel, ConvShape
 
 COMPLEX_BYTES = 8  # float32 complex
 
@@ -133,56 +130,10 @@ class CuDNNGemmKernel(ConvKernel):
         ]
         return launches
 
-    def run(self, x: np.ndarray, weight: np.ndarray) -> np.ndarray:
-        """im2col + GEMM, the algorithm IMPLICIT_GEMM fuses on chip."""
-        x, weight, shape = self._check_run_args(x, weight)
-        xp = pad_input(x, shape)
-        # Build the (K, M) im2col matrix explicitly.
-        cols = np.empty((shape.c * shape.r * shape.s, shape.h * shape.w),
-                        dtype=x.dtype)
-        idx = 0
-        for c in range(shape.c):
-            for r in range(shape.r):
-                for s in range(shape.s):
-                    cols[idx] = xp[c, r : r + shape.h, s : s + shape.w].ravel()
-                    idx += 1
-        w_mat = weight.reshape(shape.n, -1)
-        return (w_mat @ cols).reshape(shape.n, shape.h, shape.w)
-
-
 
 # ---------------------------------------------------------------------------
 # Winograd F(2x2, 3x3)
 # ---------------------------------------------------------------------------
-
-# Lavin & Gray minimal filtering matrices (cross-correlation form).
-# Masters stay float64 (exact: entries are halves) so every cast in
-# ``wino_transforms`` starts from full precision.
-WINO_BT = np.array(
-    [[1, 0, -1, 0], [0, 1, 1, 0], [0, -1, 1, 0], [0, 1, 0, -1]], dtype=np.float64  # repro: ignore[dtype-promotion] -- exact float64 master, cast per-dtype via wino_transforms
-)
-WINO_G = np.array(
-    [[1, 0, 0], [0.5, 0.5, 0.5], [0.5, -0.5, 0.5], [0, 0, 1]], dtype=np.float64  # repro: ignore[dtype-promotion] -- exact float64 master, cast per-dtype via wino_transforms
-)
-WINO_AT = np.array([[1, 1, 1, 0], [0, 1, -1, -1]], dtype=np.float64)  # repro: ignore[dtype-promotion] -- exact float64 master, cast per-dtype via wino_transforms
-
-_WINO_TRANSFORMS: dict = {}
-
-
-def wino_transforms(dtype) -> tuple:
-    """The ``(BT, G, AT)`` triple cast to ``dtype``, memoized.
-
-    ``run`` consumes the transforms every call; casting the float64
-    masters there allocated three fresh arrays per call on float32
-    inputs, so the cast happens once per dtype here instead.
-    """
-    dt = np.dtype(dtype)
-    cached = _WINO_TRANSFORMS.get(dt)
-    if cached is None:
-        cached = tuple(m.astype(dt, copy=False) for m in (WINO_BT, WINO_G, WINO_AT))
-        _WINO_TRANSFORMS[dt] = cached
-    return cached
-
 
 class CuDNNWinogradKernel(ConvKernel):
     """WINOGRAD: F(2x2, 3x3) minimal filtering (3x3 stride-1 only)."""
@@ -294,45 +245,6 @@ class CuDNNWinogradKernel(ConvKernel):
         )
         return launches
 
-    def run(self, x: np.ndarray, weight: np.ndarray) -> np.ndarray:
-        """Actual F(2x2,3x3) Winograd convolution in NumPy."""
-        x, weight, shape = self._check_run_args(x, weight)
-        self._check_supported(shape)
-        th = ceil(shape.h / 2)
-        tw = ceil(shape.w / 2)
-        # Transform matrices in the execution dtype (their entries are
-        # exactly representable in float32, so no accuracy is lost).
-        bt, g, at = wino_transforms(x.dtype)
-        # Pad so tiles cover the output: need (2*th + 2, 2*tw + 2).
-        xp = np.zeros((shape.c, 2 * th + 2, 2 * tw + 2), dtype=x.dtype)
-        base = pad_input(x, shape)  # (C, H+2, W+2)
-        xp[:, : base.shape[1], : base.shape[2]] = base
-
-        # Filter transform U = G g G^T: (N, C, 4, 4) -> (4, 4, N, C)
-        u = np.einsum("ij,ncjk,lk->ncil", g, weight, g, optimize=True)
-        u = u.transpose(2, 3, 0, 1)
-
-        # Input transform V = B^T d B per tile: (4, 4, C, P)
-        d = np.empty((shape.c, th, tw, 4, 4), dtype=x.dtype)
-        for i in range(th):
-            for j in range(tw):
-                d[:, i, j] = xp[:, 2 * i : 2 * i + 4, 2 * j : 2 * j + 4]
-        v = np.einsum("ij,cpqjk,lk->cpqil", bt, d, bt, optimize=True)
-        v = v.transpose(3, 4, 0, 1, 2).reshape(4, 4, shape.c, th * tw)
-
-        # Batched GEMMs: M[k1,k2] = U[k1,k2] @ V[k1,k2]
-        m = np.einsum("ijnc,ijcp->ijnp", u, v, optimize=True)
-
-        # Output transform: Y = A^T M A per tile -> (2, 2, N, P)
-        yt = np.einsum("ki,ijnp,lj->klnp", at, m, at, optimize=True)
-        y = np.zeros((shape.n, 2 * th, 2 * tw), dtype=x.dtype)
-        yt = yt.reshape(2, 2, shape.n, th, tw)
-        for a in range(2):
-            for b in range(2):
-                y[:, a::2, b::2] = yt[a, b]
-        return y[:, : shape.h, : shape.w]
-
-
 
 # ---------------------------------------------------------------------------
 # FFT
@@ -393,21 +305,3 @@ class CuDNNFFTKernel(ConvKernel):
                 )
             )
         return launches
-
-    def run(self, x: np.ndarray, weight: np.ndarray) -> np.ndarray:
-        """Frequency-domain cross-correlation (only use on small shapes:
-        the transformed-filter tensor is O(C*N*H*W))."""
-        x, weight, shape = self._check_run_args(x, weight)
-        hf = shape.h + shape.r - 1
-        wf = shape.w + shape.s - 1
-        xp = pad_input(x, shape)  # (C, hf, wf)
-        kp = np.zeros((shape.n, shape.c, hf, wf), dtype=x.dtype)
-        kp[:, :, : shape.r, : shape.s] = weight
-        xf = np.fft.rfft2(xp, s=(hf, wf))
-        kf = np.fft.rfft2(kp, s=(hf, wf))
-        # Circular cross-correlation: IFFT( X * conj(K) ).
-        yf = np.einsum("chw,nchw->nhw", xf, np.conj(kf), optimize=True)
-        # np.fft always computes in double precision; cast back so the
-        # kernel's output dtype matches its inputs.
-        y = np.fft.irfft2(yf, s=(hf, wf)).astype(x.dtype, copy=False)
-        return y[:, : shape.h, : shape.w]

@@ -16,19 +16,11 @@ planners for ``dwcore`` plan entries.
 from __future__ import annotations
 
 from math import ceil
-from typing import List, Optional, Tuple
-
-import numpy as np
+from typing import List, Optional
 
 from repro.gpusim.device import DeviceSpec
 from repro.gpusim.engine import KernelLaunch
-from repro.kernels.base import (
-    FLOAT_BYTES,
-    ConvKernel,
-    ConvShape,
-    execution_dtype,
-    pad_input,
-)
+from repro.kernels.base import FLOAT_BYTES, ConvKernel, ConvShape
 from repro.kernels.pointwise import memory_bound_op_latency
 
 
@@ -72,44 +64,6 @@ class DepthwiseConvKernel(ConvKernel):
                 name=f"depthwise{shape}",
             )
         ]
-
-    # -- functional execution -------------------------------------------
-    def _check_depthwise_args(
-        self, x: np.ndarray, weight: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, ConvShape]:
-        # The shared _check_run_args demands 4-D (N,C,R,S) weights;
-        # depthwise weights are (C,R,S), so validate locally.
-        x = np.asarray(x)
-        weight = np.asarray(weight)
-        dtype = execution_dtype(x, weight)
-        x = np.asarray(x, dtype=dtype)
-        weight = np.asarray(weight, dtype=dtype)
-        if x.ndim != 3:
-            raise ValueError(f"input must be (C,H,W), got {x.shape}")
-        if weight.ndim != 3:
-            raise ValueError(f"weight must be (C,R,S), got {weight.shape}")
-        if weight.shape[0] != x.shape[0]:
-            raise ValueError(
-                f"channel mismatch: input C={x.shape[0]}, "
-                f"weight C={weight.shape[0]}"
-            )
-        shape = ConvShape(
-            c=x.shape[0], n=x.shape[0], h=x.shape[1], w=x.shape[2],
-            r=weight.shape[1], s=weight.shape[2],
-        )
-        return x, weight, shape
-
-    def run(self, x: np.ndarray, weight: np.ndarray) -> np.ndarray:
-        """Tap loop over the zero-padded input: one multiply-add per
-        ``(r, s)`` filter tap, every channel at once."""
-        x, weight, shape = self._check_depthwise_args(x, weight)
-        xp = pad_input(x, shape)
-        h, w = shape.h, shape.w
-        out = np.zeros((shape.c, h, w), dtype=x.dtype)
-        for i in range(shape.r):
-            for j in range(shape.s):
-                out += xp[:, i : i + h, j : j + w] * weight[:, i, j, None, None]
-        return out
 
 
 def dwcore_latency(

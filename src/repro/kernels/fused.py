@@ -12,9 +12,9 @@ module models that kernel for all three factored formats (Tucker / CP
   core accumulator tile resident until the output projection consumes
   it).  :func:`fused_smem_bytes` is the single accounting used by the
   launch description, the code generator, and feasibility checks.
-- :class:`FusedCoreKernel`: a :class:`ConvKernel` whose launch
-  description carries *no intermediate activation traffic* — the core
-  stage of the fused chain reads only its weights (the ``z1`` slab is
+- :func:`fused_core_launch`: the core stage's launch description,
+  which carries *no intermediate activation traffic* — the core stage
+  of the fused chain reads only its weights (the ``z1`` slab is
   produced in shared memory by the pw1 stage and the accumulator is
   consumed in place by pw2).
 
@@ -27,13 +27,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import ceil
-from typing import List, Optional, Tuple
-
-import numpy as np
+from typing import Optional, Tuple
 
 from repro.gpusim.device import DeviceSpec
 from repro.gpusim.engine import KernelLaunch
-from repro.kernels.base import FLOAT_BYTES, ConvKernel, ConvShape, pad_input
+from repro.kernels.base import FLOAT_BYTES, ConvShape
 from repro.planning.cache import PlanCache
 
 # --------------------------------------------------------------------------
@@ -150,54 +148,3 @@ def fused_core_launch(
         global_stalls_per_block=stages,
         name=f"fused_core{shape}",
     )
-
-
-class FusedCoreKernel(ConvKernel):
-    """The fused chain's core stage as a standalone :class:`ConvKernel`.
-
-    ``launches`` carries the zero-intermediate-traffic description
-    above; ``run`` executes the block's row-blocked shifted
-    accumulation, so the backend's kernel factory validates against
-    :func:`reference_conv` like every other registered scheme.
-    """
-
-    name = "fused-core"
-
-    def __init__(self, tiling: Optional[FusedTiling] = None) -> None:
-        self.tiling = tiling
-
-    def _tiling_for(self, shape: ConvShape) -> FusedTiling:
-        if self.tiling is not None:
-            return self.tiling
-        return FusedTiling(
-            tb=min(8, shape.h), tw=min(32, shape.w), tc=min(16, shape.c)
-        )
-
-    def launches(
-        self, shape: ConvShape, device: DeviceSpec
-    ) -> List[KernelLaunch]:
-        tiling = self.tiling or select_fused_tiling(shape, device)
-        if tiling is None:
-            raise ValueError(
-                f"no feasible fused tiling for {shape} on {device.name}"
-            )
-        return [fused_core_launch(shape, device, tiling)]
-
-    def run(self, x: np.ndarray, weight: np.ndarray) -> np.ndarray:
-        """Shifted accumulation in output-row blocks of ``tb`` rows:
-        per block, one channel-mixing product per ``(r, s)`` tap."""
-        x, weight, shape = self._check_run_args(x, weight)
-        xpad = pad_input(x, shape)
-        h, w = shape.h, shape.w
-        tb = self._tiling_for(shape).tb
-        out = np.zeros((shape.n, h, w), dtype=x.dtype)
-        for o0 in range(0, h, tb):
-            o1 = min(o0 + tb, h)
-            for ri in range(shape.r):
-                for si in range(shape.s):
-                    out[:, o0:o1, :] += np.einsum(
-                        "nc,chw->nhw", weight[:, :, ri, si],
-                        xpad[:, o0 + ri : o1 + ri, si : si + w],
-                        optimize=True,
-                    )
-        return out

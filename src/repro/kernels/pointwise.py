@@ -13,21 +13,13 @@ DRAM bandwidth plus launch overhead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import ceil
 from typing import List, Optional, Sequence
 
-import numpy as np
-
 from repro.gpusim.device import DeviceSpec
-from repro.gpusim.engine import KernelLaunch, simulate_kernel
+from repro.gpusim.engine import KernelLaunch
 from repro.kernels.base import FLOAT_BYTES, ConvKernel, ConvShape
-from repro.kernels.cudnn import (
-    GEMM_CONFIGS,
-    IMPLICIT_GEMM_CONFIGS,
-    CuDNNGemmKernel,
-    GemmConfig,
-)
+from repro.kernels.cudnn import IMPLICIT_GEMM_CONFIGS, GemmConfig
 
 
 class PointwiseConvKernel(ConvKernel):
@@ -92,14 +84,6 @@ class PointwiseConvKernel(ConvKernel):
                 name=f"pointwise{shape}",
             )
         ]
-
-    def run(self, x: np.ndarray, weight: np.ndarray) -> np.ndarray:
-        x, weight, shape = self._check_run_args(x, weight)
-        if shape.r != 1 or shape.s != 1:
-            raise ValueError("PointwiseConvKernel requires a 1x1 filter")
-        w_mat = weight[:, :, 0, 0]
-        return np.einsum("nc,chw->nhw", w_mat, x, optimize=True)
-
 
 
 def pointwise_latency(

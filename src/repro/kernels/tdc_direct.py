@@ -29,7 +29,7 @@ from repro.gpusim.batch import LaunchBatch, compute_occupancy_batch
 from repro.gpusim.device import DeviceSpec
 from repro.gpusim.engine import KernelLaunch
 from repro.gpusim.occupancy import compute_occupancy
-from repro.kernels.base import FLOAT_BYTES, ConvKernel, ConvShape, pad_input
+from repro.kernels.base import FLOAT_BYTES, ConvKernel, ConvShape
 from repro.utils.validation import check_positive_int
 
 # CUDA caps a thread at 255 registers; beyond ~224 the temp_result
@@ -233,7 +233,7 @@ class TDCDirectKernel(ConvKernel):
     """The TDC core-convolution kernel with a fixed tiling.
 
     Tiling selection lives in :mod:`repro.perfmodel.tiling`; this class
-    describes and executes the kernel for a *given* tiling.
+    describes the kernel's launch for a *given* tiling.
     """
 
     name = "tdc_direct"
@@ -291,40 +291,3 @@ class TDCDirectKernel(ConvKernel):
                 name=f"tdc_core{shape}{t}",
             )
         ]
-
-    def run(self, x: np.ndarray, weight: np.ndarray) -> np.ndarray:
-        """Functional block-tiled execution mirroring Listing 2.
-
-        Iterates thread blocks (C-tile, H-tile, W-tile); each block
-        stages its padded input cube ("shared memory"), accumulates a
-        per-thread TH x TW temporary across (c, r, s), and adds it into
-        the global output (the atomicAdd).  Must agree with
-        :func:`repro.kernels.base.reference_conv` bit-for-bit up to
-        float summation order.
-        """
-        x, weight, shape = self._check_run_args(x, weight)
-        t = self.tiling.clipped(shape)
-        xp = pad_input(x, shape)
-        y = np.zeros((shape.n, shape.h, shape.w), dtype=x.dtype)
-        for c0 in range(0, shape.c, t.tc):
-            c1 = min(c0 + t.tc, shape.c)
-            for h0 in range(0, shape.h, t.th):
-                hsz = min(t.th, shape.h - h0)
-                for w0 in range(0, shape.w, t.tw):
-                    wsz = min(t.tw, shape.w - w0)
-                    # Stage the input cube (shared memory load + sync).
-                    smem = xp[c0:c1, h0 : h0 + hsz + shape.r - 1,
-                              w0 : w0 + wsz + shape.s - 1]
-                    temp = np.zeros((shape.n, hsz, wsz), dtype=x.dtype)
-                    for r in range(shape.r):
-                        for s in range(shape.s):
-                            patch = smem[:, r : r + hsz, s : s + wsz]
-                            temp += np.einsum(
-                                "chw,nc->nhw",
-                                patch,
-                                weight[:, c0:c1, r, s],
-                                optimize=True,
-                            )
-                    # atomicAdd into the global output.
-                    y[:, h0 : h0 + hsz, w0 : w0 + wsz] += temp
-        return y

@@ -24,11 +24,9 @@ from dataclasses import dataclass
 from math import ceil
 from typing import List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.gpusim.device import DeviceSpec
-from repro.gpusim.engine import KernelLaunch, simulate_kernel
-from repro.kernels.base import FLOAT_BYTES, ConvKernel, ConvShape, pad_input
+from repro.gpusim.engine import KernelLaunch
+from repro.kernels.base import FLOAT_BYTES, ConvKernel, ConvShape
 
 # Spatial tile / channel-block candidates explored by the tuner.
 SPATIAL_CANDIDATES: Tuple[int, ...] = (4, 7, 8, 14, 16, 28, 32)
@@ -144,34 +142,3 @@ class TVMDirectKernel(ConvKernel):
                 name=f"tvm_conv{shape}{t}",
             )
         ]
-
-    def run(self, x: np.ndarray, weight: np.ndarray) -> np.ndarray:
-        """Functional tiled execution of the TVM scheme.
-
-        Loops output tiles and, inside each, the C dimension (the
-        shared-memory staging loop), accumulating TN channels at a
-        time.
-        """
-        x, weight, shape = self._check_run_args(x, weight)
-        t = self.tiling.clipped(shape)
-        xp = pad_input(x, shape)
-        y = np.zeros((shape.n, shape.h, shape.w), dtype=x.dtype)
-        for n0 in range(0, shape.n, t.tn):
-            n1 = min(n0 + t.tn, shape.n)
-            for h0 in range(0, shape.h, t.th):
-                hsz = min(t.th, shape.h - h0)
-                for w0 in range(0, shape.w, t.tw):
-                    wsz = min(t.tw, shape.w - w0)
-                    acc = np.zeros((n1 - n0, hsz, wsz), dtype=x.dtype)
-                    for c in range(shape.c):  # C loop with smem staging
-                        smem_in = xp[c, h0 : h0 + hsz + shape.r - 1,
-                                     w0 : w0 + wsz + shape.s - 1]
-                        smem_k = weight[n0:n1, c]
-                        for r in range(shape.r):
-                            for s in range(shape.s):
-                                acc += (
-                                    smem_in[r : r + hsz, s : s + wsz][None]
-                                    * smem_k[:, r, s][:, None, None]
-                                )
-                    y[n0:n1, h0 : h0 + hsz, w0 : w0 + wsz] = acc
-        return y

@@ -450,10 +450,3 @@ def select_tilings(
 def clear_tiling_cache() -> None:
     """Drop memoized tiling selections (used by tests/benchmarks)."""
     _SELECT_CACHE.clear()
-
-
-def tdc_kernel_for(
-    shape: ConvShape, device: DeviceSpec, method: str = "model"
-) -> TDCDirectKernel:
-    """Convenience: a TDC kernel with the selected tiling."""
-    return TDCDirectKernel(select_tiling(shape, device, method=method).tiling)

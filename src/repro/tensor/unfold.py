@@ -139,7 +139,7 @@ def khatri_rao(matrices: Sequence[np.ndarray]) -> np.ndarray:
 def as_float(tensor: np.ndarray) -> np.ndarray:
     """Coerce to a floating array while preserving float dtypes.
 
-    Mirrors the kernel execution rule
+    Mirrors the execution-dtype rule
     (:func:`repro.kernels.base.execution_dtype`): float inputs keep
     their precision end to end; integer/bool inputs are promoted to
     float64.  Decomposition code uses this instead of an unconditional

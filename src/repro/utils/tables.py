@@ -1,8 +1,8 @@
 """Minimal ASCII table formatting for experiment output.
 
 The experiment harnesses print rows in the same layout as the paper's
-tables/figures so EXPERIMENTS.md can record paper-vs-measured side by
-side.  No external dependency; pure string handling.
+tables/figures, so paper and reproduced numbers read side by side.  No
+external dependency; pure string handling.
 """
 
 from __future__ import annotations

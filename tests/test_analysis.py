@@ -282,8 +282,6 @@ class _SharedBase(KernelBackend):
 @register_backend
 class GoodBackend(_SharedBase):
     name = "good"
-    def kernel(self, shape, device, tiling=None):
-        return None
     def dwcore_latency(self, shape, device, collapse_to=None):
         return None
 """
@@ -542,6 +540,33 @@ def test_stale_reads_catch_a_skipped_write():
     assert stale_reads(exe) == []
     first = exe._steps[0]
     first.forward = lambda x: None      # the first conv never writes
+    assert stale_reads(exe) == [2, 1]
+
+
+def test_stale_reads_poison_the_padded_inputs():
+    """A padded input whose staging copy is skipped keeps what the last
+    request left inside its border.  The probe poisons that interior
+    too, so the skipped write shows, at full and partial batch."""
+    from repro.gpusim.device import A100
+    from repro.inference import compile_model
+    from repro.inference.executable import AffineStage
+    from repro.nn.conv import Conv2d
+    from repro.nn.layers import GlobalAvgPool2d, Linear, ReLU
+    from repro.nn.module import Sequential
+
+    model = Sequential(Conv2d(3, 4, 3, padding=1, seed=1), ReLU(),
+                       Conv2d(4, 4, 3, padding=1, seed=2), GlobalAvgPool2d(),
+                       Linear(4, 3, seed=3)).eval()
+    exe = compile_model(model, A100, image_hw=(6, 6), max_batch=2)
+    assert stale_reads(exe) == []
+    site = exe.sites()[1]
+    xpad = exe.arena.get(f"{site.site_name}.xpad")
+    interior = exe.arena.interior(f"{site.site_name}.xpad")
+    assert interior.shape == xpad.shape[:2] + (6, 6)
+    staging = [st for st in site.stages if isinstance(st, AffineStage)
+               and np.shares_memory(st.out, xpad)]
+    assert len(staging) == 1
+    staging[0].run = lambda *args: None   # the staging copy never runs
     assert stale_reads(exe) == [2, 1]
 
 

@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from repro.backends import backend_names, get_backend
+from repro.backends import backend_names
 from repro.codesign.pipeline import decompose_for_device
 from repro.gpusim.device import A100
 from repro.inference import compile_model, compile_plan, plan_model
@@ -22,7 +22,6 @@ from repro.inference.executable import (
 )
 from repro.inference.plan import plan_tucker_model
 from repro.kernels.base import reference_conv
-from repro.kernels.cudnn import CuDNNWinogradKernel
 from repro.nn.cp_conv import CPConv2d
 from repro.nn.tt_conv import TTConv2d
 from repro.models.arch_specs import LayerSpec, ModelSpec
@@ -213,30 +212,6 @@ def test_compiled_run_not_slower_than_module_forward(name, n, formats):
 # ---------------------------------------------------------------------------
 # No-allocation hot path + arena reuse
 # ---------------------------------------------------------------------------
-
-def test_wino_transforms_cached_per_dtype():
-    """Regression (hot-path-alloc): the Winograd kernel used to cast
-    the float64 transform masters on every call — three fresh arrays
-    per call on float32 inputs.  The cast is now memoized per dtype."""
-    from repro.kernels.cudnn import WINO_BT, wino_transforms
-
-    f32 = wino_transforms(np.float32)
-    assert wino_transforms(np.float32) is f32       # cached, no re-cast
-    assert all(m.dtype == np.float32 for m in f32)
-    f64 = wino_transforms(np.float64)
-    assert f64[0] is not f32[0]
-    np.testing.assert_array_equal(f64[0], WINO_BT)  # float64 passthrough
-
-    # Numerics through the cached transforms still match the reference.
-    shape_c, shape_n, hw = 3, 4, 8
-    rng = np.random.default_rng(11)
-    x = rng.standard_normal((shape_c, hw, hw)).astype(np.float32)
-    w = rng.standard_normal((shape_n, shape_c, 3, 3)).astype(np.float32)
-    kernel = CuDNNWinogradKernel()
-    np.testing.assert_allclose(
-        kernel.run(x, w), reference_conv(x, w), atol=1e-4
-    )
-
 
 @pytest.mark.parametrize("backend", ["auto", "tdc-model", "cudnn"])
 def test_hot_path_allocates_nothing(backend, count_allocations):
@@ -496,21 +471,3 @@ def test_plan_model_names_round_trip_to_modules(decomposed):
             assert k.layer in sites
     n_tucker = sum(1 for s in sites.values() if s.is_tucker)
     assert sum(1 for k in plan.kernels if k.kind == "core") == n_tucker
-
-
-def test_backend_kernel_factory_all_registered():
-    """Every builtin backend materializes a runnable kernel matching
-    its reference conv."""
-    from repro.kernels.base import ConvShape
-
-    rng = np.random.default_rng(6)
-    shape = ConvShape(c=4, n=4, h=6, w=6, r=3, s=3)
-    x = rng.standard_normal((4, 6, 6))
-    w = rng.standard_normal((4, 4, 3, 3))
-    ref = reference_conv(x, w)
-    for name in backend_names():
-        backend = get_backend(name)
-        if not backend.supports(shape, A100):
-            continue
-        kernel = backend.kernel(shape, A100)
-        np.testing.assert_allclose(kernel.run(x, w), ref, atol=1e-6)

@@ -1,7 +1,7 @@
 """Cross-package integration tests.
 
 These tie the layers of the system together: the NN layer semantics
-against the simulated kernel schemes, the code generator against the
+against the reference convolution, the code generator against the
 simulator's resource accounting, and the full pipeline end to end.
 """
 
@@ -13,7 +13,6 @@ from repro.compression.training import evaluate, train_model
 from repro.data.synthetic import make_cifar_like
 from repro.gpusim.device import A100
 from repro.kernels.base import ConvShape, reference_conv
-from repro.kernels.pointwise import PointwiseConvKernel
 from repro.kernels.tdc_direct import TDCDirectKernel, Tiling
 from repro.models.registry import build_model
 from repro.nn import Conv2d, TuckerConv2d
@@ -21,22 +20,8 @@ from repro.nn.tucker_conv import TuckerConv2d as TC
 
 
 class TestLayerKernelConsistency:
-    """A TuckerConv2d layer and the three simulated device kernels
-    (1x1 -> TDC core -> 1x1) must compute the same function."""
-
-    def test_tucker_layer_equals_kernel_chain(self, rng):
-        layer = TuckerConv2d(
-            6, 8, 3, rank_in=3, rank_out=4, padding=1, bias=False, seed=0
-        )
-        x = rng.standard_normal((1, 6, 10, 10))
-        y_layer = layer.forward(x)[0]
-
-        pw = PointwiseConvKernel()
-        core = TDCDirectKernel(Tiling(4, 4, 2))
-        z1 = pw.run(x[0], layer.w_in.data[:, :, None, None])
-        z2 = core.run(z1, layer.core.data)
-        y_kernels = pw.run(z2, layer.w_out.data[:, :, None, None])
-        np.testing.assert_allclose(y_layer, y_kernels, atol=1e-9)
+    """The NN layers agree with the reference convolution and with the
+    kernel accounting (FLOPs, codegen resources)."""
 
     def test_dense_layer_equals_reference_kernel(self, rng):
         conv = Conv2d(5, 7, 3, padding=1, bias=False, seed=0)

@@ -1,18 +1,15 @@
 """Tests for all convolution kernel schemes.
 
-Every scheme's functional execution is cross-checked against the
-reference convolution over randomized shapes (hypothesis), and each
-latency model is probed for the structural properties the paper relies
-on.
+Each scheme's launch description and simulated latency is probed for
+the structural properties the paper relies on; ``pad_input`` and the
+dtype promotion rules are checked directly.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.gpusim.device import A100, RTX2080TI
-from repro.kernels.base import ConvShape, pad_input, reference_conv
+from repro.kernels.base import ConvShape, execution_dtype, pad_input
 from repro.kernels.cudnn import (
     CuDNNFFTKernel,
     CuDNNGemmKernel,
@@ -38,21 +35,6 @@ from repro.kernels.tdc_direct import (
 from repro.kernels.tvm_direct import TVMDirectKernel, TVMTiling
 
 
-@st.composite
-def conv_cases(draw):
-    c = draw(st.integers(1, 12))
-    n = draw(st.integers(1, 12))
-    h = draw(st.integers(3, 12))
-    w = draw(st.integers(3, 12))
-    seed = draw(st.integers(0, 2**31 - 1))
-    return c, n, h, w, seed
-
-
-def random_problem(c, n, h, w, seed, r=3, s=3):
-    rng = np.random.default_rng(seed)
-    return rng.standard_normal((c, h, w)), rng.standard_normal((n, c, r, s))
-
-
 class TestConvShape:
     def test_flops(self):
         shape = ConvShape(64, 32, 56, 56)
@@ -75,35 +57,6 @@ class TestConvShape:
     def test_pad_input_shape_mismatch(self, rng):
         with pytest.raises(ValueError):
             pad_input(rng.standard_normal((2, 4, 4)), ConvShape(2, 3, 5, 5))
-
-
-class TestTDCKernelFunctional:
-    @given(conv_cases(), st.integers(1, 6), st.integers(1, 6), st.integers(1, 8))
-    @settings(max_examples=40, deadline=None)
-    def test_matches_reference(self, case, th, tw, tc):
-        c, n, h, w, seed = case
-        x, weight = random_problem(c, n, h, w, seed)
-        y = TDCDirectKernel(Tiling(th, tw, tc)).run(x, weight)
-        np.testing.assert_allclose(y, reference_conv(x, weight), atol=1e-9)
-
-    def test_partial_edge_tiles(self, rng):
-        """Problem size not divisible by the tile size."""
-        x = rng.standard_normal((5, 9, 11))
-        w = rng.standard_normal((7, 5, 3, 3))
-        y = TDCDirectKernel(Tiling(4, 4, 2)).run(x, w)
-        np.testing.assert_allclose(y, reference_conv(x, w), atol=1e-9)
-
-    def test_1x1_filter(self, rng):
-        x = rng.standard_normal((4, 6, 6))
-        w = rng.standard_normal((3, 4, 1, 1))
-        y = TDCDirectKernel(Tiling(3, 3, 2)).run(x, w)
-        np.testing.assert_allclose(y, reference_conv(x, w), atol=1e-10)
-
-    def test_5x5_filter(self, rng):
-        x = rng.standard_normal((3, 8, 8))
-        w = rng.standard_normal((2, 3, 5, 5))
-        y = TDCDirectKernel(Tiling(4, 4, 3)).run(x, w)
-        np.testing.assert_allclose(y, reference_conv(x, w), atol=1e-9)
 
 
 class TestTDCKernelModel:
@@ -154,14 +107,6 @@ class TestTDCKernelModel:
 
 
 class TestTVMKernel:
-    @given(conv_cases(), st.integers(1, 6), st.integers(1, 6), st.integers(1, 8))
-    @settings(max_examples=30, deadline=None)
-    def test_matches_reference(self, case, th, tw, tn):
-        c, n, h, w, seed = case
-        x, weight = random_problem(c, n, h, w, seed)
-        y = TVMDirectKernel(TVMTiling(th, tw, tn)).run(x, weight)
-        np.testing.assert_allclose(y, reference_conv(x, weight), atol=1e-9)
-
     def test_sync_count_scales_with_c(self, device):
         l1 = TVMDirectKernel(TVMTiling(8, 8, 8)).launches(
             ConvShape(32, 32, 16, 16), device
@@ -191,30 +136,6 @@ class TestTVMKernel:
 
 
 class TestCuDNNKernels:
-    @given(conv_cases())
-    @settings(max_examples=25, deadline=None)
-    def test_gemm_matches_reference(self, case):
-        c, n, h, w, seed = case
-        x, weight = random_problem(c, n, h, w, seed)
-        y = CuDNNGemmKernel().run(x, weight)
-        np.testing.assert_allclose(y, reference_conv(x, weight), atol=1e-9)
-
-    @given(conv_cases())
-    @settings(max_examples=25, deadline=None)
-    def test_winograd_matches_reference(self, case):
-        c, n, h, w, seed = case
-        x, weight = random_problem(c, n, h, w, seed)
-        y = CuDNNWinogradKernel().run(x, weight)
-        np.testing.assert_allclose(y, reference_conv(x, weight), atol=1e-8)
-
-    @given(conv_cases())
-    @settings(max_examples=25, deadline=None)
-    def test_fft_matches_reference(self, case):
-        c, n, h, w, seed = case
-        x, weight = random_problem(c, n, h, w, seed)
-        y = CuDNNFFTKernel().run(x, weight)
-        np.testing.assert_allclose(y, reference_conv(x, weight), atol=1e-8)
-
     def test_winograd_rejects_non_3x3(self, device):
         with pytest.raises(ValueError):
             CuDNNWinogradKernel().launches(
@@ -244,16 +165,6 @@ class TestCuDNNKernels:
 
 
 class TestPointwiseAndAux:
-    @given(conv_cases())
-    @settings(max_examples=20, deadline=None)
-    def test_pointwise_matches_reference(self, case):
-        c, n, h, w, seed = case
-        rng = np.random.default_rng(seed)
-        x = rng.standard_normal((c, h, w))
-        weight = rng.standard_normal((n, c, 1, 1))
-        y = PointwiseConvKernel().run(x, weight)
-        np.testing.assert_allclose(y, reference_conv(x, weight), atol=1e-10)
-
     def test_pointwise_rejects_3x3(self, device):
         with pytest.raises(ValueError):
             PointwiseConvKernel().launches(ConvShape(4, 4, 8, 8), device)
@@ -321,8 +232,8 @@ class TestPaperStructuralClaims:
 
 
 class TestAsymmetricFilters:
-    """Edge cases: even and rectangular filters through pad_input and
-    the direct schemes (asymmetric same-padding path)."""
+    """Edge case: an even filter through pad_input (the asymmetric
+    same-padding path)."""
 
     def test_even_filter_pad_asymmetric(self, rng):
         shape = ConvShape(2, 3, 6, 6, r=2, s=2)
@@ -333,83 +244,36 @@ class TestAsymmetricFilters:
         assert np.all(xp[:, -1, :] == 0) and np.all(xp[:, :, -1] == 0)
         np.testing.assert_array_equal(xp[:, :6, :6], x)
 
-    def test_tdc_kernel_even_filter(self, rng):
-        x = rng.standard_normal((3, 7, 7))
-        w = rng.standard_normal((4, 3, 2, 2))
-        y = TDCDirectKernel(Tiling(3, 3, 2)).run(x, w)
-        np.testing.assert_allclose(y, reference_conv(x, w), atol=1e-10)
 
-    def test_tdc_kernel_rectangular_filter(self, rng):
-        x = rng.standard_normal((2, 8, 8))
-        w = rng.standard_normal((3, 2, 1, 3))
-        y = TDCDirectKernel(Tiling(4, 4, 1)).run(x, w)
-        np.testing.assert_allclose(y, reference_conv(x, w), atol=1e-10)
+class TestExecutionDtype:
+    """``execution_dtype`` picks the compiled arena's dtype
+    (``model_dtype``) and ``reference_conv``'s: float32 stays float32
+    (no silent float64 promotion), float64 stays float64, mixed floats
+    take the wider, non-floats give float64 and float16 gives
+    float32."""
 
-    def test_tvm_kernel_rectangular_filter(self, rng):
-        x = rng.standard_normal((2, 6, 9))
-        w = rng.standard_normal((2, 2, 3, 5))
-        y = TVMDirectKernel(TVMTiling(3, 3, 2)).run(x, w)
-        np.testing.assert_allclose(y, reference_conv(x, w), atol=1e-10)
+    def test_float32_stays_float32(self):
+        x = np.ones((3, 4, 4), dtype=np.float32)
+        w = np.ones((2, 3, 3, 3), dtype=np.float32)
+        assert execution_dtype(x, w) == np.float32
+        assert execution_dtype(x) == np.float32
 
-    def test_non_square_input(self, rng):
-        x = rng.standard_normal((3, 5, 11))
-        w = rng.standard_normal((2, 3, 3, 3))
-        y = TDCDirectKernel(Tiling(2, 4, 2)).run(x, w)
-        np.testing.assert_allclose(y, reference_conv(x, w), atol=1e-10)
+    def test_float64_unchanged(self):
+        x = np.ones((3, 4, 4))
+        assert execution_dtype(x, np.ones((2, 3, 3, 3))) == np.float64
 
-
-class TestRunDtype:
-    """Kernel ``run`` executes in the inputs' dtype: float32 stays
-    float32 end to end (no silent float64 promotion), float64 is
-    unchanged, and non-float inputs still promote to float64."""
-
-    KERNEL_CASES = [
-        (lambda: TDCDirectKernel(Tiling(4, 4, 3)), 3, 3),
-        (lambda: TVMDirectKernel(TVMTiling(4, 4, 2)), 3, 3),
-        (lambda: CuDNNGemmKernel(GemmConfig(128, 128, 256, 1)), 3, 3),
-        (lambda: CuDNNWinogradKernel(), 3, 3),
-        (lambda: CuDNNFFTKernel(), 3, 3),
-        (lambda: PointwiseConvKernel(), 1, 1),
-    ]
-
-    KERNEL_IDS = ["tdc", "tvm", "gemm", "winograd", "fft", "pointwise"]
-
-    @pytest.mark.parametrize("factory,r,s", KERNEL_CASES, ids=KERNEL_IDS)
-    def test_float32_stays_float32(self, factory, r, s, rng):
-        x = rng.standard_normal((5, 8, 8)).astype(np.float32)
-        w = rng.standard_normal((4, 5, r, s)).astype(np.float32)
-        y = factory().run(x, w)
-        assert y.dtype == np.float32
-        np.testing.assert_allclose(
-            y, reference_conv(x, w), rtol=1e-4, atol=1e-4
-        )
-
-    @pytest.mark.parametrize("factory,r,s", KERNEL_CASES, ids=KERNEL_IDS)
-    def test_float64_unchanged(self, factory, r, s, rng):
-        x = rng.standard_normal((5, 8, 8))
-        w = rng.standard_normal((4, 5, r, s))
-        y = factory().run(x, w)
-        assert y.dtype == np.float64
-        np.testing.assert_allclose(y, reference_conv(x, w), atol=1e-10)
-
-    def test_mixed_dtypes_promote(self, rng):
-        x = rng.standard_normal((3, 6, 6)).astype(np.float32)
-        w = rng.standard_normal((2, 3, 3, 3))  # float64
-        y = TDCDirectKernel(Tiling(3, 3, 2)).run(x, w)
-        assert y.dtype == np.float64
+    def test_mixed_dtypes_promote(self):
+        x = np.ones((3, 4, 4), dtype=np.float32)
+        w = np.ones((2, 3, 3, 3))  # float64
+        assert execution_dtype(x, w) == np.float64
+        assert execution_dtype(w, x) == np.float64
 
     def test_integer_inputs_promote_to_float64(self):
         x = np.ones((2, 5, 5), dtype=np.int32)
         w = np.ones((2, 2, 3, 3), dtype=np.int64)
-        y = TDCDirectKernel(Tiling(2, 2, 2)).run(x, w)
-        assert y.dtype == np.float64
-        np.testing.assert_allclose(y, reference_conv(x, w), atol=1e-10)
+        assert execution_dtype(x, w) == np.float64
+        assert execution_dtype(np.ones(3, dtype=bool)) == np.float64
 
-    def test_float16_promotes_to_float32(self, rng):
-        x = rng.standard_normal((3, 6, 6)).astype(np.float16)
-        w = rng.standard_normal((2, 3, 3, 3)).astype(np.float16)
-        y = TDCDirectKernel(Tiling(3, 3, 2)).run(x, w)
-        assert y.dtype == np.float32
-        np.testing.assert_allclose(
-            y, reference_conv(x, w), rtol=1e-2, atol=1e-2
-        )
+    def test_float16_promotes_to_float32(self):
+        x = np.ones((3, 6, 6), dtype=np.float16)
+        assert execution_dtype(x, x) == np.float32

@@ -109,17 +109,3 @@ class TestLatencyModelInvariants:
             ConvShape(32, 32, 14 * (mult + 1), 14 * (mult + 1)), A100
         )
         assert big >= small
-
-    @given(st.integers(0, 2**31 - 1))
-    @settings(max_examples=15, deadline=None)
-    def test_functional_run_matches_reference_randomized(self, seed):
-        rng = np.random.default_rng(seed)
-        c = int(rng.integers(1, 8))
-        n = int(rng.integers(1, 8))
-        hw = int(rng.integers(3, 10))
-        x = rng.standard_normal((c, hw, hw))
-        w = rng.standard_normal((n, c, 3, 3))
-        t = Tiling(int(rng.integers(1, 5)), int(rng.integers(1, 5)),
-                   int(rng.integers(1, 5)))
-        y = TDCDirectKernel(t).run(x, w)
-        np.testing.assert_allclose(y, reference_conv(x, w), atol=1e-9)
