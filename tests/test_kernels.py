@@ -2,14 +2,21 @@
 
 Each scheme's launch description and simulated latency is probed for
 the structural properties the paper relies on; ``pad_input`` and the
-dtype promotion rules are checked directly.
+dtype promotion rules are checked directly, and each scheme's compiled
+execution is checked to keep the model's dtype.
 """
 
 import numpy as np
 import pytest
 
 from repro.gpusim.device import A100, RTX2080TI
-from repro.kernels.base import ConvShape, execution_dtype, pad_input
+from repro.inference.executable import compile_model
+from repro.kernels.base import (
+    ConvShape,
+    execution_dtype,
+    pad_input,
+    reference_conv,
+)
 from repro.kernels.cudnn import (
     CuDNNFFTKernel,
     CuDNNGemmKernel,
@@ -33,6 +40,9 @@ from repro.kernels.tdc_direct import (
     smem_bytes,
 )
 from repro.kernels.tvm_direct import TVMDirectKernel, TVMTiling
+from repro.nn.conv import Conv2d
+from repro.nn.module import Sequential
+from repro.nn.tucker_conv import TuckerConv2d
 
 
 class TestConvShape:
@@ -277,3 +287,58 @@ class TestExecutionDtype:
     def test_float16_promotes_to_float32(self):
         x = np.ones((3, 6, 6), dtype=np.float16)
         assert execution_dtype(x, x) == np.float32
+
+
+def _tucker_layer():
+    return TuckerConv2d(5, 4, 3, rank_in=3, rank_out=2, padding=1, seed=0)
+
+
+def _pointwise_layer():
+    return Conv2d(5, 4, 1, padding=0, seed=0)
+
+
+class TestRunDtype:
+    """Each scheme's compiled execution runs in the model's dtype:
+    float32 stays float32 end to end (no silent float64 promotion, no
+    hot-path cast), float64 is unchanged.  A Tucker layer's core runs
+    under the named backend; ``pointwise`` is a dense 1x1 conv."""
+
+    KERNEL_CASES = [
+        ("tdc-model", _tucker_layer),
+        ("tvm", _tucker_layer),
+        ("cudnn", _tucker_layer),
+        ("cudnn-winograd", _tucker_layer),
+        ("cudnn-fft", _tucker_layer),
+        (None, _pointwise_layer),
+    ]
+
+    KERNEL_IDS = ["tdc", "tvm", "gemm", "winograd", "fft", "pointwise"]
+
+    @staticmethod
+    def _run(backend, factory, dtype, rng):
+        layer = factory()
+        for p in layer.parameters():
+            p.data = p.data.astype(dtype)
+        model = Sequential(layer).eval()
+        exe = compile_model(
+            model, A100, image_hw=(8, 8), in_channels=5,
+            core_backend=backend or "auto", max_batch=1, threads=1,
+        )
+        assert exe.backend_counts() == ({backend: 1} if backend else {})
+        x = rng.standard_normal((1, 5, 8, 8)).astype(dtype)
+        w = layer.to_conv_weight() if backend else layer.weight.data
+        y = exe.run(x)
+        assert exe.dtype == dtype and exe.hot_casts == 0
+        return y[0], reference_conv(x[0], w)
+
+    @pytest.mark.parametrize("backend,factory", KERNEL_CASES, ids=KERNEL_IDS)
+    def test_float32_stays_float32(self, backend, factory, rng):
+        y, ref = self._run(backend, factory, np.float32, rng)
+        assert y.dtype == np.float32 and ref.dtype == np.float32
+        np.testing.assert_allclose(y, ref, rtol=1e-4, atol=1e-4)
+
+    @pytest.mark.parametrize("backend,factory", KERNEL_CASES, ids=KERNEL_IDS)
+    def test_float64_unchanged(self, backend, factory, rng):
+        y, ref = self._run(backend, factory, np.float64, rng)
+        assert y.dtype == np.float64
+        np.testing.assert_allclose(y, ref, atol=1e-10)
