@@ -6,9 +6,10 @@ preserves it.  numpy's default dtype is float64, so the classic
 regressions are (a) ``np.array([...])``/``np.zeros(...)`` without an
 explicit ``dtype=`` and (b) ``np.float64`` literals leaking into hot
 code.  This rule flags those in the dtype-sensitive subtrees
-(``kernels/``, ``nn/functional.py``, ``runtime/``); intentional
-float64 sites (the simulator's latency math, reference paths) carry
-inline suppressions with reasons.
+(``kernels/``, ``nn/functional.py``, ``runtime/``, and ``inference/``,
+where every host convolution runs); intentional float64 sites (the
+simulator's latency math, reference paths) carry inline suppressions
+with reasons.
 
 ``np.asarray(x)`` on an existing array preserves dtype, so a dtype-less
 ``asarray`` is only flagged when its argument is a literal list/tuple
@@ -25,7 +26,8 @@ from repro.analysis.rules import register_rule
 from repro.analysis.rules.hot_path_alloc import _numpy_aliases
 
 #: Path fragments that put a module in scope for this rule.
-SCOPE_FRAGMENTS = ("kernels/", "runtime/", "nn/functional.py")
+SCOPE_FRAGMENTS = ("kernels/", "runtime/", "inference/",
+                   "nn/functional.py")
 
 #: Allocators whose dtype defaults to float64 when omitted.
 DEFAULT_FLOAT64_FUNCS = frozenset({"zeros", "empty", "ones", "array"})
@@ -49,7 +51,7 @@ class DtypePromotionRule(Rule):
     name = "dtype-promotion"
     description = (
         "no dtype-less np.array/np.asarray/np.zeros or np.float64 "
-        "literals in kernels/, nn/functional.py, runtime/"
+        "literals in kernels/, nn/functional.py, runtime/, inference/"
     )
 
     def check(self, module: ParsedModule) -> List[Finding]:

@@ -115,7 +115,7 @@ from repro.models.introspection import LayerSite, trace_layer_sites
 from repro.models.resnet import ResNet
 from repro.models.vgg import VGG
 from repro.nn.conv import Conv2d
-from repro.nn.cp_conv import CPConv2d
+from repro.nn.factored_conv import FactoredConv2d
 from repro.nn.functional import conv_out_size
 from repro.nn.layers import (
     AvgPool2d,
@@ -128,8 +128,6 @@ from repro.nn.layers import (
     ReLU,
 )
 from repro.nn.module import Identity, Module, Sequential
-from repro.nn.tt_conv import TTConv2d
-from repro.nn.tucker_conv import TuckerConv2d
 from repro.perfmodel.parallel import should_parallelize
 from repro.runtime.engine import plan_batch_shards
 from repro.runtime.pool import get_pool, resolve_threads
@@ -870,7 +868,7 @@ class _Lowering:
         """Lower ``mod`` on input ``act``; a conv site that ends it
         writes into ``dest`` when given."""
         kind = type(mod)
-        if kind in (Conv2d, TuckerConv2d, CPConv2d, TTConv2d):
+        if kind is Conv2d or isinstance(mod, FactoredConv2d):
             return self.site(mod, path, act, dest)
         if kind in _CHAINS or kind in (Sequential, ConvBNReLU):
             names = _CHAINS.get(kind) or mod._order
@@ -951,22 +949,19 @@ class _Lowering:
                     shape = ConvShape(c=c, n=mod.out_channels, h=oh, w=ow,
                                       r=k, s=k)
         else:
+            ch = mod.chain
             weights = mod.export_weights(dtype=self.arena.dtype)
-            mid = weights["w_in"].shape[0]
-            z1 = self.alloc(f"{path}.z1", (mid, h, w))
+            z1 = self.alloc(f"{path}.z1", (ch.mid, h, w))
             stages.append(PointwiseStage(weights["w_in"], source(act), z1))
-            z1 = _Act(z1, (mid, h, w))
-            if site.format == "tucker":
-                z2 = self.alloc(f"{path}.z2", (mod.rank_out, oh, ow))
+            z1 = _Act(z1, (ch.mid, h, w))
+            z2 = self.alloc(f"{path}.z2", (ch.out, oh, ow))
+            if ch.depthwise:
+                core = DepthwiseStage(weights["core"], padded(z1), z2, stride,
+                                      ch.core_out // ch.out)
+            else:
                 core = ConvStage(weights["core"], padded(z1), z2, stride,
                                  self.slots.get(path, 1))
-                shape = ConvShape(c=mid, n=mod.rank_out, h=oh, w=ow, r=k, s=k)
-            else:
-                groups = mod.rank2 if site.format == "tt" else 1
-                z2 = self.alloc(f"{path}.z2", (mid // groups, oh, ow))
-                core = DepthwiseStage(weights["dw"], padded(z1), z2, stride,
-                                      groups)
-                shape = ConvShape(c=mid, n=mid, h=oh, w=ow, r=k, s=k)
+            shape = ConvShape(c=ch.mid, n=ch.core_out, h=oh, w=ow, r=k, s=k)
             stages += [core, PointwiseStage(weights["w_out"], z2, out)]
         if mod.bias is not None:
             stages[-1].set_bias(mod.bias.data)
@@ -1278,7 +1273,7 @@ def model_dtype(model: Module) -> np.dtype:
     """
     arrays = [p.data for p in model.parameters()]
     if not arrays:
-        return np.dtype(np.float64)
+        return np.dtype(np.float64)  # repro: ignore[dtype-promotion] -- a model with no weights keeps the float64 training stack's dtype
     return execution_dtype(*arrays)
 
 

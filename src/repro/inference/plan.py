@@ -232,9 +232,9 @@ def plan_model(
     kernel, and every factored conv expands into ``<name>.pw1`` /
     ``<name>.core`` / ``<name>.pw2`` — exactly the shapes
     :func:`repro.inference.compile_plan` later binds to numeric
-    kernels.  A :class:`~repro.nn.tucker_conv.TuckerConv2d` core is
-    dispatched through the backend registry; CP/TT cores are the
-    depthwise stage (kind ``"dwcore"``, resolved by
+    kernels.  A dense core (Tucker's) is dispatched through the
+    backend registry; a depthwise core (CP's, TT's) is the depthwise
+    stage (kind ``"dwcore"``, resolved by
     :func:`repro.backends.dispatch_dwcore` — the standalone depthwise
     kernel unless a registered backend such as ``fused`` offers the
     stage cheaper, with TT's group-sum folded into the latency either
@@ -281,9 +281,9 @@ def plan_model(
         oh, ow = mod.output_shape(site.height, site.width)
         if site.is_factored:
             plan.kernels.extend(_chain_kernels(
-                site.name, get_format(site.format).chain(mod.ranks),
-                mod.in_channels, mod.out_channels, site.height, site.width,
-                oh, ow, mod.kernel_size, device, core_backend,
+                site.name, mod.chain, mod.in_channels, mod.out_channels,
+                site.height, site.width, oh, ow, mod.kernel_size, device,
+                core_backend,
             ))
         elif mod.kernel_size == 1:
             plan.kernels.append(

@@ -14,7 +14,6 @@ from repro.kernels.codegen import (
     kernel_constants,
 )
 from repro.kernels.cudnn import (
-    GEMM_CONFIGS,
     CuDNNFFTKernel,
     CuDNNGemmKernel,
     CuDNNWinogradKernel,
@@ -42,7 +41,6 @@ __all__ = [
     "convert_kernel_to_crsn",
     "generate_tdc_kernel_source",
     "kernel_constants",
-    "GEMM_CONFIGS",
     "CuDNNFFTKernel",
     "CuDNNGemmKernel",
     "CuDNNWinogradKernel",

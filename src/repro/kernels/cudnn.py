@@ -54,17 +54,6 @@ IMPLICIT_GEMM_CONFIGS: Tuple[GemmConfig, ...] = (
     GemmConfig(128, 64, 256, 1),
 )
 
-# Plain (non-implicit) GEMM tiles used by the 1x1/pointwise path,
-# where cuBLAS-style heuristics do offer smaller tiles and split-K.
-GEMM_CONFIGS: Tuple[GemmConfig, ...] = (
-    GemmConfig(128, 128, 256, 1),
-    GemmConfig(128, 64, 256, 1),
-    GemmConfig(64, 64, 128, 1),
-    GemmConfig(64, 64, 128, 2),
-    GemmConfig(64, 64, 128, 4),
-    GemmConfig(32, 64, 64, 4),
-)
-
 
 class CuDNNGemmKernel(ConvKernel):
     """IMPLICIT_GEMM: conv as a single (M=H*W) x (N) x (K=C*R*S) GEMM."""

@@ -14,7 +14,7 @@ DRAM bandwidth plus launch overhead.
 from __future__ import annotations
 
 from math import ceil
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 from repro.gpusim.device import DeviceSpec
 from repro.gpusim.engine import KernelLaunch
@@ -26,22 +26,16 @@ class PointwiseConvKernel(ConvKernel):
     """1x1 convolution as a GEMM (no im2col duplication).
 
     cuDNN routes 1x1 convs through the same IMPLICIT_GEMM tile
-    repertoire as any other conv, so the default configuration set is
-    the implicit-GEMM one — 1x1 stages of a Tucker layer are *not*
+    repertoire as any other conv, so the configuration set is the
+    implicit-GEMM one — 1x1 stages of a Tucker layer are *not*
     magically efficient at small channel counts, which is why the
-    θ-threshold rule exists.  Pass ``configs=GEMM_CONFIGS`` to model a
-    hand-rolled cuBLAS-style path instead.
+    θ-threshold rule exists.
     """
 
     name = "pointwise"
 
-    def __init__(
-        self,
-        config: Optional[GemmConfig] = None,
-        configs: Optional[Sequence[GemmConfig]] = None,
-    ) -> None:
+    def __init__(self, config: Optional[GemmConfig] = None) -> None:
         self.config = config
-        self.configs = tuple(configs) if configs is not None else IMPLICIT_GEMM_CONFIGS
 
     def launches(self, shape: ConvShape, device: DeviceSpec) -> List[KernelLaunch]:
         if shape.r != 1 or shape.s != 1:
@@ -52,7 +46,7 @@ class PointwiseConvKernel(ConvKernel):
         cfg = self.config
         if cfg is None:
             best, best_lat = None, float("inf")
-            for candidate in self.configs:
+            for candidate in IMPLICIT_GEMM_CONFIGS:
                 lat = PointwiseConvKernel(candidate).latency(shape, device)
                 if lat < best_lat:
                     best, best_lat = candidate, lat

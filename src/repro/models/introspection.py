@@ -15,10 +15,8 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.nn.conv import Conv2d
-from repro.nn.cp_conv import CPConv2d
+from repro.nn.factored_conv import FactoredConv2d
 from repro.nn.module import Module
-from repro.nn.tt_conv import TTConv2d
-from repro.nn.tucker_conv import TuckerConv2d
 
 # Tracing temporarily swaps the *class-level* forward methods, which is
 # process-global state: concurrent traces (e.g. two serving deployments)
@@ -26,17 +24,17 @@ from repro.nn.tucker_conv import TuckerConv2d
 # All tracing serializes on this lock.
 _TRACE_LOCK = threading.RLock()
 
-# Every conv-like layer class the planner/compiler understands.  The
-# factored classes expand into kernel chains; Conv2d binds a baseline
-# kernel directly.
-FACTORED_CONV_CLASSES = (TuckerConv2d, CPConv2d, TTConv2d)
-CONV_SITE_CLASSES = (Conv2d,) + FACTORED_CONV_CLASSES
+# Every conv-like layer class the planner/compiler understands.  A
+# factored conv expands into its format's kernel chain; Conv2d binds a
+# baseline kernel directly.
+CONV_SITE_CLASSES = (Conv2d, FactoredConv2d)
 
 
 @contextmanager
 def _traced_shapes(model: Module):
-    """Swap every conv-like class's forward for a shape-recording
-    wrapper for the duration of one dummy forward pass.
+    """Swap the conv-like classes' forward (every factored format
+    inherits :class:`FactoredConv2d`'s) for a shape-recording wrapper
+    for the duration of one dummy forward pass.
 
     Yields ``(shapes, order)``: input extent by module id, and first-
     execution order (the planner wants model order even for modules
@@ -138,29 +136,23 @@ class LayerSite:
     extent — the unit the compile/execute split binds kernels to."""
 
     name: str
-    module: Module           # Conv2d, TuckerConv2d, CPConv2d, or TTConv2d
+    module: Module           # Conv2d or a FactoredConv2d
     height: int
     width: int
 
     @property
     def format(self) -> str:
-        """The layer's decomposition format: ``"dense"``, ``"tucker"``,
-        ``"cp"``, or ``"tt"``."""
-        if isinstance(self.module, TuckerConv2d):
-            return "tucker"
-        if isinstance(self.module, CPConv2d):
-            return "cp"
-        if isinstance(self.module, TTConv2d):
-            return "tt"
-        return "dense"
+        """The layer's decomposition format: ``"dense"`` or the
+        factored module's ``format``."""
+        return self.module.format if self.is_factored else "dense"
 
     @property
     def is_factored(self) -> bool:
-        return isinstance(self.module, FACTORED_CONV_CLASSES)
+        return isinstance(self.module, FactoredConv2d)
 
     @property
     def is_tucker(self) -> bool:
-        return isinstance(self.module, TuckerConv2d)
+        return self.format == "tucker"
 
 
 def trace_layer_sites(
@@ -170,9 +162,9 @@ def trace_layer_sites(
     spatial extent, in model order.
 
     The execution-plan and compile steps need every kind: dense convs
-    bind to a baseline kernel, Tucker layers expand into the
-    pw1 -> core -> pw2 pipeline with a registry-dispatched core, and
-    CP/TT layers expand into pw1 -> depthwise core -> pw2.
+    bind to a baseline kernel, and factored convs expand into their
+    chain's pw1 -> core -> pw2 (a dense core dispatched through the
+    backend registry, or a depthwise one).
     """
     with _traced_shapes(model) as (shapes, order):
         dummy = np.zeros((1, in_channels, image_hw[0], image_hw[1]))

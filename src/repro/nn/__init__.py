@@ -8,6 +8,7 @@ by the test suite.
 
 from repro.nn.conv import Conv2d
 from repro.nn.cp_conv import CPConv2d
+from repro.nn.factored_conv import FactoredConv2d
 from repro.nn.layers import (
     AvgPool2d,
     BatchNorm2d,
@@ -35,6 +36,7 @@ from repro.nn.tucker_linear import TuckerLinear
 __all__ = [
     "Conv2d",
     "CPConv2d",
+    "FactoredConv2d",
     "TTConv2d",
     "TuckerConv2d",
     "TuckerLinear",

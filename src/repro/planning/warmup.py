@@ -75,30 +75,31 @@ def warm_model_backends(
     backends: Sequence[str] = ("auto",),
     sites=None,
 ) -> Dict[str, int]:
-    """Warm the kernel backends for a *trainable* model's Tucker cores.
+    """Warm the kernel backends for a *trainable* model's full
+    (non-depthwise) factored cores, i.e. Tucker's.
 
-    Planning dispatches every Tucker core on its shape at the output
+    Planning dispatches every such core on its shape at the output
     extent; this resolves those shapes through :func:`warm_backends`,
     so a following ``plan_model`` (and every serving deployment) is
-    pure cache hits.  Compilation consults no backend.  Dense-only
-    models warm nothing and return an empty mapping.  ``sites`` takes a
-    pre-traced inventory so one traced forward can feed warm-up,
-    planning, and compilation.
+    pure cache hits.  Compilation consults no backend.  A model with
+    no such core warms nothing and returns an empty mapping.  ``sites``
+    takes a pre-traced inventory so one traced forward can feed
+    warm-up, planning, and compilation.
     """
     from repro.models.introspection import trace_layer_sites
-    from repro.nn.tucker_conv import TuckerConv2d
 
     if sites is None:
         sites = trace_layer_sites(model, image_hw, in_channels=in_channels)
     pairs: List[Tuple[ConvShape, DeviceSpec]] = []
     for site in sites:
         mod = site.module
-        if not isinstance(mod, TuckerConv2d):
+        if not site.is_factored or mod.chain.depthwise:
             continue
         k = mod.kernel_size
         oh, ow = mod.output_shape(site.height, site.width)
         pairs.append((
-            ConvShape(c=mod.rank_in, n=mod.rank_out, h=oh, w=ow, r=k, s=k),
+            ConvShape(c=mod.chain.mid, n=mod.chain.core_out, h=oh, w=ow,
+                      r=k, s=k),
             device,
         ))
     if not pairs:

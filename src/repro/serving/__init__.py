@@ -52,13 +52,10 @@ from repro.serving.router import (
     make_router,
 )
 from repro.serving.session import (
-    DEFAULT_REGISTRY,
     InferenceSession,
     RequestCancelled,
     SessionRegistry,
     SessionStats,
-    create_session,
-    get_session,
     latency_quantile,
 )
 
@@ -69,7 +66,6 @@ __all__ = [
     "CircuitBreakerPolicy",
     "CorruptedOutput",
     "DEFAULT_PRIORITY_CLASSES",
-    "DEFAULT_REGISTRY",
     "DEGRADE",
     "DeadlineExceeded",
     "FaultInjector",
@@ -92,9 +88,7 @@ __all__ = [
     "SessionRegistry",
     "SessionStats",
     "WorkerCrash",
-    "create_session",
     "deploy_fleet",
-    "get_session",
     "latency_quantile",
     "make_router",
 ]

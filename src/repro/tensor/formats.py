@@ -31,15 +31,16 @@ A new format (e.g. higher-order Tucker per HOTCAKE) must provide:
 1. a :class:`DecompFormat` subclass here with ``rank_arity``,
    ``chain(ranks)`` and ``rank_candidates`` (built on
    :func:`rank_candidates`), passed to :func:`register_format`;
-2. a ``repro.nn`` module with ``from_conv``, ``export_weights`` and a
-   ``ranks`` property in the format's rank order, known to
-   ``repro.models.introspection`` (``FACTORED_CONV_CLASSES``,
-   ``LayerSite.format``) and built by
+2. a :class:`repro.nn.FactoredConv2d` subclass (``format``, its rank
+   attributes, a ``ranks`` property in the format's rank order and
+   ``from_conv``) built by
    ``repro.compression.baselines.decompose_model_formats``;
-3. its stage list in ``repro.inference.executable._lower`` (plus its
-   compiled site class in ``_SITE_CLASSES``).
+3. for a dense or depthwise core, no new stage code: the lowering
+   (``repro.inference.executable._Lowering.site``) reads the chain,
+   and only a compiled site class in ``_SITE_CLASSES`` is added.
 
-Costs, rank selection and both planners then need no change.
+Costs, rank selection, both planners, the layer's forward/backward and
+its stage list then need no change.
 """
 
 from __future__ import annotations

@@ -164,6 +164,15 @@ def test_dtype_promotion_seeded_violation(tmp_path):
             for f in findings} == {True}
 
 
+def test_dtype_promotion_scans_inference(tmp_path):
+    # Every host convolution runs in inference/, so its dtype
+    # regressions are this rule's business too.
+    findings = lint(
+        tmp_path, "inference/mod.py", DTYPE_VIOLATION, ["dtype-promotion"]
+    )
+    assert len(findings) == 4
+
+
 def test_dtype_promotion_clean_pass(tmp_path):
     assert lint(
         tmp_path, "kernels/mod.py", DTYPE_CLEAN, ["dtype-promotion"]
@@ -171,8 +180,8 @@ def test_dtype_promotion_clean_pass(tmp_path):
 
 
 def test_dtype_promotion_out_of_scope_path(tmp_path):
-    # The same violations outside kernels//runtime//nn/functional.py
-    # are not this rule's business.
+    # The same violations outside kernels//runtime//inference//
+    # nn/functional.py are not this rule's business.
     assert lint(
         tmp_path, "experiments/mod.py", DTYPE_VIOLATION, ["dtype-promotion"]
     ) == []

@@ -210,7 +210,7 @@ def test_export_weights_reproduce_forward(kind):
     z1 = np.einsum("qc,bchw->bqhw", w["w_in"], x)
     from repro.nn.functional import depthwise_conv2d_forward
 
-    z2 = depthwise_conv2d_forward(z1, w["dw"], stride=1, padding=1)
+    z2 = depthwise_conv2d_forward(z1, w["core"], stride=1, padding=1)
     if kind == "tt":
         b, _, oh, ow = z2.shape
         z2 = z2.reshape(b, mod.rank1, mod.rank2, oh, ow).sum(axis=2)
